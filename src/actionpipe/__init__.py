@@ -3,7 +3,7 @@
 Per-frame object detections are clustered into spatio-temporal cuboid
 proposals, densified by temporal jittering, labeled against ground truth
 for training, joined with external classifier scores, temporally refined,
-pruned with class-wise 3D-NMS, and scored with Hungarian-matched
+pruned with class-wise 3D-NMS, and scored with maximum-matching
 miss-rate/false-alarm curves.
 """
 

@@ -4,6 +4,11 @@ A cuboid is an axis-aligned image rectangle swept over an inclusive frame
 interval.  Spatial coordinates are continuous pixels; frame indices are
 integers and both endpoints belong to the span, so [f, f] is one frame long.
 All functions here are pure and safe for parallel use.
+
+`pairwise_iou` and `pairwise_iou_3d` are the one overlap kernel that
+labeling, NMS, matching and recall share.  They repeat the scalar
+functions' float64 operations in the same order, so every entry equals the
+scalar IoU of that pair bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from typing import Iterable
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -107,6 +114,54 @@ def iou_3d(a: Cuboid, b: Cuboid) -> float:
         return 0.0
     inter = ix * iy * it
     return inter / (a.volume + b.volume - inter)
+
+
+def cuboid_array(cuboids: Iterable[Cuboid]) -> np.ndarray:
+    """(n, 6) float64 rows x_min, y_min, x_max, y_max, f_start, f_end."""
+    rows = [(c.x_min, c.y_min, c.x_max, c.y_max, c.f_start, c.f_end) for c in cuboids]
+    return np.array(rows, dtype=np.float64).reshape(len(rows), 6)
+
+
+def _pairwise_extents(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signed x, y and inclusive-frame intersection extents, shape (len(a), len(b))."""
+    a, b = a[:, None, :], b[None, :, :]
+    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    it = np.minimum(a[..., 5], b[..., 5]) - np.maximum(a[..., 4], b[..., 4]) + 1.0
+    return ix, iy, it
+
+
+def _areas(c: np.ndarray) -> np.ndarray:
+    return (c[:, 2] - c[:, 0]) * (c[:, 3] - c[:, 1])
+
+
+def _frame_counts(c: np.ndarray) -> np.ndarray:
+    return c[:, 5] - c[:, 4] + 1.0
+
+
+def pairwise_iou(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(spatial, temporal) IoU of every row of `a` against every row of `b`.
+
+    Inputs are `cuboid_array` outputs; each result has shape (len(a), len(b))
+    and entry [i, j] equals spatial_iou / temporal_iou of that pair exactly.
+    """
+    ix, iy, it = _pairwise_extents(a, b)
+    # Disjoint pairs get a zero intersection, hence a 0.0 ratio over a
+    # positive union; overlapping pairs divide exactly as the scalar code.
+    inter = np.where((ix > 0.0) & (iy > 0.0), ix * iy, 0.0)
+    spatial = inter / (_areas(a)[:, None] + _areas(b)[None, :] - inter)
+    inter_t = np.where(it > 0.0, it, 0.0)
+    temporal = inter_t / (_frame_counts(a)[:, None] + _frame_counts(b)[None, :] - inter_t)
+    return spatial, temporal
+
+
+def pairwise_iou_3d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Volume IoU of every row of `a` against every row of `b`; entry [i, j] equals iou_3d exactly."""
+    ix, iy, it = _pairwise_extents(a, b)
+    inter = np.where((ix > 0.0) & (iy > 0.0) & (it > 0.0), ix * iy * it, 0.0)
+    volumes_a = _areas(a) * _frame_counts(a)
+    volumes_b = _areas(b) * _frame_counts(b)
+    return inter / (volumes_a[:, None] + volumes_b[None, :] - inter)
 
 
 def square_pad(c: Cuboid) -> Cuboid:

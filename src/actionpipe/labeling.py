@@ -12,7 +12,9 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .geometry import Cuboid, spatial_iou, temporal_iou
+import numpy as np
+
+from .geometry import Cuboid, cuboid_array, pairwise_iou
 from .ingest import GroundTruthAction, ValidationError
 from .proposals import PROVENANCE_CLUSTERING, Proposal
 
@@ -73,27 +75,7 @@ def designate(
     it passes the spatial gate inside the hard band); everything else is
     discarded and excluded from training.
     """
-    overlaps = [(spatial_iou(p.cuboid, g.cuboid), temporal_iou(p.cuboid, g.cuboid)) for g in gts]
-    gated = [(ti, si, -i) for i, (si, ti) in enumerate(overlaps) if si > thresholds.spatial_positive]
-    if gated:
-        ti, si, neg_i = max(gated)
-        if ti > thresholds.temporal_positive:
-            gt = gts[-neg_i]
-            return LabeledProposal(
-                proposal=p,
-                designation=POSITIVE,
-                action_class=gt.action_class,
-                matched_gt=gt,
-                regression_target=regression_target(p.cuboid, gt.cuboid),
-            )
-    if all(ti < thresholds.temporal_negative for _, ti in overlaps):
-        hard = any(
-            si > thresholds.spatial_positive
-            and thresholds.hard_temporal_low < ti < thresholds.temporal_negative
-            for si, ti in overlaps
-        )
-        return LabeledProposal(p, HARD_NEGATIVE if hard else EASY_NEGATIVE)
-    return LabeledProposal(p, DISCARDED)
+    return _designate_rows([p], gts, thresholds)[0]
 
 
 def designate_all(
@@ -101,7 +83,51 @@ def designate_all(
     gts_by_video: dict[str, list[GroundTruthAction]],
     thresholds: LabelingThresholds = LabelingThresholds(),
 ) -> list[LabeledProposal]:
-    return [designate(p, gts_by_video.get(p.video_id, []), thresholds) for p in proposals]
+    """`designate` for every proposal, one proposals x GT overlap matrix per video; input order kept."""
+    proposals = list(proposals)
+    rows_by_video: dict[str, list[int]] = {}
+    for i, p in enumerate(proposals):
+        rows_by_video.setdefault(p.video_id, []).append(i)
+    out: list[LabeledProposal] = [None] * len(proposals)
+    for vid, rows in rows_by_video.items():
+        labeled = _designate_rows([proposals[i] for i in rows], gts_by_video.get(vid, []), thresholds)
+        for i, lp in zip(rows, labeled):
+            out[i] = lp
+    return out
+
+
+def _designate_rows(
+    props: Sequence[Proposal],
+    gts: Sequence[GroundTruthAction],
+    thresholds: LabelingThresholds,
+) -> list[LabeledProposal]:
+    """The designation rule of `designate`, applied to each row of the proposals x GT overlaps."""
+    spatial, temporal = pairwise_iou(cuboid_array(p.cuboid for p in props), cuboid_array(g.cuboid for g in gts))
+    gated = spatial > thresholds.spatial_positive
+    # best gated match: highest temporal IoU, then highest spatial IoU, then lowest GT index
+    best_t = np.where(gated, temporal, -1.0).max(axis=1, initial=-1.0)
+    ties = gated & (temporal == best_t[:, None])
+    best_s = np.where(ties, spatial, -1.0).max(axis=1, initial=-1.0)
+    best = np.argmax(ties & (spatial == best_s[:, None]), axis=1) if gts else np.zeros(len(props), dtype=int)
+    positive = best_t > thresholds.temporal_positive
+    negative = (temporal < thresholds.temporal_negative).all(axis=1)
+    hard = (gated & (temporal > thresholds.hard_temporal_low) & (temporal < thresholds.temporal_negative)).any(axis=1)
+    out = []
+    for p, is_pos, j, is_neg, is_hard in zip(props, positive.tolist(), best.tolist(), negative.tolist(), hard.tolist()):
+        if is_pos:
+            gt = gts[j]
+            out.append(LabeledProposal(
+                proposal=p,
+                designation=POSITIVE,
+                action_class=gt.action_class,
+                matched_gt=gt,
+                regression_target=regression_target(p.cuboid, gt.cuboid),
+            ))
+        elif is_neg:
+            out.append(LabeledProposal(p, HARD_NEGATIVE if is_hard else EASY_NEGATIVE))
+        else:
+            out.append(LabeledProposal(p, DISCARDED))
+    return out
 
 
 def select_training_set(labeled: Iterable[LabeledProposal]) -> list[LabeledProposal]:

@@ -6,8 +6,12 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .geometry import Cuboid, spatial_iou, temporal_iou
+import numpy as np
+
+from .geometry import Cuboid, cuboid_array, pairwise_iou
 from .ingest import ValidationError, _get_int, _get_number, _get_str, _read_records, class_index
+
+NMS_BLOCK = 64  # rows per overlap block in nms_3d
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,8 @@ def nms_3d(dets: Sequence[ScoredDetection], params: NmsParams = NmsParams()) -> 
     IoU with an already-kept same-class detection exceed their thresholds.
     Output is ordered by class, then confidence descending (ties by
     proposal_id).  Detections from different videos never interact; run
-    per video.
+    per video.  Overlaps come NMS_BLOCK rows at a time against the rest of
+    the class, so memory stays O(NMS_BLOCK x class size).
     """
     by_class: dict[int, list[ScoredDetection]] = {}
     for det in dets:
@@ -54,16 +59,17 @@ def nms_3d(dets: Sequence[ScoredDetection], params: NmsParams = NmsParams()) -> 
     survivors: list[ScoredDetection] = []
     for cls in sorted(by_class):
         pending = sorted(by_class[cls], key=lambda d: (-d.confidence, d.proposal_id))
-        kept: list[ScoredDetection] = []
-        for det in pending:
-            suppressed = any(
-                temporal_iou(det.cuboid, k.cuboid) > params.temporal_iou
-                and spatial_iou(det.cuboid, k.cuboid) > params.spatial_iou
-                for k in kept
-            )
-            if not suppressed:
-                kept.append(det)
-        survivors.extend(kept)
+        boxes = cuboid_array(d.cuboid for d in pending)
+        suppressed = np.zeros(len(pending), dtype=bool)
+        for start in range(0, len(pending), NMS_BLOCK):
+            # rows an earlier block already suppressed need no overlaps
+            rows = start + np.flatnonzero(~suppressed[start:start + NMS_BLOCK])
+            spatial, temporal = pairwise_iou(boxes[rows], boxes[start:])
+            overlaps = (temporal > params.temporal_iou) & (spatial > params.spatial_iou)
+            for row, det_overlaps in zip(rows.tolist(), overlaps):
+                if not suppressed[row]:
+                    survivors.append(pending[row])
+                    suppressed[start:] |= det_overlaps
     return survivors
 
 

@@ -77,9 +77,3 @@ def load_proposals(path) -> list[Proposal]:
         out.append(Proposal(pid, _get_str(obj, "video_id", where), cuboid, provenance, parent))
     return out
 
-
-def group_by_video(proposals: Iterable[Proposal]) -> dict[str, list[Proposal]]:
-    grouped: dict[str, list[Proposal]] = {}
-    for prop in proposals:
-        grouped.setdefault(prop.video_id, []).append(prop)
-    return dict(sorted(grouped.items()))

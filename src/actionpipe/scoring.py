@@ -1,21 +1,33 @@
 """Evaluation: one-to-one matching, miss-rate/false-alarm curves, recall curves.
 
 Detections are paired with ground truth one-to-one, maximizing match count
-first and total temporal IoU second.  Sweeping the detection confidence
-threshold traces an operating curve of miss probability against false
-alarms per minute; per-class curves are macro-averaged into the aggregate.
+first and total temporal IoU second (`hungarian_match` returns the pairs).
+Sweeping the detection confidence threshold traces an operating curve of
+miss probability against false alarms per minute; per-class curves are
+macro-averaged into the aggregate.
+
+A curve needs only the match count at each threshold, and every maximum
+matching has the same count whatever the IoU tie-break.  `det_curve`
+therefore adds detections in descending confidence and grows one maximum
+matching by augmenting paths (Kuhn 1955) instead of solving an assignment
+per threshold.  Matching, the sweep and recall read their overlaps from the
+shared `geometry.pairwise_iou` kernel.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import logging
+import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import iou_3d, spatial_iou, temporal_iou
+from .geometry import cuboid_array, pairwise_iou, pairwise_iou_3d
 from .ingest import DEFAULT_ACTION_CLASSES, GroundTruthAction, ValidationError, class_index
 from .nms import ScoredDetection
 from .proposals import Proposal
@@ -50,13 +62,29 @@ class DetCurve:
     points: tuple[tuple[float, float], ...]
 
 
-def _congruent(det: ScoredDetection, gt: GroundTruthAction, params: MatchParams, classes: Sequence[str]) -> bool:
-    return (
-        det.video_id == gt.video_id
-        and det.action_class == class_index(gt.action_class, classes)
-        and temporal_iou(det.cuboid, gt.cuboid) >= params.temporal_iou
-        and spatial_iou(det.cuboid, gt.cuboid) >= params.spatial_iou
+def _congruence(
+    dets: Sequence[ScoredDetection],
+    gts: Sequence[GroundTruthAction],
+    params: MatchParams,
+    classes: Sequence[str],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(congruent, temporal IoU) for every (detection, GT) pair, shape (len(dets), len(gts)).
+
+    A pair is congruent when video and class agree, the temporal IoU reaches
+    the gate and the spatial IoU reaches the optional spatial gate.
+    """
+    groups: dict[tuple[str, int], int] = {}
+    det_group = np.array([groups.setdefault((d.video_id, d.action_class), len(groups)) for d in dets])
+    gt_group = np.array([
+        groups.setdefault((g.video_id, class_index(g.action_class, classes)), len(groups)) for g in gts
+    ])
+    spatial, temporal = pairwise_iou(cuboid_array(d.cuboid for d in dets), cuboid_array(g.cuboid for g in gts))
+    congruent = (
+        (det_group[:, None] == gt_group[None, :])
+        & (temporal >= params.temporal_iou)
+        & (spatial >= params.spatial_iou)
     )
+    return congruent, temporal
 
 
 def hungarian_match(
@@ -80,28 +108,40 @@ def hungarian_match(
     # achievable IoU sum, so cardinality dominates; zero-reward assignments are
     # dropped afterwards without changing the objective.
     big = float(len(dets) + len(gts) + 1)
-    reward = np.zeros((len(dets), len(gts)))
-    for i, det in enumerate(dets):
-        for j, gt in enumerate(gts):
-            if _congruent(det, gt, params, classes):
-                reward[i, j] = big + temporal_iou(det.cuboid, gt.cuboid)
+    congruent, temporal = _congruence(dets, gts, params, classes)
+    reward = np.where(congruent, big + temporal, 0.0)
     rows, cols = linear_sum_assignment(reward, maximize=True)
     return [(int(i), int(j)) for i, j in zip(rows, cols) if reward[i, j] > 0.0]
 
 
-def _match_count(dets: Sequence[ScoredDetection], gts: Sequence[GroundTruthAction],
-                 params: MatchParams, classes: Sequence[str]) -> int:
-    # group by (video, class) so the assignment matrices stay small
-    det_groups: dict[tuple[str, int], list[ScoredDetection]] = {}
-    for det in dets:
-        det_groups.setdefault((det.video_id, det.action_class), []).append(det)
-    gt_groups: dict[tuple[str, int], list[GroundTruthAction]] = {}
-    for gt in gts:
-        gt_groups.setdefault((gt.video_id, class_index(gt.action_class, classes)), []).append(gt)
-    total = 0
-    for key, group in det_groups.items():
-        total += len(hungarian_match(group, gt_groups.get(key, []), params, classes))
-    return total
+def _augment(root: int, edges: list[list[int]], owner: list[int]) -> bool:
+    """Grow the matching by one augmenting path from unmatched detection `root` (Kuhn 1955).
+
+    `edges[d]` lists the GT indices congruent with detection d; `owner[g]`
+    is the detection matched to GT g, or -1.  Returns whether a path was
+    found (and flipped).  Iterative depth-first search, so long paths do not
+    hit the recursion limit.
+    """
+    seen: set[int] = set()
+    path = [(root, iter(edges[root]))]  # detections along the current path, each with its untried edges
+    taken: list[int] = []  # taken[k]: the GT that path[k] would take
+    while path:
+        for g in path[-1][1]:
+            if g in seen:
+                continue
+            seen.add(g)
+            taken.append(g)
+            if owner[g] < 0:
+                for (det, _), gt in zip(path, taken):
+                    owner[gt] = det
+                return True
+            path.append((owner[g], iter(edges[owner[g]])))
+            break
+        else:
+            path.pop()
+            if taken:
+                taken.pop()
+    return False
 
 
 def det_curve(
@@ -117,6 +157,14 @@ def det_curve(
     At a threshold, detections at or above it are matched; p_miss is the
     unmatched GT fraction and rate_fa the unmatched detections per minute.
     Duplicate rates keep their lowest p_miss (lower envelope).
+
+    Only the size of a maximum matching reaches the curve, and that size
+    does not depend on how IoU ties are broken.  So one sweep adds the
+    detections in descending confidence and grows a maximum matching by one
+    augmenting-path search per detection, recording a point after the last
+    detection of each distinct confidence.  The matching can never outgrow
+    the `hungarian_match` assignment over all detections; once it reaches
+    that size, every later detection is a false alarm and is not searched.
     """
     if classes is None:
         classes = DEFAULT_ACTION_CLASSES
@@ -126,12 +174,23 @@ def det_curve(
         raise ValidationError("det_curve needs at least one ground-truth instance")
     if not dets:
         return DetCurve(class_label, ((0.0, 1.0),))
+    congruent, _ = _congruence(dets, gts, params, classes)
+    edges: list[list[int]] = [[] for _ in dets]
+    rows, cols = np.nonzero(congruent)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        edges[i].append(j)
+    owner = [-1] * len(gts)
+    final = len(hungarian_match(dets, gts, params, classes))
+    order = sorted(range(len(dets)), key=lambda i: dets[i].confidence, reverse=True)
     points: dict[float, float] = {}
-    for threshold in sorted({d.confidence for d in dets}, reverse=True):
-        surviving = [d for d in dets if d.confidence >= threshold]
-        matched = _match_count(surviving, gts, params, classes)
+    surviving = matched = 0
+    for _, group in itertools.groupby(order, key=lambda i: dets[i].confidence):
+        for i in group:
+            surviving += 1
+            if matched < final:
+                matched += _augment(i, edges, owner)
         p_miss = (len(gts) - matched) / len(gts)
-        rate_fa = (len(surviving) - matched) / video_minutes
+        rate_fa = (surviving - matched) / video_minutes
         points[rate_fa] = min(points.get(rate_fa, 1.0), p_miss)
     return DetCurve(class_label, tuple(sorted(points.items())))
 
@@ -144,13 +203,10 @@ def pmiss_at(curve: DetCurve, rate: float) -> float:
     """
     if rate < 0:
         raise ValidationError("rate must be >= 0")
-    best = 1.0
-    for rate_fa, p_miss in curve.points:
-        if rate_fa <= rate:
-            best = p_miss
-        else:
-            break
-    return best
+    if math.isnan(rate):  # no point operates at or below NaN; bisection would land past every point
+        return 1.0
+    below = bisect.bisect_right(curve.points, rate, key=operator.itemgetter(0))
+    return curve.points[below - 1][1] if below else 1.0
 
 
 def mean_pmiss_at(curve: DetCurve, rates: Sequence[float] = DEFAULT_RATE_GRID) -> list[float]:
@@ -220,12 +276,18 @@ def recall_curve(
     by_video: dict[str, list[Proposal]] = {}
     for prop in proposals:
         by_video.setdefault(prop.video_id, []).append(prop)
-    best: list[float] = []
-    for gt in gts:
-        candidates = by_video.get(gt.video_id, [])
+    gts_by_video: dict[str, list[int]] = {}
+    for i, gt in enumerate(gts):
+        gts_by_video.setdefault(gt.video_id, []).append(i)
+    best = [0.0] * len(gts)
+    for vid, rows in gts_by_video.items():
+        candidates = cuboid_array(p.cuboid for p in by_video.get(vid, []))
+        targets = cuboid_array(gts[i].cuboid for i in rows)
         if iou_mode == "volume":
-            ious = [iou_3d(p.cuboid, gt.cuboid) for p in candidates]
+            ious = pairwise_iou_3d(targets, candidates)
         else:
-            ious = [spatial_iou(p.cuboid, gt.cuboid) * temporal_iou(p.cuboid, gt.cuboid) for p in candidates]
-        best.append(max(ious, default=0.0))
+            spatial, temporal = pairwise_iou(targets, candidates)
+            ious = spatial * temporal
+        for i, b in zip(rows, ious.max(axis=1, initial=0.0).tolist()):
+            best[i] = b
     return [sum(b >= t for b in best) / len(best) for t in thresholds]

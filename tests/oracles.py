@@ -1,18 +1,30 @@
 """Independent brute-force oracles shared by the unit and acceptance tests.
 
 Everything here is deliberately naive: voxel counting for 3-D IoU, a
-re-simulated greedy pass for NMS, and exhaustive assignment search for the
-matcher.  None of it reuses the code paths under test beyond the plain
-spatial/temporal IoU predicates.
+re-simulated greedy pass for NMS, exhaustive assignment search for the
+matcher, one assignment solve per threshold for DET curves, and pair-by-pair
+scalar IoUs for designation.  None of it reuses the code paths under test
+beyond the plain spatial/temporal IoU predicates and the record types.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from actionpipe.geometry import Cuboid, spatial_iou, temporal_iou
-from actionpipe.ingest import DEFAULT_ACTION_CLASSES, GroundTruthAction
+from actionpipe.ingest import DEFAULT_ACTION_CLASSES, GroundTruthAction, class_index
+from actionpipe.labeling import (
+    DISCARDED,
+    EASY_NEGATIVE,
+    HARD_NEGATIVE,
+    POSITIVE,
+    LabeledProposal,
+    LabelingThresholds,
+    regression_target,
+)
 from actionpipe.nms import NmsParams, ScoredDetection
+from actionpipe.scoring import DetCurve, MatchParams
 
 
 def random_cuboid(rng: np.random.Generator, grid: int = 4, max_frame: int = 60) -> Cuboid:
@@ -71,6 +83,60 @@ def reference_nms(dets, params: NmsParams):
                 )
             ]
     return out
+
+
+def reference_designate(p, gts, thresholds: LabelingThresholds = LabelingThresholds()) -> LabeledProposal:
+    """Scalar designation of one proposal, one GT at a time."""
+    overlaps = [(spatial_iou(p.cuboid, g.cuboid), temporal_iou(p.cuboid, g.cuboid)) for g in gts]
+    gated = [(ti, si, -i) for i, (si, ti) in enumerate(overlaps) if si > thresholds.spatial_positive]
+    if gated:
+        ti, si, neg_i = max(gated)
+        if ti > thresholds.temporal_positive:
+            gt = gts[-neg_i]
+            return LabeledProposal(p, POSITIVE, gt.action_class, gt, regression_target(p.cuboid, gt.cuboid))
+    if all(ti < thresholds.temporal_negative for _, ti in overlaps):
+        hard = any(
+            si > thresholds.spatial_positive
+            and thresholds.hard_temporal_low < ti < thresholds.temporal_negative
+            for si, ti in overlaps
+        )
+        return LabeledProposal(p, HARD_NEGATIVE if hard else EASY_NEGATIVE)
+    return LabeledProposal(p, DISCARDED)
+
+
+def _reference_match_count(dets, gts, params: MatchParams, classes) -> int:
+    """Maximum-cardinality matching size, one assignment solve per (video, class) group."""
+    total = 0
+    for key in {(d.video_id, d.action_class) for d in dets}:
+        group = [d for d in dets if (d.video_id, d.action_class) == key]
+        targets = [g for g in gts if (g.video_id, class_index(g.action_class, classes)) == key]
+        if not targets:
+            continue
+        big = float(len(group) + len(targets) + 1)
+        reward = np.zeros((len(group), len(targets)))
+        for i, det in enumerate(group):
+            for j, gt in enumerate(targets):
+                t = temporal_iou(det.cuboid, gt.cuboid)
+                if t >= params.temporal_iou and spatial_iou(det.cuboid, gt.cuboid) >= params.spatial_iou:
+                    reward[i, j] = big + t
+        rows, cols = linear_sum_assignment(reward, maximize=True)
+        total += int((reward[rows, cols] > 0.0).sum())
+    return total
+
+
+def reference_det_curve(dets, gts, video_minutes: float, params: MatchParams = MatchParams(),
+                        classes=DEFAULT_ACTION_CLASSES, class_label: str = "aggregate") -> DetCurve:
+    """DET curve with a fresh maximum matching at every distinct confidence."""
+    if not dets:
+        return DetCurve(class_label, ((0.0, 1.0),))
+    points: dict[float, float] = {}
+    for threshold in sorted({d.confidence for d in dets}, reverse=True):
+        surviving = [d for d in dets if d.confidence >= threshold]
+        matched = _reference_match_count(surviving, gts, params, classes)
+        p_miss = (len(gts) - matched) / len(gts)
+        rate_fa = (len(surviving) - matched) / video_minutes
+        points[rate_fa] = min(points.get(rate_fa, 1.0), p_miss)
+    return DetCurve(class_label, tuple(sorted(points.items())))
 
 
 def exhaustive_assignment(num_dets: int, num_gts: int, allowed: dict) -> tuple[int, float]:

@@ -2,8 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from actionpipe.geometry import Cuboid, bounding_cuboid, iou_3d, spatial_iou, square_pad, temporal_iou
+from actionpipe.geometry import (
+    Cuboid,
+    bounding_cuboid,
+    cuboid_array,
+    iou_3d,
+    pairwise_iou,
+    pairwise_iou_3d,
+    spatial_iou,
+    square_pad,
+    temporal_iou,
+)
 from oracles import random_cuboid, voxel_iou
 
 
@@ -116,6 +128,54 @@ def test_iou_invariants_randomized():
             assert 0.0 <= v <= 1.0
             assert fn(a, a) == 1.0
         assert iou_3d(a, b) <= min(spatial_iou(a, b), temporal_iou(a, b)) + 1e-12
+
+
+# Small integer lattices make touching edges (zero-width intersections),
+# single-frame spans, identical boxes and disjoint spans common; free floats
+# cover inexact coordinates.
+_lattice = st.integers(0, 12).map(float)
+_free = st.floats(-1e4, 1e4, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def _cuboids(draw):
+    coord, extent = draw(st.sampled_from([
+        (_lattice, st.integers(1, 6).map(float)),
+        (_free, st.floats(1e-3, 1e3)),
+    ]))
+    x0, y0 = draw(coord), draw(coord)
+    f0 = draw(st.integers(0, 12))
+    return Cuboid(x0, y0, x0 + draw(extent), y0 + draw(extent), f0, f0 + draw(st.integers(0, 4)))
+
+
+class TestPairwiseKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_cuboids(), max_size=6), st.lists(_cuboids(), max_size=6))
+    def test_equals_scalar_bit_for_bit(self, left, right):
+        right = right + left[:2]  # identical boxes on both sides
+        spatial, temporal = pairwise_iou(cuboid_array(left), cuboid_array(right))
+        volume = pairwise_iou_3d(cuboid_array(left), cuboid_array(right))
+        assert spatial.shape == temporal.shape == volume.shape == (len(left), len(right))
+        for i, a in enumerate(left):
+            for j, b in enumerate(right):
+                assert spatial[i, j] == spatial_iou(a, b)
+                assert temporal[i, j] == temporal_iou(a, b)
+                assert volume[i, j] == iou_3d(a, b)
+
+    def test_edge_cases(self):
+        box = cub(0, 0, 10, 10, 5, 5)  # single frame
+        touching_x = cub(10, 0, 20, 10, 5, 5)  # ix == 0
+        later = cub(0, 0, 10, 10, 6, 9)  # disjoint frames
+        cuboids = [box, touching_x, later, box]
+        spatial, temporal = pairwise_iou(cuboid_array(cuboids), cuboid_array(cuboids))
+        assert spatial[0].tolist() == [1.0, 0.0, 1.0, 1.0]
+        assert temporal[0].tolist() == [1.0, 1.0, 0.0, 1.0]
+        assert pairwise_iou_3d(cuboid_array(cuboids), cuboid_array(cuboids))[0].tolist() == [1.0, 0.0, 0.0, 1.0]
+
+    def test_empty_sides(self):
+        assert cuboid_array([]).shape == (0, 6)
+        spatial, temporal = pairwise_iou(cuboid_array([cub(0, 0, 1, 1)]), cuboid_array([]))
+        assert spatial.shape == temporal.shape == (1, 0)
 
 
 class TestSquarePad:

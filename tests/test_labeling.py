@@ -13,12 +13,14 @@ from actionpipe.labeling import (
     LabelingThresholds,
     balance_classes,
     designate,
+    designate_all,
     designation_counts,
     regression_target,
     select_training_set,
 )
 from actionpipe.proposals import PROVENANCE_CLUSTERING, PROVENANCE_JITTERING, Proposal
 from actionpipe.refine import apply_refinement
+from oracles import random_cuboid, reference_designate
 
 
 def prop(cuboid, pid="p", provenance=PROVENANCE_CLUSTERING):
@@ -136,6 +138,35 @@ class TestDesignate:
             assert lp.designation in DESIGNATIONS
             seen.add(lp.designation)
         assert seen == set(DESIGNATIONS)  # the sweep hits every designation
+
+
+class TestDesignateAll:
+    @pytest.mark.parametrize("thresholds", [
+        LabelingThresholds(),
+        LabelingThresholds(spatial_positive=0.1, temporal_positive=0.3, temporal_negative=0.25,
+                           hard_temporal_low=0.05),
+    ], ids=["default", "loose"])
+    def test_matches_scalar_designation(self, thresholds):
+        # three videos, one without ground truth; quarter-pixel lattice makes IoU ties common
+        rng = np.random.default_rng(19)
+        labels = ("enter", "exit", "loading")
+        gts_by_video = {
+            vid: [GroundTruthAction(vid, labels[int(rng.integers(0, 3))], random_cuboid(rng))
+                  for _ in range(int(rng.integers(1, 6)))]
+            for vid in ("va", "vb")
+        }
+        proposals = []
+        for i in range(300):
+            vid = ("va", "vb", "vc")[int(rng.integers(0, 3))]
+            gts = gts_by_video.get(vid, [])
+            # every third proposal copies a GT box, so positives and exact ties occur
+            cub = gts[int(rng.integers(0, len(gts)))].cuboid if gts and i % 3 == 0 else random_cuboid(rng)
+            proposals.append(Proposal(f"p{i:03d}", vid, cub, PROVENANCE_CLUSTERING))
+        got = designate_all(proposals, gts_by_video, thresholds)
+        want = [reference_designate(p, gts_by_video.get(p.video_id, []), thresholds) for p in proposals]
+        assert got == want
+        assert [designate(p, gts_by_video.get(p.video_id, []), thresholds) for p in proposals] == want
+        assert {lp.designation for lp in got} == set(DESIGNATIONS)
 
 
 class TestSelectTrainingSet:

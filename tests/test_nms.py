@@ -1,9 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
 from actionpipe.geometry import Cuboid
 from actionpipe.ingest import DEFAULT_ACTION_CLASSES, ValidationError
 from actionpipe.nms import (
+    NMS_BLOCK,
     NmsParams,
     ScoredDetection,
     load_final_detections,
@@ -113,6 +116,28 @@ class TestNms3d:
                 for i in range(int(rng.integers(0, 9)))
             ]
             assert nms_3d(dets, params) == reference_nms(dets, params)
+
+    def test_matches_reference_across_blocks(self):
+        # one class group spanning several overlap blocks, plus a second class
+        rng = np.random.default_rng(29)
+        size = 3 * NMS_BLOCK + 17
+        dets = [
+            sdet(f"p{i:04d}", random_cuboid(rng, max_frame=400), cls=1 if i < size else 2,
+                 conf=float(rng.choice([0.2, 0.4, 0.6, 0.8, 0.9])))
+            for i in range(size + 40)
+        ]
+        params = NmsParams()
+        got = nms_3d(dets, params)
+        assert got == reference_nms(dets, params)
+        assert NMS_BLOCK < len(got) < size  # survivors land in several blocks and some rows are suppressed
+
+    def test_scales(self):
+        rng = np.random.default_rng(31)
+        dets = [sdet(f"p{i:04d}", random_cuboid(rng, max_frame=3000), conf=float(rng.uniform(0, 1)))
+                for i in range(4000)]
+        started = time.perf_counter()
+        nms_3d(dets)
+        assert time.perf_counter() - started < 2.0
 
 
 class TestFinalDetectionsFile:

@@ -1,14 +1,17 @@
+import dataclasses
 import logging
+import time
 
 import numpy as np
 import pytest
 
-from actionpipe.geometry import Cuboid, spatial_iou, temporal_iou
+from actionpipe.geometry import Cuboid, iou_3d, spatial_iou, temporal_iou
 from actionpipe.ingest import DEFAULT_ACTION_CLASSES, GroundTruthAction, ValidationError, class_index
 from actionpipe.nms import ScoredDetection
 from actionpipe.proposals import PROVENANCE_CLUSTERING, Proposal
 from actionpipe.scoring import (
     DEFAULT_RATE_GRID,
+    IOU_MODES,
     DetCurve,
     MatchParams,
     aggregate_det_curve,
@@ -19,7 +22,7 @@ from actionpipe.scoring import (
     pmiss_at,
     recall_curve,
 )
-from oracles import exhaustive_assignment, random_match_instance
+from oracles import exhaustive_assignment, random_cuboid, random_match_instance, reference_det_curve
 
 LABEL = DEFAULT_ACTION_CLASSES[0]
 CLS = class_index(LABEL)
@@ -141,6 +144,51 @@ class TestDetCurve:
             assert all(b <= a for a, b in zip(pmisses, pmisses[1:]))
             assert all(0.0 <= p <= 1.0 and r >= 0.0 for r, p in curve.points)
 
+    @pytest.mark.parametrize("params", [MatchParams(), MatchParams(temporal_iou=0.1, spatial_iou=0.3)],
+                             ids=["no-spatial-gate", "spatial-gate"])
+    def test_matches_per_threshold_reference(self, params):
+        # two videos, two classes, confidences drawn from four levels so ties are common
+        rng = np.random.default_rng(43)
+        for _ in range(60):
+            dets, gts = random_match_instance(rng, max_side=10)
+            if not gts:
+                continue
+            dets = [dataclasses.replace(d, confidence=float(rng.choice([0.3, 0.5, 0.7, 0.9]))) for d in dets]
+            assert det_curve(dets, gts, 3.0, params) == reference_det_curve(dets, gts, 3.0, params)
+
+    def test_later_detection_reroutes_earlier_match(self):
+        # d0 arrives first and could take either GT; d1 only fits g0, so the
+        # sweep must move d0 to g1 (an augmenting path) to match both
+        g0, g1 = gt(frames(0, 99)), gt(frames(80, 179))
+        d0 = sdet("d0", frames(20, 119), conf=0.9)  # tIoU 0.667 with g0, 0.222 with g1
+        d1 = sdet("d1", frames(0, 59), conf=0.8)  # tIoU 0.6 with g0 only
+        assert det_curve([d0, d1], [g0, g1], video_minutes=1.0).points == ((0.0, 0.0),)
+
+    def test_crowded_graph_matches_reference(self):
+        # many detections per GT force long augmenting paths
+        rng = np.random.default_rng(47)
+        for _ in range(5):
+            gts = [gt(random_cuboid(rng, grid=1, max_frame=40)) for _ in range(12)]
+            dets = [sdet(f"d{i:02d}", random_cuboid(rng, grid=1, max_frame=40), conf=float(rng.integers(1, 9)) / 10)
+                    for i in range(40)]
+            assert det_curve(dets, gts, 1.0) == reference_det_curve(dets, gts, 1.0)
+
+    def test_sweep_scales(self):
+        # one class, 1000 detections, 200 GT: one solve per threshold took ~11 s here
+        rng = np.random.default_rng(53)
+        gts = [gt(random_cuboid(rng, max_frame=6000)) for _ in range(200)]
+        dets = []
+        for i in range(1000):
+            base = gts[int(rng.integers(0, len(gts)))].cuboid
+            shift = int(rng.integers(-20, 21))
+            cub = Cuboid(base.x_min, base.y_min, base.x_max, base.y_max,
+                         max(0, base.f_start + shift), max(0, base.f_end + shift))
+            dets.append(sdet(f"d{i:04d}", cub, conf=float(rng.uniform(0.1, 1.0))))
+        started = time.perf_counter()
+        curve = det_curve(dets, gts, video_minutes=10.0)
+        assert time.perf_counter() - started < 1.0
+        assert curve.points[0][1] < 1.0
+
     def test_threshold_sweep_counts(self):
         # one matchable + one unmatchable detection at distinct confidences
         gts = [gt(frames(0, 63))]
@@ -162,8 +210,27 @@ class TestPmissLookup:
         assert pmiss_at(self.CURVE, 0.5) == 0.3
         assert pmiss_at(self.CURVE, 2.0) == 0.1
 
+    def test_negative_rate_rejected_and_nan_never_operates(self):
+        with pytest.raises(ValidationError):
+            pmiss_at(self.CURVE, -0.1)
+        assert pmiss_at(self.CURVE, float("nan")) == 1.0
+
     def test_mean_over_grid(self):
         assert mean_pmiss_at(self.CURVE, [0.01, 0.05, 1.0]) == [1.0, 0.6, 0.1]
+
+    def test_matches_linear_scan(self):
+        rng = np.random.default_rng(59)
+        for _ in range(50):
+            rates = sorted({float(r) for r in rng.integers(0, 8, 6) / 4})
+            curve = DetCurve("x", tuple((r, float(rng.uniform(0, 1))) for r in rates))
+            for rate in [0.0, 0.1, 0.25, 0.5, 1.0, 1.75, 2.0, 5.0, float("nan")]:
+                want = 1.0
+                for rate_fa, p_miss in curve.points:
+                    if rate_fa <= rate:
+                        want = p_miss
+                    else:
+                        break
+                assert pmiss_at(curve, rate) == want
 
     def test_default_grid(self):
         assert DEFAULT_RATE_GRID == (0.01, 0.03, 0.1, 0.15, 0.2, 1.0)
@@ -237,6 +304,21 @@ class TestRecallCurve:
         vol = recall_curve(props, gts, self.GRID, iou_mode="volume")
         prod = recall_curve(props, gts, self.GRID, iou_mode="product")
         assert vol == prod
+
+    @pytest.mark.parametrize("mode", IOU_MODES)
+    def test_matches_scalar_best_overlap(self, mode):
+        rng = np.random.default_rng(61)
+        gts = [gt(random_cuboid(rng), video=("va", "vb", "vc")[int(rng.integers(0, 3))]) for _ in range(12)]
+        props = [self.prop(random_cuboid(rng), pid=f"p{i}", video=("va", "vb")[int(rng.integers(0, 2))])
+                 for i in range(40)]
+
+        def overlap(a, b):
+            return iou_3d(a, b) if mode == "volume" else spatial_iou(a, b) * temporal_iou(a, b)
+
+        best = [max((overlap(p.cuboid, g.cuboid) for p in props if p.video_id == g.video_id), default=0.0)
+                for g in gts]
+        grid = sorted(set(best)) + self.GRID  # the best overlaps themselves make exactness matter
+        assert recall_curve(props, gts, grid, mode) == [sum(b >= t for b in best) / len(best) for t in grid]
 
     def test_bad_mode_and_empty_gt(self):
         with pytest.raises(ValidationError):

@@ -7,7 +7,7 @@ pruned with class-wise 3D-NMS, and scored with maximum-matching
 miss-rate/false-alarm curves.
 """
 
-from .clustering import ClusterParams, FeaturePoint, LinkageTree, build_linkage, cut_tree, propose_video
+from .clustering import ClusterParams, build_linkage, cut_tree, propose_video
 from .config import PipelineConfig, load_config, save_config
 from .geometry import Cuboid, bounding_cuboid, iou_3d, spatial_iou, square_pad, temporal_iou
 from .ingest import (

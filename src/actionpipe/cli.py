@@ -281,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_config(p)
     p.add_argument("--jobs", type=int, default=1, help="videos processed in parallel")
     p.add_argument("--min-confidence", dest="min_confidence", type=float, help="detection confidence floor")
-    p.add_argument("--linkage", choices=("ward", "average", "single", "complete"))
+    p.add_argument("--linkage", choices=("ward", "average", "single", "complete"),
+                   help="ward takes O(n) memory per video; the others keep SciPy's O(n^2) distance matrix")
     p.add_argument("--temporal-scale", dest="temporal_scale", type=float, help="frame-axis scale before distances")
     p.add_argument("--clusters-per-frame", dest="clusters_per_frame", type=float, help="cluster count per video frame")
     p.add_argument("--min-cluster-size", dest="min_cluster_size", type=int)

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: voxel counting for 3-D IoU, a
 re-simulated greedy pass for NMS, exhaustive assignment search for the
-matcher, one assignment solve per threshold for DET curves, and pair-by-pair
-scalar IoUs for designation.  None of it reuses the code paths under test
+matcher, one assignment solve per threshold for DET curves, pair-by-pair
+scalar IoUs for designation, and a merge-by-merge replay over explicit member
+lists for Ward trees.  None of it reuses the code paths under test
 beyond the plain spatial/temporal IoU predicates and the record types.
 """
 
@@ -184,3 +185,42 @@ def random_match_instance(rng: np.random.Generator, max_side: int = 6):
         for _ in range(int(rng.integers(0, max_side + 1)))
     ]
     return dets, gts
+
+
+def is_ward_hierarchy(points, merges, rtol: float = 1e-9) -> bool:
+    """True when `merges` (SciPy linkage layout) is a Ward tree of `points`.
+
+    Replays the merges in order, keeping each active cluster's member list.
+    Every merge must join two distinct active clusters at a height equal to
+    their Ward distance, `sqrt(2 s_a s_b / (s_a + s_b)) * |c_a - c_b|`, with
+    no active cluster closer to either of them than that (the two are
+    mutually nearest), into the summed size; heights never decrease.  A
+    cluster's centroid is the mean of its member points.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    n = len(pts)
+    if np.shape(merges) != (n - 1, 4):
+        return False
+    tol = rtol * max(1.0, float(np.abs(pts).max()))
+    members = {i: [i] for i in range(n)}
+    centroid = {i: pts[i] for i in range(n)}
+    previous = 0.0
+    for i, (a, b, h, size) in enumerate(np.asarray(merges, dtype=np.float64)):
+        a, b = int(a), int(b)
+        if a == b or a not in members or b not in members or h < previous - tol:
+            return False
+        ids = list(members)
+        cent = np.array([centroid[c] for c in ids])
+        sizes = np.array([len(members[c]) for c in ids], dtype=np.float64)
+        for x, y in ((a, b), (b, a)):
+            ix = ids.index(x)
+            ward = np.sqrt(2.0 * sizes[ix] * sizes / (sizes[ix] + sizes)) * np.linalg.norm(cent - cent[ix], axis=1)
+            ward[ix] = np.inf
+            if abs(ward[ids.index(y)] - h) > tol or ward.min() < h - tol:
+                return False
+        members[n + i] = members.pop(a) + members.pop(b)
+        centroid[n + i] = pts[members[n + i]].mean(axis=0)
+        if len(members[n + i]) != size:
+            return False
+        previous = h
+    return True

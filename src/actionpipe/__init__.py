@@ -9,7 +9,7 @@ miss-rate/false-alarm curves.
 
 from .clustering import ClusterParams, build_linkage, cut_tree, propose_video
 from .config import PipelineConfig, load_config, save_config
-from .geometry import Cuboid, bounding_cuboid, iou_3d, spatial_iou, square_pad, temporal_iou
+from .geometry import Cuboid, iou_3d, spatial_iou, temporal_iou
 from .ingest import (
     DEFAULT_ACTION_CLASSES,
     DEFAULT_OBJECT_CLASSES,
@@ -39,7 +39,6 @@ from .refine import (
     cross_entropy,
     full_loss,
     localization_loss,
-    sample_frames,
     smooth_l1,
 )
 from .proposals import Proposal

@@ -26,6 +26,7 @@ from .ingest import (
     load_ground_truth,
     load_scores,
     load_video_meta,
+    write_records,
 )
 from .jitter import jitter_proposals
 from .nms import ScoredDetection, load_final_detections, nms_3d, write_final_detections
@@ -179,9 +180,9 @@ def cmd_synth(output: Path, scenario: str, seed: int, num_videos: int) -> dict:
     return summary
 
 
-def cmd_loss_oracle(input_path, output, loc_weight: float, num_classes: int) -> dict:
+def cmd_loss_oracle(input_path, output, loc_weight: float) -> dict:
     """Evaluate loss queries so external trainers can check their math."""
-    params = LossParams(loc_weight=loc_weight, num_classes=num_classes)
+    params = LossParams(loc_weight=loc_weight)
     results = []
     with open(ensure_path(input_path), "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -205,65 +206,35 @@ def cmd_loss_oracle(input_path, output, loc_weight: float, num_classes: int) -> 
                 result["localization_loss"] = None
             result["full_loss"] = full_loss(probs, true_class, predicted, target, params)
             results.append(result)
-    stream = open(output, "w", encoding="utf-8") if output else sys.stdout
-    try:
+    if output:
+        write_records(output, results)
+    else:
         for result in results:
-            stream.write(json.dumps(result, sort_keys=True) + "\n")
-    finally:
-        if output:
-            stream.close()
+            print(json.dumps(result, sort_keys=True))
     return {"queries": len(results)}
 
 
 def _override(cfg: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
-    """Apply per-flag overrides onto the loaded config."""
-    if getattr(args, "output", None):
-        cfg = dataclasses.replace(cfg, output_dir=Path(args.output))
+    """Apply per-flag overrides onto the loaded config.
 
-    def section(cfg, name, mapping):
-        updates = {
-            field: getattr(args, attr)
-            for field, attr in mapping.items()
-            if getattr(args, attr, None) is not None
-        }
-        if updates:
-            return dataclasses.replace(cfg, **{name: dataclasses.replace(getattr(cfg, name), **updates)})
-        return cfg
-
-    if getattr(args, "min_confidence", None) is not None:
-        cfg = dataclasses.replace(cfg, min_confidence=args.min_confidence)
-    cfg = section(cfg, "cluster", {
-        "linkage": "linkage",
-        "temporal_scale": "temporal_scale",
-        "clusters_per_frame": "clusters_per_frame",
-        "min_cluster_size": "min_cluster_size",
-    })
-    cfg = section(cfg, "jitter", {
-        "stride": "stride",
-        "half_windows": "half_windows",
-        "min_span": "min_span",
-    })
-    if getattr(args, "no_clamp", False):
-        cfg = dataclasses.replace(cfg, jitter=dataclasses.replace(cfg.jitter, clamp_to_video=False))
-    if getattr(args, "include_end", False):
-        cfg = dataclasses.replace(cfg, jitter=dataclasses.replace(cfg.jitter, include_end=True))
-    cfg = section(cfg, "labeling", {
-        "spatial_positive": "spatial_positive",
-        "temporal_positive": "temporal_positive",
-        "temporal_negative": "temporal_negative",
-        "hard_temporal_low": "hard_temporal_low",
-    })
-    cfg = section(cfg, "nms", {
-        "temporal_iou": "nms_temporal_iou",
-        "spatial_iou": "nms_spatial_iou",
-    })
-    cfg = section(cfg, "match", {
-        "temporal_iou": "match_temporal_iou",
-        "spatial_iou": "match_spatial_iou",
-    })
-    if getattr(args, "rates", None) is not None:
-        cfg = dataclasses.replace(cfg, rate_grid=tuple(args.rates))
-    return cfg
+    An override flag's argparse dest names the field it sets: `section.field`
+    inside a config section, or a top-level `PipelineConfig` field.  Flags
+    left unset (None) and dests that name no field change nothing.
+    """
+    top_level = {f.name for f in dataclasses.fields(PipelineConfig)}
+    updates: dict = {}
+    sections: dict[str, dict] = {}
+    for dest, value in vars(args).items():
+        if value is None:
+            continue
+        section, _, field = dest.rpartition(".")
+        if section:
+            sections.setdefault(section, {})[field] = value
+        elif dest in top_level:
+            updates[dest] = value
+    for section, fields in sections.items():
+        updates[section] = dataclasses.replace(getattr(cfg, section), **fields)
+    return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,43 +246,48 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_config(p):
         p.add_argument("--config", required=True, help="pipeline config JSON")
-        p.add_argument("--output", help="override the config's output directory")
+        p.add_argument("--output", dest="output_dir", type=Path, help="override the config's output directory")
 
     p = sub.add_parser("propose", help="cluster detections and jitter into dense proposals")
     add_config(p)
     p.add_argument("--jobs", type=int, default=1, help="videos processed in parallel")
     p.add_argument("--min-confidence", dest="min_confidence", type=float, help="detection confidence floor")
-    p.add_argument("--linkage", choices=("ward", "average", "single", "complete"),
+    p.add_argument("--linkage", dest="cluster.linkage", choices=("ward", "average", "single", "complete"),
                    help="ward takes O(n) memory per video; the others keep SciPy's O(n^2) distance matrix")
-    p.add_argument("--temporal-scale", dest="temporal_scale", type=float, help="frame-axis scale before distances")
-    p.add_argument("--clusters-per-frame", dest="clusters_per_frame", type=float, help="cluster count per video frame")
-    p.add_argument("--min-cluster-size", dest="min_cluster_size", type=int)
-    p.add_argument("--stride", type=int, help="anchor stride in frames")
-    p.add_argument("--half-windows", dest="half_windows", type=int, nargs="+", help="window half-extents in frames")
-    p.add_argument("--min-span", dest="min_span", type=int, help="shortest surviving window, frames")
-    p.add_argument("--no-clamp", dest="no_clamp", action="store_true", help="keep windows that cross video bounds")
-    p.add_argument("--include-end", dest="include_end", action="store_true", help="always anchor on the last frame")
+    p.add_argument("--temporal-scale", dest="cluster.temporal_scale", type=float,
+                   help="frame-axis scale before distances")
+    p.add_argument("--clusters-per-frame", dest="cluster.clusters_per_frame", type=float,
+                   help="cluster count per video frame")
+    p.add_argument("--min-cluster-size", dest="cluster.min_cluster_size", type=int)
+    p.add_argument("--stride", dest="jitter.stride", type=int, help="anchor stride in frames")
+    p.add_argument("--half-windows", dest="jitter.half_windows", type=int, nargs="+",
+                   help="window half-extents in frames")
+    p.add_argument("--min-span", dest="jitter.min_span", type=int, help="shortest surviving window, frames")
+    p.add_argument("--no-clamp", dest="jitter.clamp_to_video", action="store_false", default=None,
+                   help="keep windows that cross video bounds")
+    p.add_argument("--include-end", dest="jitter.include_end", action="store_true", default=None,
+                   help="always anchor on the last frame")
 
     p = sub.add_parser("label", help="designate proposals against ground truth and balance classes")
     add_config(p)
-    p.add_argument("--spatial-positive", dest="spatial_positive", type=float)
-    p.add_argument("--temporal-positive", dest="temporal_positive", type=float)
-    p.add_argument("--temporal-negative", dest="temporal_negative", type=float)
-    p.add_argument("--hard-temporal-low", dest="hard_temporal_low", type=float)
+    p.add_argument("--spatial-positive", dest="labeling.spatial_positive", type=float)
+    p.add_argument("--temporal-positive", dest="labeling.temporal_positive", type=float)
+    p.add_argument("--temporal-negative", dest="labeling.temporal_negative", type=float)
+    p.add_argument("--hard-temporal-low", dest="labeling.hard_temporal_low", type=float)
 
     p = sub.add_parser("finalize", help="join scores, refine bounds, filter non-action, run 3D-NMS")
     add_config(p)
-    p.add_argument("--nms-temporal-iou", dest="nms_temporal_iou", type=float)
-    p.add_argument("--nms-spatial-iou", dest="nms_spatial_iou", type=float)
+    p.add_argument("--nms-temporal-iou", dest="nms.temporal_iou", type=float)
+    p.add_argument("--nms-spatial-iou", dest="nms.spatial_iou", type=float)
     p.add_argument("--multi-label", dest="multi_label", action="store_true",
                    help="emit every action class above --min-class-score instead of the argmax")
     p.add_argument("--min-class-score", dest="min_class_score", type=float, default=0.05)
 
     p = sub.add_parser("score", help="DET curves and mean p_miss report")
     add_config(p)
-    p.add_argument("--match-temporal-iou", dest="match_temporal_iou", type=float)
-    p.add_argument("--match-spatial-iou", dest="match_spatial_iou", type=float)
-    p.add_argument("--rates", type=float, nargs="+", help="rate_fa grid for the summary")
+    p.add_argument("--match-temporal-iou", dest="match.temporal_iou", type=float)
+    p.add_argument("--match-spatial-iou", dest="match.spatial_iou", type=float)
+    p.add_argument("--rates", dest="rate_grid", type=float, nargs="+", help="rate_fa grid for the summary")
 
     p = sub.add_parser("synth", help="generate a synthetic fixture with oracle scores")
     p.add_argument("--output", required=True, help="fixture directory")
@@ -323,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="JSONL queries: class_scores, true_class, predicted?, target?")
     p.add_argument("--output", help="write results here instead of stdout")
     p.add_argument("--loc-weight", dest="loc_weight", type=float, default=0.25)
-    p.add_argument("--num-classes", dest="num_classes", type=int, default=12)
 
     return parser
 
@@ -334,7 +309,7 @@ def main(argv=None) -> int:
         if args.command == "synth":
             cmd_synth(Path(args.output), args.scenario, args.seed, args.videos)
         elif args.command == "loss-oracle":
-            cmd_loss_oracle(args.input, args.output, args.loc_weight, args.num_classes)
+            cmd_loss_oracle(args.input, args.output, args.loc_weight)
         else:
             cfg = _override(load_config(args.config), args)
             if args.command == "propose":

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -162,33 +162,3 @@ def pairwise_iou_3d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     volumes_a = _areas(a) * _frame_counts(a)
     volumes_b = _areas(b) * _frame_counts(b)
     return inter / (volumes_a[:, None] + volumes_b[None, :] - inter)
-
-
-def square_pad(c: Cuboid) -> Cuboid:
-    """Pad the smaller spatial side about the center until width == height.
-
-    Frames are untouched.  The output may extend outside image bounds; no
-    clamping happens here.
-    """
-    if c.width == c.height:
-        return c
-    if c.width > c.height:
-        half = c.width / 2.0
-        return replace(c, y_min=c.center_y - half, y_max=c.center_y + half)
-    half = c.height / 2.0
-    return replace(c, x_min=c.center_x - half, x_max=c.center_x + half)
-
-
-def bounding_cuboid(items: Iterable[Cuboid]) -> Cuboid:
-    """Componentwise min/max envelope of a nonempty collection of cuboids."""
-    items = list(items)
-    if not items:
-        raise ValueError("bounding_cuboid needs at least one cuboid")
-    return Cuboid(
-        x_min=min(c.x_min for c in items),
-        y_min=min(c.y_min for c in items),
-        x_max=max(c.x_max for c in items),
-        y_max=max(c.y_max for c in items),
-        f_start=min(c.f_start for c in items),
-        f_end=max(c.f_end for c in items),
-    )

@@ -4,12 +4,16 @@ All inputs and outputs are JSON Lines: one object per line, UTF-8, numbers
 as decimal text.  Loading is order-independent (collections come back
 canonically sorted) and every record is validated with its line number in
 the error message.  Field names are fixed and documented in the README.
+The six cuboid fields have one reader (`read_cuboid`) and one writer
+(`cuboid_record`), and every output file goes through `write_records`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -37,6 +41,7 @@ DEFAULT_ACTION_CLASSES = (
 DEFAULT_OBJECT_CLASSES = ("person", "vehicle")
 
 PROB_SUM_TOL = 1e-6
+MAX_INT = 2**53  # larger integers lose exactness in float64 (and may not convert at all)
 
 
 class ValidationError(ValueError):
@@ -124,7 +129,11 @@ def _get(obj: dict, name: str, where: str):
 
 def _get_number(obj: dict, name: str, where: str) -> float:
     value = _get(obj, name, where)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    try:
+        finite = not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
         raise ValidationError(f"{where}: field {name!r} must be a finite number, got {value!r}")
     return float(value)
 
@@ -133,6 +142,8 @@ def _get_int(obj: dict, name: str, where: str) -> int:
     value = _get(obj, name, where)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{where}: field {name!r} must be an integer, got {value!r}")
+    if abs(value) > MAX_INT:
+        raise ValidationError(f"{where}: field {name!r} must be at most 2**53 in magnitude")
     return value
 
 
@@ -141,6 +152,38 @@ def _get_str(obj: dict, name: str, where: str) -> str:
     if not isinstance(value, str) or not value:
         raise ValidationError(f"{where}: field {name!r} must be a nonempty string")
     return value
+
+
+def read_cuboid(obj: dict, where: str) -> Cuboid:
+    """The cuboid fields of one record: four finite pixel bounds, two inclusive frame indices."""
+    bounds = (
+        _get_number(obj, "x_min", where),
+        _get_number(obj, "y_min", where),
+        _get_number(obj, "x_max", where),
+        _get_number(obj, "y_max", where),
+        _get_int(obj, "f_start", where),
+        _get_int(obj, "f_end", where),
+    )
+    try:
+        return Cuboid(*bounds)
+    except ValueError as exc:  # empty extent or inverted span
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
+def cuboid_record(c: Cuboid) -> dict:
+    """The cuboid fields of one output record; `read_cuboid` reads them back."""
+    return {
+        "x_min": c.x_min, "y_min": c.y_min, "x_max": c.x_max, "y_max": c.y_max,
+        "f_start": c.f_start, "f_end": c.f_end,
+    }
+
+
+def _detection_key(d: Detection) -> tuple:
+    return (d.video_id, d.frame, d.object_class, d.x_min, d.y_min, d.x_max, d.y_max, d.confidence)
+
+
+def _ground_truth_key(g: GroundTruthAction) -> tuple:
+    return (g.video_id, g.cuboid.f_start, g.cuboid.f_end, g.action_class, g.cuboid.x_min, g.cuboid.y_min)
 
 
 def load_video_meta(path) -> dict[str, VideoMeta]:
@@ -210,7 +253,7 @@ def load_detections(
             continue
         grouped.setdefault(det.video_id, []).append(det)
     for dets in grouped.values():
-        dets.sort(key=lambda d: (d.frame, d.object_class, d.x_min, d.y_min, d.x_max, d.y_max, d.confidence))
+        dets.sort(key=_detection_key)
     return dict(sorted(grouped.items()))
 
 
@@ -229,17 +272,7 @@ def load_ground_truth(
         label = _get_str(obj, "action_class", where)
         if label not in allowed_set:
             raise ValidationError(f"{where}: unknown action_class {label!r}; allowed: {', '.join(allowed)}")
-        try:
-            cuboid = Cuboid(
-                x_min=_get_number(obj, "x_min", where),
-                y_min=_get_number(obj, "y_min", where),
-                x_max=_get_number(obj, "x_max", where),
-                y_max=_get_number(obj, "y_max", where),
-                f_start=_get_int(obj, "f_start", where),
-                f_end=_get_int(obj, "f_end", where),
-            )
-        except ValueError as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
+        cuboid = read_cuboid(obj, where)
         if videos is not None:
             if video_id not in videos:
                 raise ValidationError(f"{where}: unknown video_id {video_id!r}")
@@ -250,7 +283,7 @@ def load_ground_truth(
                 raise ValidationError(f"{where}: box outside video bounds of {video_id!r}")
         grouped.setdefault(video_id, []).append(GroundTruthAction(video_id, label, cuboid))
     for gts in grouped.values():
-        gts.sort(key=lambda g: (g.cuboid.f_start, g.cuboid.f_end, g.action_class, g.cuboid.x_min, g.cuboid.y_min))
+        gts.sort(key=_ground_truth_key)
     return dict(sorted(grouped.items()))
 
 
@@ -284,70 +317,50 @@ def load_scores(path, num_classes: int = 12) -> dict[str, ScoreRecord]:
     return dict(sorted(records.items()))
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True)
+def write_records(path, records: Iterable[dict]) -> None:
+    """Write one JSON object per line, keys sorted, replacing `path` only once all are written.
+
+    Lines go to `<name>.tmp` beside `path`, which `os.replace` then moves
+    into place.  If `records` raises, the temporary file is removed and a
+    previous file at `path` is left untouched.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for record in records:
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_video_meta(path, videos: Iterable[VideoMeta]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for meta in sorted(videos, key=lambda m: m.video_id):
-            fh.write(_dump({
-                "video_id": meta.video_id,
-                "num_frames": meta.num_frames,
-                "frame_rate": meta.frame_rate,
-                "width": meta.width,
-                "height": meta.height,
-            }) + "\n")
+    write_records(path, (dataclasses.asdict(m) for m in sorted(videos, key=lambda m: m.video_id)))
 
 
 def write_detections(path, detections: Iterable[Detection]) -> None:
-    ordered = sorted(
-        detections,
-        key=lambda d: (d.video_id, d.frame, d.object_class, d.x_min, d.y_min, d.x_max, d.y_max, d.confidence),
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        for det in ordered:
-            fh.write(_dump({
-                "video_id": det.video_id,
-                "frame": det.frame,
-                "object_class": det.object_class,
-                "x_min": det.x_min,
-                "y_min": det.y_min,
-                "x_max": det.x_max,
-                "y_max": det.y_max,
-                "confidence": det.confidence,
-            }) + "\n")
+    write_records(path, (dataclasses.asdict(d) for d in sorted(detections, key=_detection_key)))
 
 
 def write_ground_truth(path, actions: Iterable[GroundTruthAction]) -> None:
-    ordered = sorted(
-        actions,
-        key=lambda g: (g.video_id, g.cuboid.f_start, g.cuboid.f_end, g.action_class, g.cuboid.x_min, g.cuboid.y_min),
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        for gt in ordered:
-            c = gt.cuboid
-            fh.write(_dump({
-                "video_id": gt.video_id,
-                "action_class": gt.action_class,
-                "x_min": c.x_min,
-                "y_min": c.y_min,
-                "x_max": c.x_max,
-                "y_max": c.y_max,
-                "f_start": c.f_start,
-                "f_end": c.f_end,
-            }) + "\n")
+    write_records(path, (
+        {"video_id": gt.video_id, "action_class": gt.action_class, **cuboid_record(gt.cuboid)}
+        for gt in sorted(actions, key=_ground_truth_key)
+    ))
 
 
 def write_scores(path, records: Iterable[ScoreRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in sorted(records, key=lambda r: r.proposal_id):
-            fh.write(_dump({
-                "proposal_id": rec.proposal_id,
-                "class_scores": list(rec.class_scores),
-                "refine_start": rec.refinement[0],
-                "refine_end": rec.refinement[1],
-            }) + "\n")
+    write_records(path, (
+        {
+            "proposal_id": rec.proposal_id,
+            "class_scores": list(rec.class_scores),
+            "refine_start": rec.refinement[0],
+            "refine_end": rec.refinement[1],
+        }
+        for rec in sorted(records, key=lambda r: r.proposal_id)
+    ))
 
 
 def class_index(label: str, action_classes: Iterable[str] = DEFAULT_ACTION_CLASSES) -> int:

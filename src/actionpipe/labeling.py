@@ -8,14 +8,13 @@ in the ambiguous band between those regimes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .geometry import Cuboid, cuboid_array, pairwise_iou
-from .ingest import GroundTruthAction, ValidationError
+from .ingest import GroundTruthAction, ValidationError, write_records
 from .proposals import PROVENANCE_CLUSTERING, Proposal
 
 POSITIVE = "positive"
@@ -179,13 +178,15 @@ def designation_counts(labeled: Iterable[LabeledProposal]) -> dict[str, int]:
 
 def write_training_manifest(path, training: Iterable[LabeledProposal]) -> None:
     """Training manifest consumed by external classifier trainers."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for lp in training:
-            target = lp.regression_target
-            fh.write(json.dumps({
-                "proposal_id": lp.proposal.proposal_id,
-                "designation": lp.designation,
-                "action_class": lp.action_class,
-                "target_start": None if target is None else target[0],
-                "target_end": None if target is None else target[1],
-            }, sort_keys=True) + "\n")
+
+    def record(lp: LabeledProposal) -> dict:
+        target_start, target_end = lp.regression_target or (None, None)
+        return {
+            "proposal_id": lp.proposal.proposal_id,
+            "designation": lp.designation,
+            "action_class": lp.action_class,
+            "target_start": target_start,
+            "target_end": target_end,
+        }
+
+    write_records(path, map(record, training))

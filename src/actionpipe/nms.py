@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .geometry import Cuboid, cuboid_array, pairwise_iou
-from .ingest import ValidationError, _get_int, _get_number, _get_str, _read_records, class_index
+from .ingest import (
+    ValidationError,
+    _get_number,
+    _get_str,
+    _read_records,
+    class_index,
+    cuboid_record,
+    read_cuboid,
+    write_records,
+)
 
 NMS_BLOCK = 64  # rows per overlap block in nms_3d
 
@@ -75,21 +83,16 @@ def nms_3d(dets: Sequence[ScoredDetection], params: NmsParams = NmsParams()) -> 
 
 def write_final_detections(path, dets: Iterable[ScoredDetection], action_classes: Sequence[str]) -> None:
     """Final-detections file: the system's deliverable and scoring input."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for det in dets:
-            c = det.cuboid
-            fh.write(json.dumps({
-                "video_id": det.video_id,
-                "proposal_id": det.proposal_id,
-                "action_class": action_classes[det.action_class - 1],
-                "confidence": det.confidence,
-                "x_min": c.x_min,
-                "y_min": c.y_min,
-                "x_max": c.x_max,
-                "y_max": c.y_max,
-                "f_start": c.f_start,
-                "f_end": c.f_end,
-            }, sort_keys=True) + "\n")
+    write_records(path, (
+        {
+            "video_id": det.video_id,
+            "proposal_id": det.proposal_id,
+            "action_class": action_classes[det.action_class - 1],
+            "confidence": det.confidence,
+            **cuboid_record(det.cuboid),
+        }
+        for det in dets
+    ))
 
 
 def load_final_detections(path, action_classes: Sequence[str]) -> list[ScoredDetection]:
@@ -100,17 +103,7 @@ def load_final_detections(path, action_classes: Sequence[str]) -> list[ScoredDet
         confidence = _get_number(obj, "confidence", where)
         if not 0.0 <= confidence <= 1.0:
             raise ValidationError(f"{where}: confidence {confidence} outside [0, 1]")
-        try:
-            cuboid = Cuboid(
-                x_min=_get_number(obj, "x_min", where),
-                y_min=_get_number(obj, "y_min", where),
-                x_max=_get_number(obj, "x_max", where),
-                y_max=_get_number(obj, "y_max", where),
-                f_start=_get_int(obj, "f_start", where),
-                f_end=_get_int(obj, "f_end", where),
-            )
-        except ValueError as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
+        cuboid = read_cuboid(obj, where)
         out.append(ScoredDetection(
             video_id=_get_str(obj, "video_id", where),
             proposal_id=_get_str(obj, "proposal_id", where),

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
 from .geometry import Cuboid
-from .ingest import ValidationError, _get_int, _get_number, _get_str, _read_records
+from .ingest import ValidationError, _get_str, _read_records, cuboid_record, read_cuboid, write_records
 
 PROVENANCE_CLUSTERING = "clustering"
 PROVENANCE_JITTERING = "jittering"
@@ -30,21 +29,16 @@ class Proposal:
 
 
 def write_proposals(path, proposals: Iterable[Proposal]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for prop in proposals:
-            c = prop.cuboid
-            fh.write(json.dumps({
-                "proposal_id": prop.proposal_id,
-                "video_id": prop.video_id,
-                "parent_id": prop.parent_id,
-                "provenance": prop.provenance,
-                "x_min": c.x_min,
-                "y_min": c.y_min,
-                "x_max": c.x_max,
-                "y_max": c.y_max,
-                "f_start": c.f_start,
-                "f_end": c.f_end,
-            }, sort_keys=True) + "\n")
+    write_records(path, (
+        {
+            "proposal_id": prop.proposal_id,
+            "video_id": prop.video_id,
+            "parent_id": prop.parent_id,
+            "provenance": prop.provenance,
+            **cuboid_record(prop.cuboid),
+        }
+        for prop in proposals
+    ))
 
 
 def load_proposals(path) -> list[Proposal]:
@@ -63,17 +57,6 @@ def load_proposals(path) -> list[Proposal]:
         parent = obj.get("parent_id")
         if parent is not None and (not isinstance(parent, str) or not parent):
             raise ValidationError(f"{where}: parent_id must be null or a nonempty string")
-        try:
-            cuboid = Cuboid(
-                x_min=_get_number(obj, "x_min", where),
-                y_min=_get_number(obj, "y_min", where),
-                x_max=_get_number(obj, "x_max", where),
-                y_max=_get_number(obj, "y_max", where),
-                f_start=_get_int(obj, "f_start", where),
-                f_end=_get_int(obj, "f_end", where),
-            )
-        except ValueError as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
+        cuboid = read_cuboid(obj, where)
         out.append(Proposal(pid, _get_str(obj, "video_id", where), cuboid, provenance, parent))
     return out
-

@@ -1,10 +1,9 @@
 """Classifier-side math as checkable pure functions.
 
 Covers the multi-class cross-entropy, the smooth-L1 temporal localization
-loss and their weighted combination, the application of predicted temporal
-refinements back onto cuboids, and uniform frame sampling.  External
-trainers can validate their implementations against these via the CLI's
-loss-oracle subcommand.
+loss and their weighted combination, and the application of predicted
+temporal refinements back onto cuboids.  External trainers can validate
+their implementations against these via the CLI's loss-oracle subcommand.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ LOG_EPS = 1e-12  # clamp for log of a zero probability
 @dataclass(frozen=True)
 class LossParams:
     loc_weight: float = 0.25  # weight of the localization term for action classes
-    num_classes: int = 12
+    num_classes: int = 12  # read by nothing; kept because every saved config carries it
 
     def __post_init__(self):
         if self.loc_weight < 0:
@@ -84,19 +83,3 @@ def apply_refinement(c: Cuboid, refinement: tuple[float, float]) -> tuple[Cuboid
     if new_start >= new_end:
         return c, False
     return Cuboid(c.x_min, c.y_min, c.x_max, c.y_max, new_start, new_end), True
-
-
-def sample_frames(f_start: int, f_end: int, count: int = 64) -> list[int]:
-    """Uniformly sample `count` frame indices across an inclusive span.
-
-    Short spans repeat frames rather than wrapping, so the output is always
-    non-decreasing with exact endpoints.
-    """
-    if f_start > f_end:
-        raise ValidationError(f"inverted span [{f_start}, {f_end}]")
-    if count < 1:
-        raise ValidationError("count must be >= 1")
-    if count == 1:
-        return [f_start]
-    span = f_end - f_start + 1
-    return [f_start + round(i * (span - 1) / (count - 1)) for i in range(count)]

@@ -1,10 +1,15 @@
+import argparse
+import dataclasses
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
-from actionpipe.cli import main
-from actionpipe.config import config_from_dict, config_to_dict, load_config, save_config
+from actionpipe.cli import _override, build_parser, main
+from actionpipe.config import PipelineConfig, config_from_dict, config_to_dict, load_config, save_config
 from actionpipe.ingest import ValidationError, load_scores, write_scores
+from actionpipe.refine import LossParams
 
 OUTPUTS = ("proposals.jsonl", "labels.jsonl", "detections_final.jsonl", "report.json")
 
@@ -111,6 +116,20 @@ class TestExitCodes:
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["finalize", "--config", str(cfg_path)]) == 1
 
+    def test_oversized_integer_is_validation_error(self, fixture_dir, tmp_path):
+        cfg = json.loads((fixture_dir / "config.json").read_text())
+        videos = [json.loads(line) for line in (fixture_dir / cfg["videos"]).read_text().splitlines()]
+        videos[0]["width"] = 10**400
+        bad = tmp_path / "videos.jsonl"
+        bad.write_text("".join(json.dumps(v) + "\n" for v in videos), encoding="utf-8")
+        for key in ("detections", "ground_truth", "scores"):
+            cfg[key] = str(fixture_dir / cfg[key])
+        cfg["videos"] = str(bad)
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["propose", "--config", str(cfg_path)]) == 1
+
     def test_score_without_ground_truth(self, fixture_dir, tmp_path):
         run_pipeline(fixture_dir / "config.json")
         cfg = json.loads((fixture_dir / "config.json").read_text())
@@ -205,3 +224,124 @@ class TestConfigRoundTrip:
     def test_missing_path_rejected(self):
         with pytest.raises(ValidationError):
             config_from_dict({"detections": "d"})
+
+    def test_saved_config_loads(self, tmp_path):
+        # a config as `synth` saves it; loss.num_classes is read by nothing but every saved config carries it
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(SAVED_CONFIG), encoding="utf-8")
+        cfg = load_config(path)
+        assert cfg.loss == LossParams(loc_weight=0.25, num_classes=12)
+        assert config_to_dict(cfg)["loss"] == SAVED_CONFIG["loss"]
+        assert cfg == PipelineConfig(
+            detections=tmp_path / "detections.jsonl",
+            ground_truth=tmp_path / "ground_truth.jsonl",
+            videos=tmp_path / "videos.jsonl",
+            output_dir=tmp_path / "out",
+            scores=tmp_path / "scores.jsonl",
+        )
+
+
+SAVED_CONFIG = {
+    "action_classes": [
+        "vehicle_u_turn", "vehicle_left_turn", "vehicle_right_turn", "closing_trunk", "opening_trunk",
+        "loading", "unloading", "transport_heavy_carry", "open", "close", "enter", "exit",
+    ],
+    "cluster": {"clusters_per_frame": 0.028, "linkage": "ward", "min_cluster_size": 1, "temporal_scale": 1.0},
+    "detections": "detections.jsonl",
+    "ground_truth": "ground_truth.jsonl",
+    "jitter": {"clamp_to_video": True, "half_windows": [16, 32, 64, 128], "include_end": False,
+               "min_span": 2, "stride": 15},
+    "labeling": {"hard_temporal_low": 0.01, "spatial_positive": 0.35, "temporal_negative": 0.2,
+                 "temporal_positive": 0.5},
+    "loss": {"loc_weight": 0.25, "num_classes": 12},
+    "match": {"spatial_iou": 0.0, "temporal_iou": 0.2},
+    "min_confidence": 0.5,
+    "nms": {"spatial_iou": 0.05, "temporal_iou": 0.2},
+    "object_classes": ["person", "vehicle"],
+    "output_dir": "out",
+    "rate_grid": [0.01, 0.03, 0.1, 0.15, 0.2, 1.0],
+    "recall_iou_mode": "volume",
+    "scores": "scores.jsonl",
+    "videos": "videos.jsonl",
+}
+
+# (command, flags, config field the flags set, value it takes); every value differs from the default
+OVERRIDES = [
+    *((cmd, ["--output", "elsewhere"], "output_dir", Path("elsewhere"))
+      for cmd in ("propose", "label", "finalize", "score")),
+    ("propose", ["--min-confidence", "0.7"], "min_confidence", 0.7),
+    ("propose", ["--linkage", "average"], "cluster.linkage", "average"),
+    ("propose", ["--temporal-scale", "2.5"], "cluster.temporal_scale", 2.5),
+    ("propose", ["--clusters-per-frame", "0.01"], "cluster.clusters_per_frame", 0.01),
+    ("propose", ["--min-cluster-size", "3"], "cluster.min_cluster_size", 3),
+    ("propose", ["--stride", "30"], "jitter.stride", 30),
+    ("propose", ["--half-windows", "8", "24"], "jitter.half_windows", (8, 24)),
+    ("propose", ["--min-span", "5"], "jitter.min_span", 5),
+    ("propose", ["--no-clamp"], "jitter.clamp_to_video", False),
+    ("propose", ["--include-end"], "jitter.include_end", True),
+    ("label", ["--spatial-positive", "0.4"], "labeling.spatial_positive", 0.4),
+    ("label", ["--temporal-positive", "0.6"], "labeling.temporal_positive", 0.6),
+    ("label", ["--temporal-negative", "0.1"], "labeling.temporal_negative", 0.1),
+    ("label", ["--hard-temporal-low", "0.05"], "labeling.hard_temporal_low", 0.05),
+    ("finalize", ["--nms-temporal-iou", "0.3"], "nms.temporal_iou", 0.3),
+    ("finalize", ["--nms-spatial-iou", "0.1"], "nms.spatial_iou", 0.1),
+    ("score", ["--match-temporal-iou", "0.5"], "match.temporal_iou", 0.5),
+    ("score", ["--match-spatial-iou", "0.1"], "match.spatial_iou", 0.1),
+    ("score", ["--rates", "0.1", "1"], "rate_grid", (0.1, 1.0)),
+]
+CONFIG_COMMANDS = ("propose", "label", "finalize", "score")
+
+
+def with_field(cfg, path, value):
+    section, _, field = path.rpartition(".")
+    if section:
+        value = dataclasses.replace(getattr(cfg, section), **{field: value})
+        field = section
+    return dataclasses.replace(cfg, **{field: value})
+
+
+class TestOverrides:
+    @pytest.fixture
+    def config_path(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(SAVED_CONFIG), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("command,flags,field,value", OVERRIDES,
+                             ids=[f"{cmd}{flags[0]}" for cmd, flags, _, _ in OVERRIDES])
+    def test_flag_sets_exactly_its_field(self, config_path, command, flags, field, value):
+        base = load_config(config_path)
+        args = build_parser().parse_args([command, "--config", str(config_path), *flags])
+        got = _override(base, args)
+        assert got == with_field(base, field, value)
+        assert got != base
+
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_no_flags_leave_config_unchanged(self, config_path, command):
+        base = load_config(config_path)
+        assert _override(base, build_parser().parse_args([command, "--config", str(config_path)])) == base
+
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_table_covers_every_override_flag(self, command):
+        top_level = {f.name for f in dataclasses.fields(PipelineConfig)}
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        declared = {
+            action.option_strings[0]
+            for action in subparsers.choices[command]._actions
+            if "." in action.dest or action.dest in top_level
+        }
+        assert declared == {flags[0] for cmd, flags, _, _ in OVERRIDES if cmd == command}
+
+
+def test_traced_lookup_sites_resolve():
+    """Every (module, attr) the benchmark's traced run patches exists on actionpipe.<module>."""
+    spans_path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", spans_path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"actionpipe.{module}.{attr}"
+        for module, attr, *_ in spans.TRACED
+        if not callable(getattr(importlib.import_module(f"actionpipe.{module}"), attr, None))
+    ]
+    assert missing == []

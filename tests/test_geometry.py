@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from actionpipe.geometry import (
     Cuboid,
-    bounding_cuboid,
     cuboid_array,
     iou_3d,
     pairwise_iou,
     pairwise_iou_3d,
     spatial_iou,
-    square_pad,
     temporal_iou,
 )
 from oracles import random_cuboid, voxel_iou
@@ -176,65 +174,3 @@ class TestPairwiseKernel:
         assert cuboid_array([]).shape == (0, 6)
         spatial, temporal = pairwise_iou(cuboid_array([cub(0, 0, 1, 1)]), cuboid_array([]))
         assert spatial.shape == temporal.shape == (1, 0)
-
-
-class TestSquarePad:
-    def test_already_square_unchanged(self):
-        c = cub(0, 0, 100, 100, 3, 9)
-        assert square_pad(c) == c
-
-    def test_pads_height(self):
-        assert square_pad(cub(0, 0, 100, 50)) == cub(0, -25, 100, 75)
-
-    def test_pads_width(self):
-        assert square_pad(cub(10, 0, 20, 40)) == cub(-5, 0, 35, 40)
-
-    def test_properties_randomized(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            c = random_cuboid(rng)
-            p = square_pad(c)
-            side = max(c.width, c.height)
-            assert p.width == pytest.approx(side) and p.height == pytest.approx(side)
-            assert p.center_x == pytest.approx(c.center_x)
-            assert p.center_y == pytest.approx(c.center_y)
-            assert p.width >= c.width - 1e-9 and p.height >= c.height - 1e-9
-            assert (p.f_start, p.f_end) == (c.f_start, c.f_end)
-            q = square_pad(p)
-            assert q.x_min == pytest.approx(p.x_min) and q.y_max == pytest.approx(p.y_max)
-
-
-class TestBoundingCuboid:
-    def test_singleton(self):
-        c = cub(1, 2, 3, 4, 5, 6)
-        assert bounding_cuboid([c]) == c
-
-    def test_envelope(self):
-        got = bounding_cuboid([cub(0, 0, 1, 1, 0, 0), cub(5, 5, 6, 6, 10, 10)])
-        assert got == cub(0, 0, 6, 6, 0, 10)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            bounding_cuboid([])
-
-    def test_order_invariance_and_containment(self):
-        rng = np.random.default_rng(5)
-        items = [random_cuboid(rng) for _ in range(10)]
-        env = bounding_cuboid(items)
-        assert bounding_cuboid(reversed(items)) == env
-        assert bounding_cuboid([env]) == env
-        for c in items:
-            assert env.x_min <= c.x_min and env.x_max >= c.x_max
-            assert env.y_min <= c.y_min and env.y_max >= c.y_max
-            assert env.f_start <= c.f_start and env.f_end >= c.f_end
-
-    def test_monotone_growth(self):
-        rng = np.random.default_rng(6)
-        items = [random_cuboid(rng) for _ in range(6)]
-        prev = bounding_cuboid(items[:1])
-        for i in range(2, len(items) + 1):
-            env = bounding_cuboid(items[:i])
-            assert env.x_min <= prev.x_min and env.x_max >= prev.x_max
-            assert env.y_min <= prev.y_min and env.y_max >= prev.y_max
-            assert env.f_start <= prev.f_start and env.f_end >= prev.f_end
-            prev = env

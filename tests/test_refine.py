@@ -11,7 +11,6 @@ from actionpipe.refine import (
     cross_entropy,
     full_loss,
     localization_loss,
-    sample_frames,
     smooth_l1,
 )
 
@@ -130,38 +129,3 @@ class TestApplyRefinement:
         refined, applied = apply_refinement(c, (-0.5, 0.5))
         assert applied
         assert (refined.f_start, refined.f_end) == (16, 48)
-
-
-class TestSampleFrames:
-    def test_identity_on_matching_span(self):
-        assert sample_frames(10, 73, 64) == list(range(10, 74))
-
-    def test_single_frame_repeats(self):
-        assert sample_frames(5, 5, 64) == [5] * 64
-
-    def test_double_span_samples_every_other(self):
-        got = sample_frames(0, 127, 64)
-        assert got[0] == 0 and got[-1] == 127
-        deltas = {b - a for a, b in zip(got, got[1:])}
-        assert deltas <= {1, 2, 3} and 2 in deltas
-
-    def test_endpoints_and_monotone(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            f0 = int(rng.integers(0, 1000))
-            f1 = f0 + int(rng.integers(0, 400))
-            n = int(rng.integers(1, 100))
-            got = sample_frames(f0, f1, n)
-            assert len(got) == n
-            assert got[0] == f0 and got[-1] == (f1 if n > 1 else f0)
-            assert all(a <= b for a, b in zip(got, got[1:]))
-            assert all(f0 <= f <= f1 for f in got)
-
-    def test_count_one(self):
-        assert sample_frames(9, 20, 1) == [9]
-
-    def test_invalid(self):
-        with pytest.raises(ValidationError):
-            sample_frames(5, 4, 64)
-        with pytest.raises(ValidationError):
-            sample_frames(0, 10, 0)

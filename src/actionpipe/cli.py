@@ -21,11 +21,16 @@ from .config import PipelineConfig, load_config
 from .ingest import (
     ScoreRecord,
     ValidationError,
+    _get,
+    _get_int,
+    _is_finite,
+    _read_records,
     ensure_path,
     load_detections,
     load_ground_truth,
     load_scores,
     load_video_meta,
+    write_lines,
     write_records,
 )
 from .jitter import jitter_proposals
@@ -42,7 +47,7 @@ def _propose_one(args) -> list[Proposal]:
     return jitter_proposals(clustered, jitter_params, meta)
 
 
-def cmd_propose(cfg: PipelineConfig, jobs: int = 1) -> dict:
+def cmd_propose(cfg: PipelineConfig, jobs: int = 1) -> None:
     videos = load_video_meta(ensure_path(cfg.videos))
     detections = load_detections(ensure_path(cfg.detections), videos, cfg.min_confidence, cfg.object_classes)
     tasks = [(dets, videos[vid], cfg.cluster, cfg.jitter) for vid, dets in detections.items()]
@@ -53,20 +58,15 @@ def cmd_propose(cfg: PipelineConfig, jobs: int = 1) -> dict:
         per_video = [_propose_one(t) for t in tasks]
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.output_dir / "proposals.jsonl"
-    merged: list[Proposal] = []
-    counts = {}
-    for vid, props in zip(detections.keys(), per_video):
-        clustered = sum(p.provenance == PROVENANCE_CLUSTERING for p in props)
-        counts[vid] = {"clustering": clustered, "jittering": len(props) - clustered}
-        merged.extend(props)
+    merged = [p for props in per_video for p in props]
     write_proposals(out_path, merged)
-    for vid, c in counts.items():
-        print(f"{vid}: {c['clustering']} clustering + {c['jittering']} jittered proposals")
+    for vid, props in zip(detections, per_video):
+        clustered = sum(p.provenance == PROVENANCE_CLUSTERING for p in props)
+        print(f"{vid}: {clustered} clustering + {len(props) - clustered} jittered proposals")
     print(f"wrote {len(merged)} proposals to {out_path}")
-    return {"path": out_path, "counts": counts, "total": len(merged)}
 
 
-def cmd_label(cfg: PipelineConfig) -> dict:
+def cmd_label(cfg: PipelineConfig) -> None:
     videos = load_video_meta(ensure_path(cfg.videos))
     gts = load_ground_truth(ensure_path(cfg.ground_truth), videos, cfg.action_classes)
     proposals = load_proposals(ensure_path(cfg.output_dir / "proposals.jsonl"))
@@ -85,7 +85,6 @@ def cmd_label(cfg: PipelineConfig) -> dict:
     if per_class:
         print("positives per class: " + "  ".join(f"{k}={v}" for k, v in sorted(per_class.items())))
     print(f"wrote training manifest to {out_path}")
-    return {"path": out_path, "counts": counts, "training": len(training), "balanced": len(balanced)}
 
 
 def _to_detection(prop: Proposal, record: ScoreRecord, cls: int) -> ScoredDetection:
@@ -99,7 +98,7 @@ def _to_detection(prop: Proposal, record: ScoreRecord, cls: int) -> ScoredDetect
     )
 
 
-def cmd_finalize(cfg: PipelineConfig, multi_label: bool = False, min_class_score: float = 0.05) -> dict:
+def cmd_finalize(cfg: PipelineConfig, multi_label: bool = False, min_class_score: float = 0.05) -> None:
     if cfg.scores is None:
         raise ValidationError("config has no scores path; finalize needs classifier scores")
     scores = load_scores(ensure_path(cfg.scores), num_classes=len(cfg.action_classes))
@@ -125,10 +124,9 @@ def cmd_finalize(cfg: PipelineConfig, multi_label: bool = False, min_class_score
     out_path = cfg.output_dir / "detections_final.jsonl"
     write_final_detections(out_path, final, cfg.action_classes)
     print(f"wrote {len(final)} final detections to {out_path}")
-    return {"path": out_path, "total": len(final)}
 
 
-def cmd_score(cfg: PipelineConfig) -> dict:
+def cmd_score(cfg: PipelineConfig) -> None:
     videos = load_video_meta(ensure_path(cfg.videos))
     gts_by_video = load_ground_truth(ensure_path(cfg.ground_truth), videos, cfg.action_classes)
     gts = [gt for group in gts_by_video.values() for gt in group]
@@ -157,19 +155,17 @@ def cmd_score(cfg: PipelineConfig) -> dict:
     }
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     report_path = cfg.output_dir / "report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_lines(report_path, [json.dumps(report, indent=2, sort_keys=True)])
     curve_dir = cfg.output_dir / "curves"
     curve_dir.mkdir(exist_ok=True)
     for label, curve in [("aggregate", aggregate)] + sorted(curves.items()):
-        lines = ["# rate_fa p_miss"] + [f"{r:.6g} {p:.6g}" for r, p in curve.points]
-        (curve_dir / f"{label}.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(curve_dir / f"{label}.txt", ["# rate_fa p_miss"] + [f"{r:.6g} {p:.6g}" for r, p in curve.points])
     print("rate_fa:     " + "  ".join(f"{r:8.3g}" for r in cfg.rate_grid))
     print("mean p_miss: " + "  ".join(f"{p:8.3g}" for p in report["aggregate"]["mean_p_miss"]))
     print(f"wrote {report_path} and {len(curves) + 1} curve files under {curve_dir}")
-    return {"path": report_path, "report": report}
 
 
-def cmd_synth(output: Path, scenario: str, seed: int, num_videos: int) -> dict:
+def cmd_synth(output: Path, scenario: str, seed: int, num_videos: int) -> None:
     summary = generate_fixture(output, scenario, seed, num_videos)
     print(
         f"fixture '{scenario}' seed={seed}: {summary['videos']} videos, "
@@ -177,41 +173,38 @@ def cmd_synth(output: Path, scenario: str, seed: int, num_videos: int) -> dict:
         f"{summary['proposals_scored']} proposals scored"
     )
     print(f"wrote fixture to {output}")
-    return summary
 
 
-def cmd_loss_oracle(input_path, output, loc_weight: float) -> dict:
+def _get_pair(query: dict, name: str) -> tuple | None:
+    value = query.get(name)
+    if value is not None and not (isinstance(value, list) and len(value) == 2 and all(map(_is_finite, value))):
+        raise ValidationError(f"field {name!r} must be null or a pair of finite numbers, got {value!r}")
+    return None if value is None else tuple(value)
+
+
+def cmd_loss_oracle(input_path, output, loc_weight: float) -> None:
     """Evaluate loss queries so external trainers can check their math."""
     params = LossParams(loc_weight=loc_weight)
-    results = []
-    with open(ensure_path(input_path), "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                query = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{input_path}:{lineno}: malformed query: {exc}") from exc
-            probs = query.get("class_scores")
-            true_class = query.get("true_class")
-            if not isinstance(probs, list) or not isinstance(true_class, int):
-                raise ValidationError(f"{input_path}:{lineno}: need class_scores list and integer true_class")
-            predicted = tuple(query["predicted"]) if "predicted" in query else None
-            target = tuple(query["target"]) if "target" in query else None
-            result = {"cross_entropy": cross_entropy(probs, true_class)}
-            if predicted is not None and target is not None:
-                result["localization_loss"] = localization_loss(predicted, target)
-            else:
-                result["localization_loss"] = None
-            result["full_loss"] = full_loss(probs, true_class, predicted, target, params)
-            results.append(result)
+
+    def answer(query: dict) -> dict:
+        probs = _get(query, "class_scores")
+        if not isinstance(probs, list) or not all(map(_is_finite, probs)):
+            raise ValidationError(f"field 'class_scores' must be a list of finite numbers, got {probs!r}")
+        true_class = _get_int(query, "true_class")
+        predicted, target = _get_pair(query, "predicted"), _get_pair(query, "target")
+        loc = None if predicted is None or target is None else localization_loss(predicted, target)
+        return {
+            "cross_entropy": cross_entropy(probs, true_class),
+            "localization_loss": loc,
+            "full_loss": full_loss(probs, true_class, predicted, target, params),
+        }
+
+    results = list(_read_records(ensure_path(input_path), answer))
     if output:
         write_records(output, results)
     else:
         for result in results:
             print(json.dumps(result, sort_keys=True))
-    return {"queries": len(results)}
 
 
 def _override(cfg: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 from .clustering import ClusterParams
-from .ingest import DEFAULT_ACTION_CLASSES, DEFAULT_OBJECT_CLASSES, ValidationError
+from .ingest import DEFAULT_ACTION_CLASSES, DEFAULT_OBJECT_CLASSES, ValidationError, write_lines
 from .jitter import JitterParams
 from .labeling import LabelingThresholds
 from .nms import NmsParams
@@ -52,92 +53,77 @@ class PipelineConfig:
             raise ValidationError("rate_grid entries must be >= 0")
 
 
-_SECTIONS = {
-    "cluster": ClusterParams,
-    "jitter": JitterParams,
-    "labeling": LabelingThresholds,
-    "loss": LossParams,
-    "nms": NmsParams,
-    "match": MatchParams,
-}
+# keys that name files; a relative path resolves against the config's directory
 _PATH_KEYS = ("detections", "ground_truth", "videos", "scores", "output_dir")
+_TYPES = typing.get_type_hints(PipelineConfig)
+
+
+def _json_value(value):
+    if isinstance(value, Path):
+        return str(value)
+    return list(value) if isinstance(value, tuple) else value
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
-    out: dict = {
-        "detections": str(cfg.detections),
-        "ground_truth": str(cfg.ground_truth),
-        "videos": str(cfg.videos),
-        "scores": None if cfg.scores is None else str(cfg.scores),
-        "output_dir": str(cfg.output_dir),
-        "action_classes": list(cfg.action_classes),
-        "object_classes": None if cfg.object_classes is None else list(cfg.object_classes),
-        "min_confidence": cfg.min_confidence,
-        "rate_grid": list(cfg.rate_grid),
-        "recall_iou_mode": cfg.recall_iou_mode,
-    }
-    for name, _ in _SECTIONS.items():
-        section = dataclasses.asdict(getattr(cfg, name))
-        for key, value in section.items():
-            if isinstance(value, tuple):
-                section[key] = list(value)
-        out[name] = section
-    return out
+    return dataclasses.asdict(cfg, dict_factory=lambda items: {key: _json_value(value) for key, value in items})
+
+
+def _section(name: str, cls: type, section):
+    if not isinstance(section, dict):
+        raise ValidationError(f"config section {name!r} must be an object")
+    unknown = sorted(set(section) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValidationError(f"unknown keys in config section {name!r}: {', '.join(unknown)}")
+    try:
+        return cls(**section)
+    except TypeError as exc:
+        raise ValidationError(f"bad config section {name!r}: {exc}") from exc
 
 
 def config_from_dict(data: dict, base_dir: Path | None = None) -> PipelineConfig:
-    """Build a config from parsed JSON; relative paths resolve against base_dir."""
+    """Build a config from parsed JSON; relative paths resolve against base_dir.
+
+    The schema is `PipelineConfig` itself: a field with no default is a
+    required key, a field whose default is a dataclass is a section.  An
+    absent key takes the field's default; null means None where the field
+    admits None (`scores`, `object_classes`) and the default elsewhere.
+    """
     if not isinstance(data, dict):
         raise ValidationError("config must be a JSON object")
-    known = set(_PATH_KEYS) | set(_SECTIONS) | {
-        "action_classes", "object_classes", "min_confidence", "rate_grid", "recall_iou_mode",
-    }
-    unknown = sorted(set(data) - known)
+    fields = dataclasses.fields(PipelineConfig)
+    unknown = sorted(set(data) - {f.name for f in fields})
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
     kwargs: dict = {}
-    for key in _PATH_KEYS:
-        if key not in data or data[key] is None:
-            if key == "scores":
-                kwargs[key] = None
-                continue
-            raise ValidationError(f"config is missing required path {key!r}")
-        path = Path(data[key])
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        kwargs[key] = path
-    for key in ("action_classes", "object_classes", "min_confidence", "rate_grid", "recall_iou_mode"):
-        if key in data and data[key] is not None:
-            kwargs[key] = data[key]
-        elif key == "object_classes" and key in data:
-            kwargs[key] = None  # explicit null keeps every object class
-    for name, cls in _SECTIONS.items():
-        section = data.get(name, {})
-        if not isinstance(section, dict):
-            raise ValidationError(f"config section {name!r} must be an object")
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(section) - fields)
-        if unknown:
-            raise ValidationError(f"unknown keys in config section {name!r}: {', '.join(unknown)}")
-        try:
-            kwargs[name] = cls(**section)
-        except TypeError as exc:
-            raise ValidationError(f"bad config section {name!r}: {exc}") from exc
+    for f in fields:
+        value = data.get(f.name)
+        if value is None:
+            if f.default is dataclasses.MISSING:
+                raise ValidationError(f"config is missing required path {f.name!r}")
+            if type(None) in typing.get_args(_TYPES[f.name]):
+                kwargs[f.name] = None
+        elif f.name in _PATH_KEYS:
+            path = Path(value)
+            kwargs[f.name] = base_dir / path if base_dir is not None and not path.is_absolute() else path
+        elif dataclasses.is_dataclass(f.default):
+            kwargs[f.name] = _section(f.name, type(f.default), value)
+        else:
+            kwargs[f.name] = value
     return PipelineConfig(**kwargs)
 
 
 def load_config(path) -> PipelineConfig:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
     except FileNotFoundError:
         raise FileNotFoundError(f"config file not found: {path}") from None
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     return config_from_dict(data, base_dir=path.parent)
 
 
 def save_config(cfg: PipelineConfig, path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_lines(path, [json.dumps(config_to_dict(cfg), indent=2, sort_keys=True)])

@@ -2,10 +2,11 @@
 
 All inputs and outputs are JSON Lines: one object per line, UTF-8, numbers
 as decimal text.  Loading is order-independent (collections come back
-canonically sorted) and every record is validated with its line number in
-the error message.  Field names are fixed and documented in the README.
-The six cuboid fields have one reader (`read_cuboid`) and one writer
-(`cuboid_record`), and every output file goes through `write_records`.
+canonically sorted) and every record is validated by one `parse` function
+per file, which `_read_records` runs and whose errors it locates as
+`path:line:`.  Field names are fixed and documented in the README.  The six
+cuboid fields have one reader (`read_cuboid`) and one writer
+(`cuboid_record`), and every output file goes through `write_lines`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .geometry import Cuboid
 
@@ -106,68 +107,79 @@ class VideoMeta:
         return self.num_frames / self.frame_rate / 60.0
 
 
-def _read_records(path) -> Iterator[tuple[int, dict]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+def _read_records(path, parse: Callable[[dict], object]) -> Iterator:
+    """Yield `parse(obj)` for the JSON object on each non-blank line of `path`.
+
+    This is the one place that knows where an input error sits: a line that
+    is not UTF-8 or not a JSON object, and any `ValueError` that `parse`
+    raises (a `ValidationError` or a record type's own check), becomes a
+    `ValidationError` prefixed with `path:line: `.  Records are parsed
+    lazily, so `parse` may check a record against the ones already yielded.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ValidationError(f"{path}:{lineno}: record is not an object")
-            yield lineno, obj
+                if not isinstance(obj, dict):
+                    raise ValidationError("record is not an object")
+                record = parse(obj)
+            except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deeply
+                malformed = isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError, RecursionError))
+                message = f"malformed record: {exc}" if malformed else exc
+                raise ValidationError(f"{path}:{lineno}: {message}") from exc
+            yield record
 
 
-def _get(obj: dict, name: str, where: str):
+def _is_finite(value) -> bool:
+    """True for a JSON number (not a bool) with a finite float value."""
+    try:
+        return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _get(obj: dict, name: str):
     if name not in obj:
-        raise ValidationError(f"{where}: missing field {name!r}")
+        raise ValidationError(f"missing field {name!r}")
     return obj[name]
 
 
-def _get_number(obj: dict, name: str, where: str) -> float:
-    value = _get(obj, name, where)
-    try:
-        finite = not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        finite = False
-    if not finite:
-        raise ValidationError(f"{where}: field {name!r} must be a finite number, got {value!r}")
+def _get_number(obj: dict, name: str) -> float:
+    value = _get(obj, name)
+    if not _is_finite(value):
+        raise ValidationError(f"field {name!r} must be a finite number, got {value!r}")
     return float(value)
 
 
-def _get_int(obj: dict, name: str, where: str) -> int:
-    value = _get(obj, name, where)
+def _get_int(obj: dict, name: str) -> int:
+    value = _get(obj, name)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{where}: field {name!r} must be an integer, got {value!r}")
+        raise ValidationError(f"field {name!r} must be an integer, got {value!r}")
     if abs(value) > MAX_INT:
-        raise ValidationError(f"{where}: field {name!r} must be at most 2**53 in magnitude")
+        raise ValidationError(f"field {name!r} must be at most 2**53 in magnitude")
     return value
 
 
-def _get_str(obj: dict, name: str, where: str) -> str:
-    value = _get(obj, name, where)
+def _get_str(obj: dict, name: str) -> str:
+    value = _get(obj, name)
     if not isinstance(value, str) or not value:
-        raise ValidationError(f"{where}: field {name!r} must be a nonempty string")
+        raise ValidationError(f"field {name!r} must be a nonempty string")
     return value
 
 
-def read_cuboid(obj: dict, where: str) -> Cuboid:
+def read_cuboid(obj: dict) -> Cuboid:
     """The cuboid fields of one record: four finite pixel bounds, two inclusive frame indices."""
-    bounds = (
-        _get_number(obj, "x_min", where),
-        _get_number(obj, "y_min", where),
-        _get_number(obj, "x_max", where),
-        _get_number(obj, "y_max", where),
-        _get_int(obj, "f_start", where),
-        _get_int(obj, "f_end", where),
+    return Cuboid(
+        _get_number(obj, "x_min"),
+        _get_number(obj, "y_min"),
+        _get_number(obj, "x_max"),
+        _get_number(obj, "y_max"),
+        _get_int(obj, "f_start"),
+        _get_int(obj, "f_end"),
     )
-    try:
-        return Cuboid(*bounds)
-    except ValueError as exc:  # empty extent or inverted span
-        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def cuboid_record(c: Cuboid) -> dict:
@@ -189,26 +201,29 @@ def _ground_truth_key(g: GroundTruthAction) -> tuple:
 def load_video_meta(path) -> dict[str, VideoMeta]:
     """Load video metadata keyed by video_id."""
     videos: dict[str, VideoMeta] = {}
-    for lineno, obj in _read_records(path):
-        where = f"{path}:{lineno}"
+
+    def parse(obj: dict) -> VideoMeta:
         meta = VideoMeta(
-            video_id=_get_str(obj, "video_id", where),
-            num_frames=_get_int(obj, "num_frames", where),
-            frame_rate=_get_number(obj, "frame_rate", where),
-            width=_get_number(obj, "width", where),
-            height=_get_number(obj, "height", where),
+            video_id=_get_str(obj, "video_id"),
+            num_frames=_get_int(obj, "num_frames"),
+            frame_rate=_get_number(obj, "frame_rate"),
+            width=_get_number(obj, "width"),
+            height=_get_number(obj, "height"),
         )
         if meta.num_frames <= 0 or meta.frame_rate <= 0 or meta.width <= 0 or meta.height <= 0:
-            raise ValidationError(f"{where}: video dimensions, frames and rate must be positive")
+            raise ValidationError("video dimensions, frames and rate must be positive")
         if meta.video_id in videos:
-            raise ValidationError(f"{where}: duplicate video_id {meta.video_id!r}")
+            raise ValidationError(f"duplicate video_id {meta.video_id!r}")
+        return meta
+
+    for meta in _read_records(path, parse):
         videos[meta.video_id] = meta
     return dict(sorted(videos.items()))
 
 
 def load_detections(
     path,
-    videos: dict[str, VideoMeta] | None = None,
+    videos: dict[str, VideoMeta],
     min_confidence: float = 0.5,
     object_classes: Iterable[str] | None = DEFAULT_OBJECT_CLASSES,
 ) -> dict[str, list[Detection]]:
@@ -219,39 +234,37 @@ def load_detections(
     after validation.  Output groups are sorted canonically so the result
     does not depend on input line order.
     """
-    keep = None if object_classes is None else frozenset(object_classes)
-    grouped: dict[str, list[Detection]] = {}
-    for lineno, obj in _read_records(path):
-        where = f"{path}:{lineno}"
+
+    def parse(obj: dict) -> Detection:
         det = Detection(
-            video_id=_get_str(obj, "video_id", where),
-            frame=_get_int(obj, "frame", where),
-            object_class=_get_str(obj, "object_class", where),
-            x_min=_get_number(obj, "x_min", where),
-            y_min=_get_number(obj, "y_min", where),
-            x_max=_get_number(obj, "x_max", where),
-            y_max=_get_number(obj, "y_max", where),
-            confidence=_get_number(obj, "confidence", where),
+            video_id=_get_str(obj, "video_id"),
+            frame=_get_int(obj, "frame"),
+            object_class=_get_str(obj, "object_class"),
+            x_min=_get_number(obj, "x_min"),
+            y_min=_get_number(obj, "y_min"),
+            x_max=_get_number(obj, "x_max"),
+            y_max=_get_number(obj, "y_max"),
+            confidence=_get_number(obj, "confidence"),
         )
         if det.x_min >= det.x_max or det.y_min >= det.y_max:
-            raise ValidationError(f"{where}: box must have positive width and height")
+            raise ValidationError("box must have positive width and height")
         if not 0.0 <= det.confidence <= 1.0:
-            raise ValidationError(f"{where}: confidence {det.confidence} outside [0, 1]")
+            raise ValidationError(f"confidence {det.confidence} outside [0, 1]")
         if det.frame < 0:
-            raise ValidationError(f"{where}: negative frame index {det.frame}")
-        if videos is not None:
-            if det.video_id not in videos:
-                raise ValidationError(f"{where}: unknown video_id {det.video_id!r}")
-            if det.frame >= videos[det.video_id].num_frames:
-                raise ValidationError(
-                    f"{where}: frame {det.frame} outside video "
-                    f"{det.video_id!r} with {videos[det.video_id].num_frames} frames"
-                )
-        if det.confidence < min_confidence:
-            continue
-        if keep is not None and det.object_class not in keep:
-            continue
-        grouped.setdefault(det.video_id, []).append(det)
+            raise ValidationError(f"negative frame index {det.frame}")
+        if det.video_id not in videos:
+            raise ValidationError(f"unknown video_id {det.video_id!r}")
+        if det.frame >= videos[det.video_id].num_frames:
+            raise ValidationError(
+                f"frame {det.frame} outside video {det.video_id!r} with {videos[det.video_id].num_frames} frames"
+            )
+        return det
+
+    keep = None if object_classes is None else frozenset(object_classes)
+    grouped: dict[str, list[Detection]] = {}
+    for det in _read_records(path, parse):
+        if det.confidence >= min_confidence and (keep is None or det.object_class in keep):
+            grouped.setdefault(det.video_id, []).append(det)
     for dets in grouped.values():
         dets.sort(key=_detection_key)
     return dict(sorted(grouped.items()))
@@ -259,29 +272,29 @@ def load_detections(
 
 def load_ground_truth(
     path,
-    videos: dict[str, VideoMeta] | None = None,
+    videos: dict[str, VideoMeta],
     action_classes: Iterable[str] = DEFAULT_ACTION_CLASSES,
 ) -> dict[str, list[GroundTruthAction]]:
     """Load ground-truth action annotations grouped by video_id."""
     allowed = tuple(action_classes)
-    allowed_set = frozenset(allowed)
+
+    def parse(obj: dict) -> GroundTruthAction:
+        video_id = _get_str(obj, "video_id")
+        label = _get_str(obj, "action_class")
+        class_index(label, allowed)
+        cuboid = read_cuboid(obj)
+        if video_id not in videos:
+            raise ValidationError(f"unknown video_id {video_id!r}")
+        meta = videos[video_id]
+        if cuboid.f_start < 0 or cuboid.f_end >= meta.num_frames:
+            raise ValidationError(f"frame span outside video {video_id!r}")
+        if cuboid.x_min < 0 or cuboid.y_min < 0 or cuboid.x_max > meta.width or cuboid.y_max > meta.height:
+            raise ValidationError(f"box outside video bounds of {video_id!r}")
+        return GroundTruthAction(video_id, label, cuboid)
+
     grouped: dict[str, list[GroundTruthAction]] = {}
-    for lineno, obj in _read_records(path):
-        where = f"{path}:{lineno}"
-        video_id = _get_str(obj, "video_id", where)
-        label = _get_str(obj, "action_class", where)
-        if label not in allowed_set:
-            raise ValidationError(f"{where}: unknown action_class {label!r}; allowed: {', '.join(allowed)}")
-        cuboid = read_cuboid(obj, where)
-        if videos is not None:
-            if video_id not in videos:
-                raise ValidationError(f"{where}: unknown video_id {video_id!r}")
-            meta = videos[video_id]
-            if cuboid.f_start < 0 or cuboid.f_end >= meta.num_frames:
-                raise ValidationError(f"{where}: frame span outside video {video_id!r}")
-            if cuboid.x_min < 0 or cuboid.y_min < 0 or cuboid.x_max > meta.width or cuboid.y_max > meta.height:
-                raise ValidationError(f"{where}: box outside video bounds of {video_id!r}")
-        grouped.setdefault(video_id, []).append(GroundTruthAction(video_id, label, cuboid))
+    for gt in _read_records(path, parse):
+        grouped.setdefault(gt.video_id, []).append(gt)
     for gts in grouped.values():
         gts.sort(key=_ground_truth_key)
     return dict(sorted(grouped.items()))
@@ -294,46 +307,51 @@ def load_scores(path, num_classes: int = 12) -> dict[str, ScoreRecord]:
     summing to 1 within 1e-6, plus the two refinement outputs.
     """
     records: dict[str, ScoreRecord] = {}
-    for lineno, obj in _read_records(path):
-        where = f"{path}:{lineno}"
-        pid = _get_str(obj, "proposal_id", where)
+
+    def parse(obj: dict) -> ScoreRecord:
+        pid = _get_str(obj, "proposal_id")
         if pid in records:
-            raise ValidationError(f"{where}: duplicate proposal_id {pid!r}")
-        raw = _get(obj, "class_scores", where)
+            raise ValidationError(f"duplicate proposal_id {pid!r}")
+        raw = _get(obj, "class_scores")
         if not isinstance(raw, list) or len(raw) != num_classes + 1:
-            raise ValidationError(f"{where}: class_scores must hold {num_classes + 1} values")
+            raise ValidationError(f"class_scores must hold {num_classes + 1} values")
         scores = []
         for i, value in enumerate(raw):
             if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
-                raise ValidationError(f"{where}: class_scores[{i}] = {value!r} outside [0, 1]")
+                raise ValidationError(f"class_scores[{i}] = {value!r} outside [0, 1]")
             scores.append(float(value))
         if abs(sum(scores) - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"{where}: class_scores sum to {sum(scores)}, expected 1")
-        refinement = (
-            _get_number(obj, "refine_start", where),
-            _get_number(obj, "refine_end", where),
-        )
-        records[pid] = ScoreRecord(pid, tuple(scores), refinement)
+            raise ValidationError(f"class_scores sum to {sum(scores)}, expected 1")
+        refinement = (_get_number(obj, "refine_start"), _get_number(obj, "refine_end"))
+        return ScoreRecord(pid, tuple(scores), refinement)
+
+    for rec in _read_records(path, parse):
+        records[rec.proposal_id] = rec
     return dict(sorted(records.items()))
 
 
-def write_records(path, records: Iterable[dict]) -> None:
-    """Write one JSON object per line, keys sorted, replacing `path` only once all are written.
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Write each line plus a newline, replacing `path` only once all are written.
 
     Lines go to `<name>.tmp` beside `path`, which `os.replace` then moves
-    into place.  If `records` raises, the temporary file is removed and a
-    previous file at `path` is left untouched.
+    into place.  If `lines` raises, or writing fails, the temporary file is
+    removed and a previous file at `path` is left untouched.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            for line in lines:
+                fh.write(line + "\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_records(path, records: Iterable[dict]) -> None:
+    """Write one JSON object per line, keys sorted, through `write_lines`."""
+    write_lines(path, (json.dumps(record, sort_keys=True) for record in records))
 
 
 def write_video_meta(path, videos: Iterable[VideoMeta]) -> None:

@@ -55,8 +55,7 @@ class LabeledProposal:
 
 def regression_target(p: Cuboid, gt: Cuboid) -> tuple[float, float]:
     """Ground-truth frame bounds normalized by the proposal's mid-frame and half-length."""
-    mid = (p.f_start + p.f_end) / 2.0
-    half = (p.f_end - p.f_start + 1) / 2.0
+    mid, half = p.mid_frame, p.num_frames / 2.0
     return (gt.f_start - mid) / half, (gt.f_end - mid) / half
 
 
@@ -141,24 +140,16 @@ def select_training_set(labeled: Iterable[LabeledProposal]) -> list[LabeledPropo
     return out
 
 
-def balance_classes(
-    training: Sequence[LabeledProposal],
-    required_classes: Iterable[str] | None = None,
-) -> list[LabeledProposal]:
+def balance_classes(training: Sequence[LabeledProposal]) -> list[LabeledProposal]:
     """Duplicate positives so every action class reaches the max class count.
 
     Duplicates cycle through each class's instances in order and are
-    appended after the input; negatives pass through untouched.  When
-    required_classes is given, classes without a single positive raise.
+    appended after the input; negatives pass through untouched.
     """
     by_class: dict[str, list[LabeledProposal]] = {}
     for lp in training:
         if lp.designation == POSITIVE:
             by_class.setdefault(lp.action_class, []).append(lp)
-    if required_classes is not None:
-        missing = [c for c in required_classes if c not in by_class]
-        if missing:
-            raise ValidationError(f"no positive instances for classes: {', '.join(missing)}")
     if not by_class:
         return list(training)
     target = max(len(v) for v in by_class.values())

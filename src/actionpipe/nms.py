@@ -96,19 +96,16 @@ def write_final_detections(path, dets: Iterable[ScoredDetection], action_classes
 
 
 def load_final_detections(path, action_classes: Sequence[str]) -> list[ScoredDetection]:
-    out: list[ScoredDetection] = []
-    for lineno, obj in _read_records(path):
-        where = f"{path}:{lineno}"
-        label = _get_str(obj, "action_class", where)
-        confidence = _get_number(obj, "confidence", where)
-        if not 0.0 <= confidence <= 1.0:
-            raise ValidationError(f"{where}: confidence {confidence} outside [0, 1]")
-        cuboid = read_cuboid(obj, where)
-        out.append(ScoredDetection(
-            video_id=_get_str(obj, "video_id", where),
-            proposal_id=_get_str(obj, "proposal_id", where),
+    def parse(obj: dict) -> ScoredDetection:
+        label = _get_str(obj, "action_class")
+        confidence = _get_number(obj, "confidence")
+        cuboid = read_cuboid(obj)
+        return ScoredDetection(
+            video_id=_get_str(obj, "video_id"),
+            proposal_id=_get_str(obj, "proposal_id"),
             action_class=class_index(label, action_classes),
             confidence=confidence,
             cuboid=cuboid,
-        ))
-    return out
+        )
+
+    return list(_read_records(path, parse))

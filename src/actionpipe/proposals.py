@@ -43,20 +43,17 @@ def write_proposals(path, proposals: Iterable[Proposal]) -> None:
 
 def load_proposals(path) -> list[Proposal]:
     """Load a proposal file, preserving file order."""
-    out: list[Proposal] = []
     seen: set[str] = set()
-    for lineno, obj in _read_records(path):
-        where = f"{path}:{lineno}"
-        pid = _get_str(obj, "proposal_id", where)
+
+    def parse(obj: dict) -> Proposal:
+        pid = _get_str(obj, "proposal_id")
         if pid in seen:
-            raise ValidationError(f"{where}: duplicate proposal_id {pid!r}")
+            raise ValidationError(f"duplicate proposal_id {pid!r}")
         seen.add(pid)
-        provenance = _get_str(obj, "provenance", where)
-        if provenance not in PROVENANCES:
-            raise ValidationError(f"{where}: unknown provenance {provenance!r}")
+        provenance = _get_str(obj, "provenance")
         parent = obj.get("parent_id")
         if parent is not None and (not isinstance(parent, str) or not parent):
-            raise ValidationError(f"{where}: parent_id must be null or a nonempty string")
-        cuboid = read_cuboid(obj, where)
-        out.append(Proposal(pid, _get_str(obj, "video_id", where), cuboid, provenance, parent))
-    return out
+            raise ValidationError("parent_id must be null or a nonempty string")
+        return Proposal(pid, _get_str(obj, "video_id"), read_cuboid(obj), provenance, parent)
+
+    return list(_read_records(path, parse))

@@ -76,8 +76,7 @@ def apply_refinement(c: Cuboid, refinement: tuple[float, float]) -> tuple[Cuboid
     inverts or collapses the span the cuboid is returned unrefined; the
     second element reports whether refinement was applied.
     """
-    mid = (c.f_start + c.f_end) / 2.0
-    half = (c.f_end - c.f_start + 1) / 2.0
+    mid, half = c.mid_frame, c.num_frames / 2.0
     new_start = round(mid + refinement[0] * half)
     new_end = round(mid + refinement[1] * half)
     if new_start >= new_end:

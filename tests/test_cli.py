@@ -1,7 +1,9 @@
 import argparse
 import dataclasses
+import importlib
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -130,6 +132,28 @@ class TestExitCodes:
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["propose", "--config", str(cfg_path)]) == 1
 
+    def test_non_utf8_detections_are_validation_error(self, fixture_dir, tmp_path, capsys):
+        cfg = json.loads((fixture_dir / "config.json").read_text())
+        det = tmp_path / "det.jsonl"
+        det.write_bytes((fixture_dir / cfg["detections"]).read_bytes() + b'{"video_id": "\xff"}\n')
+        line = det.read_bytes().count(b"\n")
+        for key in ("ground_truth", "videos", "scores"):
+            cfg[key] = str(fixture_dir / cfg[key])
+        cfg["detections"] = str(det)
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["propose", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{det}:{line}: malformed record: 'utf-8' codec can't decode byte 0xff" in err
+
+    def test_non_utf8_config_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "config.json"
+        bad.write_bytes(json.dumps(SAVED_CONFIG).encode("utf-8").replace(b"out", b"\xff"))
+        for command in ("propose", "label", "finalize", "score"):
+            assert main([command, "--config", str(bad)]) == 1
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_score_without_ground_truth(self, fixture_dir, tmp_path):
         run_pipeline(fixture_dir / "config.json")
         cfg = json.loads((fixture_dir / "config.json").read_text())
@@ -142,6 +166,20 @@ class TestExitCodes:
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["score", "--config", str(cfg_path)]) == 1
+
+
+    def test_failed_score_write_keeps_previous_report(self, fixture_dir, tmp_path, monkeypatch):
+        run_pipeline(fixture_dir / "config.json")
+        out = tmp_path / "out"
+        shutil.copytree(fixture_dir / "out", out)
+        before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("actionpipe.ingest.os.replace", failing_replace)
+        assert main(["score", "--config", str(fixture_dir / "config.json"), "--output", str(out)]) == 2
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
 
 
 class TestEdgeInputs:
@@ -204,6 +242,23 @@ class TestLossOracle:
         queries.write_text(json.dumps({"class_scores": [1.0 / 13] * 13, "true_class": 3}) + "\n")
         assert main(["loss-oracle", "--input", str(queries)]) == 1
 
+    @pytest.mark.parametrize("query", [
+        {"class_scores": ["a", 0.5], "true_class": 0},
+        {"class_scores": [0.5, 0.5], "true_class": 1, "predicted": 5, "target": [0.0, 0.0]},
+        {"class_scores": [0.5, 0.5], "true_class": 1, "predicted": [0], "target": [0.0, 0.0]},
+        [0.5, 0.5],
+        {"class_scores": [0.5, 0.5], "true_class": True, "predicted": [0.0, 0.0], "target": [0.0, 0.0]},
+    ], ids=["string_score", "scalar_predicted", "short_predicted", "array_line", "bool_true_class"])
+    def test_malformed_query_is_located(self, tmp_path, capsys, query):
+        queries = tmp_path / "q.jsonl"
+        valid = {"class_scores": [0.5, 0.5], "true_class": 0}
+        queries.write_text(json.dumps(valid) + "\n" + json.dumps(query) + "\n", encoding="utf-8")
+        out = tmp_path / "r.jsonl"
+        assert main(["loss-oracle", "--input", str(queries), "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {queries}:2: ") and captured.err.count(f"{queries}:") == 1
+        assert captured.out == "" and not out.exists()
+
 
 class TestConfigRoundTrip:
     def test_parse_serialize_parse_identity(self, fixture_dir, tmp_path):
@@ -220,6 +275,23 @@ class TestConfigRoundTrip:
         with pytest.raises(ValidationError):
             config_from_dict({"detections": "d", "ground_truth": "g", "videos": "v",
                               "output_dir": "o", "nms": {"bogus": 1}})
+
+    def test_dict_keys_are_the_dataclass_fields(self, fixture_dir):
+        data = config_to_dict(load_config(fixture_dir / "config.json"))
+        fields = dataclasses.fields(PipelineConfig)
+        assert set(data) == {f.name for f in fields}
+        sections = [f for f in fields if dataclasses.is_dataclass(f.default)]
+        assert {f.name for f in sections} == {"cluster", "jitter", "labeling", "loss", "nms", "match"}
+        for f in sections:
+            assert set(data[f.name]) == {g.name for g in dataclasses.fields(f.default)}
+
+    def test_null_means_none_where_admitted_else_default(self):
+        required = {"detections": "d", "ground_truth": "g", "videos": "v", "output_dir": "o"}
+        nulls = {"scores": None, "object_classes": None, "min_confidence": None, "rate_grid": None, "nms": None}
+        cfg = config_from_dict({**required, **nulls})
+        assert cfg == PipelineConfig(Path("d"), Path("g"), Path("v"), Path("o"), object_classes=None)
+        with pytest.raises(ValidationError, match="missing required path 'videos'"):
+            config_from_dict({**required, "videos": None})
 
     def test_missing_path_rejected(self):
         with pytest.raises(ValidationError):
@@ -333,15 +405,39 @@ class TestOverrides:
         assert declared == {flags[0] for cmd, flags, _, _ in OVERRIDES if cmd == command}
 
 
-def test_traced_lookup_sites_resolve():
-    """Every (module, attr) the benchmark's traced run patches exists on actionpipe.<module>."""
+def load_spans():
+    """The benchmark's span recorder, `perfbench/spans.py`."""
     spans_path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", spans_path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_lookup_sites_resolve():
+    """Every (module, attr) the benchmark's traced run patches exists on actionpipe.<module>."""
+    spans = load_spans()
     missing = [
         f"actionpipe.{module}.{attr}"
         for module, attr, *_ in spans.TRACED
         if not callable(getattr(importlib.import_module(f"actionpipe.{module}"), attr, None))
     ]
     assert missing == []
+
+
+def test_traced_run_samples_every_layer(tmp_path, monkeypatch):
+    """A traced run of the four stages calls every layer the benchmark traces (else it is not `correct`)."""
+    spans = load_spans()
+    fixture = tmp_path / "fixture"
+    assert main(["synth", "--output", str(fixture), "--scenario", "clean", "--seed", "0", "--videos", "2"]) == 0
+    for module_name, attr, *_ in spans.TRACED:
+        module = importlib.import_module(f"actionpipe.{module_name}")
+        monkeypatch.setattr(module, attr, getattr(module, attr))  # restored after the test
+    recorder = spans.SpanRecorder()
+    spans.install(recorder)
+    config = str(fixture / "config.json")
+    for argv in (["propose"], ["label"], ["finalize", "--multi-label"], ["score"]):
+        assert main([*argv, "--config", config]) == 0
+    assert {layer for _, _, layer, _ in spans.TRACED} <= {name for name, *_ in recorder.spans}
+    assert recorder.counts["refine.calls"] == recorder.counts["nms.candidates"] > 0
+    assert recorder.counts["scoring.hungarian_match_calls"] > 0

@@ -61,7 +61,7 @@ class TestLoadDetections:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.jsonl"
         p.write_text("", encoding="utf-8")
-        assert load_detections(p) == {}
+        assert load_detections(p, VIDEOS) == {}
 
     def test_groups_and_sorts(self, tmp_path):
         p = tmp_path / "d.jsonl"
@@ -80,25 +80,25 @@ class TestLoadDetections:
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_lines(a, records)
         write_lines(b, records[::-1])
-        assert load_detections(a) == load_detections(b)
+        assert load_detections(a, VIDEOS) == load_detections(b, VIDEOS)
 
     def test_malformed_line_reports_number(self, tmp_path):
         p = tmp_path / "d.jsonl"
         p.write_text(json.dumps(det_record()) + "\n{oops\n", encoding="utf-8")
         with pytest.raises(ValidationError, match=":2:"):
-            load_detections(p)
+            load_detections(p, VIDEOS)
 
     def test_confidence_bound(self, tmp_path):
         p = tmp_path / "d.jsonl"
         write_lines(p, [det_record(confidence=1.5)])
         with pytest.raises(ValidationError, match="confidence"):
-            load_detections(p)
+            load_detections(p, VIDEOS)
 
     def test_degenerate_box(self, tmp_path):
         p = tmp_path / "d.jsonl"
         write_lines(p, [det_record(x_max=10.0)])
         with pytest.raises(ValidationError, match="positive width"):
-            load_detections(p)
+            load_detections(p, VIDEOS)
 
     def test_frame_out_of_bounds(self, tmp_path):
         p = tmp_path / "d.jsonl"
@@ -115,15 +115,15 @@ class TestLoadDetections:
     def test_confidence_floor_drops(self, tmp_path):
         p = tmp_path / "d.jsonl"
         write_lines(p, [det_record(confidence=0.4), det_record(confidence=0.6)])
-        got = load_detections(p, min_confidence=0.5)
+        got = load_detections(p, VIDEOS, min_confidence=0.5)
         assert len(got["v1"]) == 1 and got["v1"][0].confidence == 0.6
 
     def test_object_class_filter(self, tmp_path):
         p = tmp_path / "d.jsonl"
         write_lines(p, [det_record(object_class="bicycle"), det_record(object_class="vehicle")])
-        got = load_detections(p)
+        got = load_detections(p, VIDEOS)
         assert [d.object_class for d in got["v1"]] == ["vehicle"]
-        both = load_detections(p, object_classes=None)
+        both = load_detections(p, VIDEOS, object_classes=None)
         assert len(both["v1"]) == 2
 
     def test_missing_field(self, tmp_path):
@@ -132,14 +132,14 @@ class TestLoadDetections:
         del rec["frame"]
         write_lines(p, [rec])
         with pytest.raises(ValidationError, match="frame"):
-            load_detections(p)
+            load_detections(p, VIDEOS)
 
 
 class TestLoadGroundTruth:
     def test_empty(self, tmp_path):
         p = tmp_path / "g.jsonl"
         p.write_text("", encoding="utf-8")
-        assert load_ground_truth(p) == {}
+        assert load_ground_truth(p, VIDEOS) == {}
 
     def test_single_record(self, tmp_path):
         p = tmp_path / "g.jsonl"
@@ -151,7 +151,7 @@ class TestLoadGroundTruth:
         p = tmp_path / "g.jsonl"
         write_lines(p, [gt_record(action_class="Parkour")])
         with pytest.raises(ValidationError) as err:
-            load_ground_truth(p)
+            load_ground_truth(p, VIDEOS)
         assert "Parkour" in str(err.value) and "vehicle_u_turn" in str(err.value)
 
     def test_span_outside_video(self, tmp_path):
@@ -247,10 +247,10 @@ class TestRoundTrips:
         ]
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_detections(a, dets)
-        loaded = load_detections(a, min_confidence=0.0)
+        loaded = load_detections(a, VIDEOS, min_confidence=0.0)
         write_detections(b, [d for group in loaded.values() for d in group])
         assert a.read_bytes() == b.read_bytes()
-        assert load_detections(b, min_confidence=0.0) == loaded
+        assert load_detections(b, VIDEOS, min_confidence=0.0) == loaded
 
     def test_ground_truth(self, tmp_path):
         gts = [
@@ -259,7 +259,7 @@ class TestRoundTrips:
         ]
         a = tmp_path / "a.jsonl"
         write_ground_truth(a, gts)
-        loaded = load_ground_truth(a)
+        loaded = load_ground_truth(a, VIDEOS)
         assert [g for group in loaded.values() for g in group] == gts
 
     def test_scores(self, tmp_path):

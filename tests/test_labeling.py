@@ -227,11 +227,6 @@ class TestBalanceClasses:
         out = balance_classes(training)
         assert all(item in out for item in training)
 
-    def test_missing_required_class_errors(self):
-        training = [positive("a", "A")]
-        with pytest.raises(ValidationError, match="B"):
-            balance_classes(training, required_classes=["A", "B"])
-
     def test_no_positives_passthrough(self):
         training = [negative("n")]
         assert balance_classes(training) == training

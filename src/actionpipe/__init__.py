@@ -13,7 +13,6 @@ from .geometry import Cuboid, iou_3d, spatial_iou, temporal_iou
 from .ingest import (
     DEFAULT_ACTION_CLASSES,
     DEFAULT_OBJECT_CLASSES,
-    Detection,
     GroundTruthAction,
     ScoreRecord,
     ValidationError,

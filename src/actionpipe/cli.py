@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -193,11 +194,14 @@ def cmd_loss_oracle(input_path, output, loc_weight: float) -> None:
         true_class = _get_int(query, "true_class")
         predicted, target = _get_pair(query, "predicted"), _get_pair(query, "target")
         loc = None if predicted is None or target is None else localization_loss(predicted, target)
-        return {
+        result = {
             "cross_entropy": cross_entropy(probs, true_class),
             "localization_loss": loc,
             "full_loss": full_loss(probs, true_class, predicted, target, params),
         }
+        if not all(loss is None or math.isfinite(loss) for loss in result.values()):
+            raise ValidationError(f"loss overflows a float: {result}")
+        return result
 
     results = list(_read_records(ensure_path(input_path), answer))
     if output:
@@ -245,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_config(p)
     p.add_argument("--jobs", type=int, default=1, help="videos processed in parallel")
     p.add_argument("--min-confidence", dest="min_confidence", type=float, help="detection confidence floor")
-    p.add_argument("--linkage", dest="cluster.linkage", choices=("ward", "average", "single", "complete"),
-                   help="ward takes O(n) memory per video; the others keep SciPy's O(n^2) distance matrix")
     p.add_argument("--temporal-scale", dest="cluster.temporal_scale", type=float,
                    help="frame-axis scale before distances")
     p.add_argument("--clusters-per-frame", dest="cluster.clusters_per_frame", type=float,

@@ -1,9 +1,10 @@
 """Spatio-temporal clustering of per-frame detections into cuboid proposals.
 
-Each detection becomes a 3-D feature (center x, center y, scaled frame).
-An agglomerative linkage tree over those features is cut into k clusters,
-k growing with video length, and every sufficiently large cluster is
-bounded into one proposal cuboid.
+A video's detections are the rows `frame, x_min, y_min, x_max, y_max` that
+`ingest.load_detections` returns.  Each becomes a 3-D feature (center x,
+center y, scaled frame).  A Ward linkage tree over those features is cut
+into k clusters, k growing with video length, and every sufficiently large
+cluster is bounded into one proposal cuboid.
 
 Ward linkage keeps only cluster centroids and sizes, so its memory is O(n)
 in the detections of a video.  Ward is reducible (Murtagh 1983): merging
@@ -24,8 +25,6 @@ pin down which of the valid trees comes out.  Exact duplicate features are
 merged first, at height 0.  Inputs on which a round finds only a few
 reciprocal pairs, such as a noise-free track whose speed changes steadily,
 take about n/2 rounds of O(n) work each: quadratic time, still O(n) memory.
-The other linkage methods use SciPy, which stores the O(n²) condensed
-distance matrix.
 """
 
 from __future__ import annotations
@@ -38,10 +37,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import Cuboid
-from .ingest import Detection, ValidationError, VideoMeta
+from .ingest import ValidationError, VideoMeta
 from .proposals import PROVENANCE_CLUSTERING, Proposal
 
-LINKAGE_METHODS = ("ward", "average", "single", "complete")
+LINKAGE_METHODS = ("ward",)  # the field stays so that every saved config loads
 WARD_K = 8  # neighbours a k-d tree query asks for first; 4x more while the answer is not yet exact
 WARD_BLOCK = 1 << 18  # candidate pairs scored at once, so the work arrays stay bounded
 WARD_ALL_PAIRS = 1 << 14  # below this many (query, active cluster) pairs, score them all: cheaper than a tree
@@ -66,13 +65,14 @@ class ClusterParams:
             raise ValidationError("min_cluster_size must be >= 1")
 
 
-def detection_features(detections: Sequence[Detection]) -> np.ndarray:
+def detection_features(detections: np.ndarray) -> np.ndarray:
     """(n, 3) float64 rows of box center x, box center y and frame index."""
-    return np.array([(d.center_x, d.center_y, d.frame) for d in detections], dtype=np.float64)
+    d = np.asarray(detections, dtype=np.float64)
+    return np.column_stack([(d[:, 1] + d[:, 3]) / 2.0, (d[:, 2] + d[:, 4]) / 2.0, d[:, 0]])
 
 
 def build_linkage(points: np.ndarray, params: ClusterParams) -> np.ndarray:
-    """Agglomerative merge matrix over (x, y, scale*f) with Euclidean distance.
+    """Ward merge matrix over (x, y, scale*f) with Euclidean distance.
 
     `points` are `detection_features` rows.  The result has SciPy's linkage
     layout: row i merges clusters `[i, 0]` and `[i, 1]` (leaves are 0..n-1,
@@ -85,11 +85,7 @@ def build_linkage(points: np.ndarray, params: ClusterParams) -> np.ndarray:
         return np.empty((0, 4))
     feats = np.array(points, dtype=np.float64)
     feats[:, 2] *= params.temporal_scale
-    if params.linkage == "ward":
-        return _ward(feats)
-    from scipy.cluster.hierarchy import linkage as scipy_linkage
-
-    return scipy_linkage(feats, method=params.linkage)
+    return _ward(feats)
 
 
 def _priority(slots: np.ndarray) -> np.ndarray:
@@ -260,44 +256,37 @@ def num_clusters(num_frames: int, params: ClusterParams) -> int:
 
 def clusters_to_proposals(
     partition: Sequence[Sequence[int]],
-    detections: Sequence[Detection],
+    detections: np.ndarray,
     video_meta: VideoMeta,
     params: ClusterParams,
 ) -> list[Proposal]:
     """One proposal per cluster of size >= min_cluster_size.
 
     The cuboid is the envelope of the member detection boxes over the member
-    frames; smaller clusters are dropped.
+    frames; smaller clusters are dropped.  Each bound is the first least (or
+    greatest) member value in cluster order, the one Python's `min` and
+    `max` pick; that matters only between `-0.0` and `0.0`.
     """
+    rows = np.asarray(detections, dtype=np.float64)
     out: list[Proposal] = []
     for cluster in partition:
         if len(cluster) < params.min_cluster_size:
             continue
-        members = [detections[i] for i in cluster]
-        cuboid = Cuboid(
-            x_min=min(d.x_min for d in members),
-            y_min=min(d.y_min for d in members),
-            x_max=max(d.x_max for d in members),
-            y_max=max(d.y_max for d in members),
-            f_start=min(d.frame for d in members),
-            f_end=max(d.frame for d in members),
-        )
+        members = rows[cluster]
+        lo = members[members.argmin(axis=0), range(5)].tolist()
+        hi = members[members.argmax(axis=0), range(5)].tolist()
         out.append(Proposal(
             proposal_id=f"{video_meta.video_id}_c{len(out):04d}",
             video_id=video_meta.video_id,
-            cuboid=cuboid,
+            cuboid=Cuboid(lo[1], lo[2], hi[3], hi[4], int(lo[0]), int(hi[0])),
             provenance=PROVENANCE_CLUSTERING,
         ))
     return out
 
 
-def propose_video(
-    detections: Sequence[Detection],
-    video_meta: VideoMeta,
-    params: ClusterParams,
-) -> list[Proposal]:
-    """Cluster one video's detections and bound each cluster into a proposal."""
-    if not detections:
+def propose_video(detections: np.ndarray, video_meta: VideoMeta, params: ClusterParams) -> list[Proposal]:
+    """Cluster one video's detection rows and bound each cluster into a proposal."""
+    if not len(detections):
         return []
     points = detection_features(detections)
     merges = build_linkage(points, params)

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import types
 import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 from .clustering import ClusterParams
-from .ingest import DEFAULT_ACTION_CLASSES, DEFAULT_OBJECT_CLASSES, ValidationError, write_lines
+from .ingest import DEFAULT_ACTION_CLASSES, DEFAULT_OBJECT_CLASSES, ValidationError, _is_finite, write_lines
 from .jitter import JitterParams
 from .labeling import LabelingThresholds
 from .nms import NmsParams
@@ -68,6 +69,22 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
     return dataclasses.asdict(cfg, dict_factory=lambda items: {key: _json_value(value) for key, value in items})
 
 
+def _is_json_of(value, hint) -> bool:
+    """True when the parsed JSON `value` has the field type `hint` (null aside).
+
+    A path or string is a JSON string, a float a finite JSON number (not a
+    bool), and a tuple a JSON array of its item type.
+    """
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):  # `X | None`
+        return any(_is_json_of(value, arg) for arg in args if arg is not type(None))
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_is_json_of(item, args[0]) for item in value)
+    if hint is float:
+        return _is_finite(value)
+    return isinstance(value, str)
+
+
 def _section(name: str, cls: type, section):
     if not isinstance(section, dict):
         raise ValidationError(f"config section {name!r} must be an object")
@@ -102,11 +119,13 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> PipelineConfig
                 raise ValidationError(f"config is missing required path {f.name!r}")
             if type(None) in typing.get_args(_TYPES[f.name]):
                 kwargs[f.name] = None
+        elif dataclasses.is_dataclass(f.default):
+            kwargs[f.name] = _section(f.name, type(f.default), value)
+        elif not _is_json_of(value, _TYPES[f.name]):
+            raise ValidationError(f"config key {f.name!r} has the wrong type: {value!r}")
         elif f.name in _PATH_KEYS:
             path = Path(value)
             kwargs[f.name] = base_dir / path if base_dir is not None and not path.is_absolute() else path
-        elif dataclasses.is_dataclass(f.default):
-            kwargs[f.name] = _section(f.name, type(f.default), value)
         else:
             kwargs[f.name] = value
     return PipelineConfig(**kwargs)

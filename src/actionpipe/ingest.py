@@ -14,10 +14,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from .geometry import Cuboid
 
@@ -47,28 +50,6 @@ MAX_INT = 2**53  # larger integers lose exactness in float64 (and may not conver
 
 class ValidationError(ValueError):
     """Raised when an input record or configuration value is invalid."""
-
-
-@dataclass(frozen=True)
-class Detection:
-    """One detector hit on one frame."""
-
-    video_id: str
-    frame: int
-    object_class: str
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
-    confidence: float
-
-    @property
-    def center_x(self) -> float:
-        return (self.x_min + self.x_max) / 2.0
-
-    @property
-    def center_y(self) -> float:
-        return (self.y_min + self.y_max) / 2.0
 
 
 @dataclass(frozen=True)
@@ -190,8 +171,14 @@ def cuboid_record(c: Cuboid) -> dict:
     }
 
 
-def _detection_key(d: Detection) -> tuple:
-    return (d.video_id, d.frame, d.object_class, d.x_min, d.y_min, d.x_max, d.y_max, d.confidence)
+# A detection record's fields with their readers.  A record is the tuple of
+# its values in this order, which is also its canonical sort order.
+DETECTION_FIELDS = {
+    "video_id": _get_str, "frame": _get_int, "object_class": _get_str,
+    "x_min": _get_number, "y_min": _get_number, "x_max": _get_number, "y_max": _get_number,
+    "confidence": _get_number,
+}
+_DETECTION_ROW = operator.itemgetter(1, 3, 4, 5, 6)  # frame, x_min, y_min, x_max, y_max
 
 
 def _ground_truth_key(g: GroundTruthAction) -> tuple:
@@ -226,48 +213,41 @@ def load_detections(
     videos: dict[str, VideoMeta],
     min_confidence: float = 0.5,
     object_classes: Iterable[str] | None = DEFAULT_OBJECT_CLASSES,
-) -> dict[str, list[Detection]]:
-    """Load per-frame detections grouped by video_id.
+) -> dict[str, np.ndarray]:
+    """Load per-frame detections as one (n, 5) float64 array per video_id.
 
-    Records failing validation raise; records below `min_confidence` or with
-    an object class outside `object_classes` (None = keep all) are dropped
-    after validation.  Output groups are sorted canonically so the result
-    does not depend on input line order.
+    Each row is `frame, x_min, y_min, x_max, y_max`.  Records failing
+    validation raise; records below `min_confidence` or with an object class
+    outside `object_classes` (None = keep all) are dropped after validation.
+    Rows keep the canonical order of their full records (`DETECTION_FIELDS`),
+    so the result does not depend on input line order.
     """
 
-    def parse(obj: dict) -> Detection:
-        det = Detection(
-            video_id=_get_str(obj, "video_id"),
-            frame=_get_int(obj, "frame"),
-            object_class=_get_str(obj, "object_class"),
-            x_min=_get_number(obj, "x_min"),
-            y_min=_get_number(obj, "y_min"),
-            x_max=_get_number(obj, "x_max"),
-            y_max=_get_number(obj, "y_max"),
-            confidence=_get_number(obj, "confidence"),
-        )
-        if det.x_min >= det.x_max or det.y_min >= det.y_max:
+    def parse(obj: dict) -> tuple:
+        record = tuple(get(obj, name) for name, get in DETECTION_FIELDS.items())
+        video_id, frame, _, x_min, y_min, x_max, y_max, confidence = record
+        if x_min >= x_max or y_min >= y_max:
             raise ValidationError("box must have positive width and height")
-        if not 0.0 <= det.confidence <= 1.0:
-            raise ValidationError(f"confidence {det.confidence} outside [0, 1]")
-        if det.frame < 0:
-            raise ValidationError(f"negative frame index {det.frame}")
-        if det.video_id not in videos:
-            raise ValidationError(f"unknown video_id {det.video_id!r}")
-        if det.frame >= videos[det.video_id].num_frames:
-            raise ValidationError(
-                f"frame {det.frame} outside video {det.video_id!r} with {videos[det.video_id].num_frames} frames"
-            )
-        return det
+        if not 0.0 <= confidence <= 1.0:
+            raise ValidationError(f"confidence {confidence} outside [0, 1]")
+        if frame < 0:
+            raise ValidationError(f"negative frame index {frame}")
+        if video_id not in videos:
+            raise ValidationError(f"unknown video_id {video_id!r}")
+        if frame >= videos[video_id].num_frames:
+            raise ValidationError(f"frame {frame} outside video {video_id!r} with {videos[video_id].num_frames} frames")
+        return record
 
     keep = None if object_classes is None else frozenset(object_classes)
-    grouped: dict[str, list[Detection]] = {}
-    for det in _read_records(path, parse):
-        if det.confidence >= min_confidence and (keep is None or det.object_class in keep):
-            grouped.setdefault(det.video_id, []).append(det)
-    for dets in grouped.values():
-        dets.sort(key=_detection_key)
-    return dict(sorted(grouped.items()))
+    grouped: dict[str, list[tuple]] = {}
+    for record in _read_records(path, parse):
+        video_id, _, object_class, *_, confidence = record
+        if confidence >= min_confidence and (keep is None or object_class in keep):
+            grouped.setdefault(video_id, []).append(record)
+    return {
+        video_id: np.array([_DETECTION_ROW(r) for r in sorted(records)], dtype=np.float64)
+        for video_id, records in sorted(grouped.items())
+    }
 
 
 def load_ground_truth(
@@ -358,8 +338,9 @@ def write_video_meta(path, videos: Iterable[VideoMeta]) -> None:
     write_records(path, (dataclasses.asdict(m) for m in sorted(videos, key=lambda m: m.video_id)))
 
 
-def write_detections(path, detections: Iterable[Detection]) -> None:
-    write_records(path, (dataclasses.asdict(d) for d in sorted(detections, key=_detection_key)))
+def write_detections(path, detections: Iterable[tuple]) -> None:
+    """Write detection records, tuples of `DETECTION_FIELDS` values, in canonical order."""
+    write_records(path, (dict(zip(DETECTION_FIELDS, d)) for d in sorted(detections)))
 
 
 def write_ground_truth(path, actions: Iterable[GroundTruthAction]) -> None:

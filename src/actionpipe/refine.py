@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .geometry import Cuboid
-from .ingest import ValidationError
+from .ingest import MAX_INT, ValidationError
 
 LOG_EPS = 1e-12  # clamp for log of a zero probability
 
@@ -72,13 +72,16 @@ def full_loss(
 def apply_refinement(c: Cuboid, refinement: tuple[float, float]) -> tuple[Cuboid, bool]:
     """Move the temporal bounds by the normalized refinement pair.
 
-    New bounds are mid + r*half rounded to the nearest frame.  If rounding
-    inverts or collapses the span the cuboid is returned unrefined; the
-    second element reports whether refinement was applied.
+    New bounds are mid + r*half rounded to the nearest frame.  If a bound is
+    not finite or exceeds 2**53 in magnitude, or rounding inverts or
+    collapses the span, the cuboid is returned unrefined; the second element
+    reports whether refinement was applied.
     """
     mid, half = c.mid_frame, c.num_frames / 2.0
-    new_start = round(mid + refinement[0] * half)
-    new_end = round(mid + refinement[1] * half)
+    start, end = mid + refinement[0] * half, mid + refinement[1] * half
+    if not (abs(start) <= MAX_INT and abs(end) <= MAX_INT):  # false for inf too
+        return c, False
+    new_start, new_end = round(start), round(end)
     if new_start >= new_end:
         return c, False
     return Cuboid(c.x_min, c.y_min, c.x_max, c.y_max, new_start, new_end), True

@@ -26,7 +26,6 @@ from .clustering import propose_video
 from .config import PipelineConfig, save_config
 from .ingest import (
     DEFAULT_ACTION_CLASSES,
-    Detection,
     GroundTruthAction,
     ScoreRecord,
     VideoMeta,
@@ -129,7 +128,7 @@ def _position(actor: dict, frame: int, params: ScenarioParams) -> tuple[float, f
 
 def _generate_video(video_id: str, rng: np.random.Generator, params: ScenarioParams):
     meta = VideoMeta(video_id, params.num_frames, params.frame_rate, params.width, params.height)
-    detections: list[Detection] = []
+    detections: list[tuple] = []  # records in `ingest.DETECTION_FIELDS` order
     ground_truth: list[GroundTruthAction] = []
     for actor in _actor_tracks(rng, params):
         a_start, a_end = actor["action"]
@@ -153,32 +152,18 @@ def _generate_video(video_id: str, rng: np.random.Generator, params: ScenarioPar
             y_min = cy - half_h + noise[1]
             x_max = max(cx + half_w + noise[2], x_min + 1.0)
             y_max = max(cy + half_h + noise[3], y_min + 1.0)
-            detections.append(Detection(
-                video_id=video_id,
-                frame=frame,
-                object_class=actor["object_class"],
-                x_min=float(x_min),
-                y_min=float(y_min),
-                x_max=float(x_max),
-                y_max=float(y_max),
-                confidence=float(rng.uniform(*params.confidence_range)),
-            ))
+            confidence = float(rng.uniform(*params.confidence_range))
+            box = map(float, (x_min, y_min, x_max, y_max))
+            detections.append((video_id, frame, actor["object_class"], *box, confidence))
     for _ in range(params.spurious_per_video):
         frame = int(rng.integers(0, params.num_frames))
         cx = rng.uniform(40.0, params.width - 40.0)
         cy = rng.uniform(40.0, params.height - 40.0)
         w = rng.uniform(18.0, 70.0)
         h = rng.uniform(18.0, 70.0)
-        detections.append(Detection(
-            video_id=video_id,
-            frame=frame,
-            object_class=str(rng.choice(_SPURIOUS_CLASSES)),
-            x_min=float(cx - w / 2.0),
-            y_min=float(cy - h / 2.0),
-            x_max=float(cx + w / 2.0),
-            y_max=float(cy + h / 2.0),
-            confidence=float(rng.uniform(0.5, 0.95)),
-        ))
+        object_class = str(rng.choice(_SPURIOUS_CLASSES))
+        box = (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+        detections.append((video_id, frame, object_class, *box, float(rng.uniform(0.5, 0.95))))
     return meta, detections, ground_truth
 
 
@@ -239,7 +224,7 @@ def generate_fixture(out_dir, scenario: str = "clean", seed: int = 0, num_videos
     rng = np.random.default_rng(data_seed)
 
     metas: list[VideoMeta] = []
-    detections: list[Detection] = []
+    detections: list[tuple] = []
     ground_truth: list[GroundTruthAction] = []
     for i in range(num_videos):
         meta, dets, gts = _generate_video(f"{scenario}_{i:02d}", rng, params)

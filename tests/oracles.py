@@ -3,18 +3,32 @@
 Everything here is deliberately naive: voxel counting for 3-D IoU, a
 re-simulated greedy pass for NMS, exhaustive assignment search for the
 matcher, one assignment solve per threshold for DET curves, pair-by-pair
-scalar IoUs for designation, and a merge-by-merge replay over explicit member
-lists for Ward trees.  None of it reuses the code paths under test
-beyond the plain spatial/temporal IoU predicates and the record types.
+scalar IoUs for designation, a merge-by-merge replay over explicit member
+lists for Ward trees, and one object per detection record for the detection
+loader.  None of it reuses the code paths under test beyond the plain
+spatial/temporal IoU predicates, the record types, and the located line
+reader and field getters of `ingest`.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from actionpipe.geometry import Cuboid, spatial_iou, temporal_iou
-from actionpipe.ingest import DEFAULT_ACTION_CLASSES, GroundTruthAction, class_index
+from actionpipe.ingest import (
+    DEFAULT_ACTION_CLASSES,
+    DEFAULT_OBJECT_CLASSES,
+    GroundTruthAction,
+    ValidationError,
+    _get_int,
+    _get_number,
+    _get_str,
+    _read_records,
+    class_index,
+)
 from actionpipe.labeling import (
     DISCARDED,
     EASY_NEGATIVE,
@@ -224,3 +238,68 @@ def is_ward_hierarchy(points, merges, rtol: float = 1e-9) -> bool:
             return False
         previous = h
     return True
+
+
+@dataclass(frozen=True)
+class ReferenceDetection:
+    """One detector hit on one frame, as one object per record."""
+
+    video_id: str
+    frame: int
+    object_class: str
+    x_min: float
+    y_min: float
+    x_max: float
+    y_max: float
+    confidence: float
+
+
+def reference_load_detections(path, videos, min_confidence=0.5, object_classes=DEFAULT_OBJECT_CLASSES):
+    """Per-video lists of `ReferenceDetection`, validated and sorted record by record."""
+
+    def parse(obj: dict) -> ReferenceDetection:
+        det = ReferenceDetection(
+            video_id=_get_str(obj, "video_id"),
+            frame=_get_int(obj, "frame"),
+            object_class=_get_str(obj, "object_class"),
+            x_min=_get_number(obj, "x_min"),
+            y_min=_get_number(obj, "y_min"),
+            x_max=_get_number(obj, "x_max"),
+            y_max=_get_number(obj, "y_max"),
+            confidence=_get_number(obj, "confidence"),
+        )
+        if det.x_min >= det.x_max or det.y_min >= det.y_max:
+            raise ValidationError("box must have positive width and height")
+        if not 0.0 <= det.confidence <= 1.0:
+            raise ValidationError(f"confidence {det.confidence} outside [0, 1]")
+        if det.frame < 0:
+            raise ValidationError(f"negative frame index {det.frame}")
+        if det.video_id not in videos:
+            raise ValidationError(f"unknown video_id {det.video_id!r}")
+        if det.frame >= videos[det.video_id].num_frames:
+            raise ValidationError(
+                f"frame {det.frame} outside video {det.video_id!r} with {videos[det.video_id].num_frames} frames"
+            )
+        return det
+
+    keep = None if object_classes is None else frozenset(object_classes)
+    grouped: dict[str, list[ReferenceDetection]] = {}
+    for det in _read_records(path, parse):
+        if det.confidence >= min_confidence and (keep is None or det.object_class in keep):
+            grouped.setdefault(det.video_id, []).append(det)
+    for dets in grouped.values():
+        dets.sort(key=lambda d: (d.video_id, d.frame, d.object_class, d.x_min, d.y_min, d.x_max, d.y_max,
+                                 d.confidence))
+    return dict(sorted(grouped.items()))
+
+
+def reference_envelope(rows) -> Cuboid:
+    """Bounding cuboid of detection rows (frame, x_min, y_min, x_max, y_max) by Python min/max."""
+    return Cuboid(
+        x_min=min(r[1] for r in rows),
+        y_min=min(r[2] for r in rows),
+        x_max=max(r[3] for r in rows),
+        y_max=max(r[4] for r in rows),
+        f_start=min(r[0] for r in rows),
+        f_end=max(r[0] for r in rows),
+    )

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -28,6 +29,41 @@ def run_pipeline(cfg_path):
         assert main([cmd, "--config", str(cfg_path)]) == 0
 
 
+# SHA-256 of every file that `synth --scenario noisy --seed 0 --videos 2`, the
+# four stages into out/, and `finalize --multi-label --min-class-score 0.005`
+# plus `score` into multi/ write.  Reruns agreeing with each other do not show
+# that a refactor kept the bytes; these digests do.  Change them only with a
+# change that means to change outputs, and say so.
+GOLDEN_DIGESTS = {
+    "config.json": "b99cc0fb456eca4127fbcb292c1e85ff8f7ab5df24b4ebbd4eedb8ea0163aa2c",
+    "detections.jsonl": "b963eef58c020f12326887f0e7ebc1115f555e23a06a0fb6c88e75b271427c82",
+    "ground_truth.jsonl": "319eae136be6b64a3c59e1ecdd4037b496194a6d2f2724fff3c9a40d2515ae72",
+    "multi/curves/aggregate.txt": "4b0bd75ba36b70e398b1aeb960c43cef0e7d3cfd47d9cda0b42698828b20ca20",
+    "multi/curves/closing_trunk.txt": "bce943ee512162bddb6811f282504fc735059191c7605fb9a9181b3340248d1b",
+    "multi/curves/enter.txt": "a3222a79dda10b25d241e0c14e7ebe4f412f4eef36b154ba2554b86751ac4b79",
+    "multi/curves/exit.txt": "21418d4e032b820df6346dc2204ee942fc40fdec87bbaede2ae67185bbf7429f",
+    "multi/curves/loading.txt": "5713c41cd2b9b1506666ed0acffd987992a9f7380024bbe96338ee40d0681ced",
+    "multi/curves/transport_heavy_carry.txt": "8209a0181f5914b152ab739930637871aa14d99e97f1d1e0fa82fd6fe94587cf",
+    "multi/curves/vehicle_u_turn.txt": "d311154105a070585c178d255964fb66491a9a78fac2b2b9a1a772b349bf6c39",
+    "multi/detections_final.jsonl": "14f002b511bd7c7fe1b20494f404f36ad6032c237f9f522d669ace63a9b35dba",
+    "multi/proposals.jsonl": "6391993d4d3bb3261d6280d5f68985a6c46da4ba723b1e6ce601c08c67a23897",
+    "multi/report.json": "fcc4f19fedbd7eec5cac1bcae063789db517b67875a16b3f50bc4ef8f2f9968a",
+    "out/curves/aggregate.txt": "4452d929092ae32a00d58b7c9fede7a24e29e9ef2fbcc36c262fa24546c3e71f",
+    "out/curves/closing_trunk.txt": "b5902b5c702761e64f41175b6e834921460f226a32f2b19e02a870465758942a",
+    "out/curves/enter.txt": "1219319f004d072a17911fad60326b8b57fa5cf4be16b326d2edca33266d8937",
+    "out/curves/exit.txt": "312357c36c0436460b0444f4032a50ce0532212997058328291ed323cca8bc15",
+    "out/curves/loading.txt": "0e1756af80de71fab599d598a8ed2d345d81486212136eb31e46002c159de257",
+    "out/curves/transport_heavy_carry.txt": "1219319f004d072a17911fad60326b8b57fa5cf4be16b326d2edca33266d8937",
+    "out/curves/vehicle_u_turn.txt": "312357c36c0436460b0444f4032a50ce0532212997058328291ed323cca8bc15",
+    "out/detections_final.jsonl": "d02fb7a5239a662b32056d6e9631333101790eefe0585a0f904d729a1865277f",
+    "out/labels.jsonl": "54d8272df55f731fc754c8c49eb2d0ed4afd73cd1d6cca6e24e739743ac09d05",
+    "out/proposals.jsonl": "6391993d4d3bb3261d6280d5f68985a6c46da4ba723b1e6ce601c08c67a23897",
+    "out/report.json": "17be46bc8869f8195a7e08beb0ce2c6f5b0578e2ddd630f6bbedabf6c6e4679b",
+    "scores.jsonl": "d9335ef236ce36c5d6916f89b8b16f192554db585d93d8a4ae50e8df83071a5c",
+    "videos.jsonl": "02ae3824cc98c1d700c163cda8c0a2081309c1939aac050dd66fd904f884a39b",
+}
+
+
 class TestEndToEnd:
     def test_full_run_and_outputs(self, fixture_dir):
         run_pipeline(fixture_dir / "config.json")
@@ -47,6 +83,21 @@ class TestEndToEnd:
         run_pipeline(cfg_path)
         after = {name: (out / name).read_bytes() for name in OUTPUTS}
         assert before == after
+
+    def test_outputs_match_golden_digests(self, tmp_path):
+        assert main(["synth", "--output", str(tmp_path), "--scenario", "noisy", "--seed", "0", "--videos", "2"]) == 0
+        config = tmp_path / "config.json"
+        run_pipeline(config)
+        multi = tmp_path / "multi"
+        multi.mkdir()
+        shutil.copy(tmp_path / "out" / "proposals.jsonl", multi)
+        for argv in (["finalize", "--multi-label", "--min-class-score", "0.005"], ["score"]):
+            assert main([*argv, "--config", str(config), "--output", str(multi)]) == 0
+        digests = {
+            path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(tmp_path.rglob("*")) if path.is_file()
+        }
+        assert digests == GOLDEN_DIGESTS
 
     def test_parallel_propose_matches_serial(self, fixture_dir, tmp_path):
         cfg_path = fixture_dir / "config.json"
@@ -248,7 +299,8 @@ class TestLossOracle:
         {"class_scores": [0.5, 0.5], "true_class": 1, "predicted": [0], "target": [0.0, 0.0]},
         [0.5, 0.5],
         {"class_scores": [0.5, 0.5], "true_class": True, "predicted": [0.0, 0.0], "target": [0.0, 0.0]},
-    ], ids=["string_score", "scalar_predicted", "short_predicted", "array_line", "bool_true_class"])
+        {"class_scores": [0.5, 0.5], "true_class": 1, "predicted": [1e308, 0.0], "target": [-1e308, 0.0]},
+    ], ids=["string_score", "scalar_predicted", "short_predicted", "array_line", "bool_true_class", "infinite_loss"])
     def test_malformed_query_is_located(self, tmp_path, capsys, query):
         queries = tmp_path / "q.jsonl"
         valid = {"class_scores": [0.5, 0.5], "true_class": 0}
@@ -297,6 +349,19 @@ class TestConfigRoundTrip:
         with pytest.raises(ValidationError):
             config_from_dict({"detections": "d"})
 
+    @pytest.mark.parametrize("key,value", [
+        ("min_confidence", "a"),
+        ("action_classes", 5),
+        ("object_classes", 7),
+        ("detections", 5),
+        ("rate_grid", "ab"),
+    ])
+    def test_wrong_json_type_exits_1(self, tmp_path, capsys, key, value):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**SAVED_CONFIG, key: value}), encoding="utf-8")
+        assert main(["propose", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: config key {key!r} has the wrong type: {value!r}\n"
+
     def test_saved_config_loads(self, tmp_path):
         # a config as `synth` saves it; loss.num_classes is read by nothing but every saved config carries it
         path = tmp_path / "config.json"
@@ -342,7 +407,6 @@ OVERRIDES = [
     *((cmd, ["--output", "elsewhere"], "output_dir", Path("elsewhere"))
       for cmd in ("propose", "label", "finalize", "score")),
     ("propose", ["--min-confidence", "0.7"], "min_confidence", 0.7),
-    ("propose", ["--linkage", "average"], "cluster.linkage", "average"),
     ("propose", ["--temporal-scale", "2.5"], "cluster.temporal_scale", 2.5),
     ("propose", ["--clusters-per-frame", "0.01"], "cluster.clusters_per_frame", 0.01),
     ("propose", ["--min-cluster-size", "3"], "cluster.min_cluster_size", 3),

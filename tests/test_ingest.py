@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actionpipe.geometry import Cuboid
 from actionpipe.ingest import (
     DEFAULT_ACTION_CLASSES,
-    Detection,
     GroundTruthAction,
     ScoreRecord,
     ValidationError,
@@ -20,6 +22,7 @@ from actionpipe.ingest import (
     write_scores,
     write_video_meta,
 )
+from oracles import reference_load_detections
 
 
 def write_lines(path, records):
@@ -72,7 +75,7 @@ class TestLoadDetections:
         ])
         got = load_detections(p, VIDEOS)
         assert list(got) == ["v1", "v2"]
-        assert [d.frame for d in got["v1"]] == [2, 9]
+        assert got["v1"].tolist() == [[2, 10, 20, 30, 60], [9, 10, 20, 30, 60]]
 
     def test_input_order_irrelevant(self, tmp_path):
         records = [det_record(frame=f, x_min=float(x), x_max=float(x + 5))
@@ -80,7 +83,9 @@ class TestLoadDetections:
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_lines(a, records)
         write_lines(b, records[::-1])
-        assert load_detections(a, VIDEOS) == load_detections(b, VIDEOS)
+        (rows_a,), (rows_b,) = load_detections(a, VIDEOS).values(), load_detections(b, VIDEOS).values()
+        assert rows_a.tolist() == rows_b.tolist()
+        assert rows_a[:, :2].tolist() == [[2, 3], [2, 9], [5, 1], [8, 0]]
 
     def test_malformed_line_reports_number(self, tmp_path):
         p = tmp_path / "d.jsonl"
@@ -114,15 +119,15 @@ class TestLoadDetections:
 
     def test_confidence_floor_drops(self, tmp_path):
         p = tmp_path / "d.jsonl"
-        write_lines(p, [det_record(confidence=0.4), det_record(confidence=0.6)])
+        write_lines(p, [det_record(frame=4, confidence=0.4), det_record(frame=6, confidence=0.6)])
         got = load_detections(p, VIDEOS, min_confidence=0.5)
-        assert len(got["v1"]) == 1 and got["v1"][0].confidence == 0.6
+        assert got["v1"][:, 0].tolist() == [6]
 
     def test_object_class_filter(self, tmp_path):
         p = tmp_path / "d.jsonl"
-        write_lines(p, [det_record(object_class="bicycle"), det_record(object_class="vehicle")])
+        write_lines(p, [det_record(frame=4, object_class="bicycle"), det_record(frame=6, object_class="vehicle")])
         got = load_detections(p, VIDEOS)
-        assert [d.object_class for d in got["v1"]] == ["vehicle"]
+        assert got["v1"][:, 0].tolist() == [6]
         both = load_detections(p, VIDEOS, object_classes=None)
         assert len(both["v1"]) == 2
 
@@ -133,6 +138,68 @@ class TestLoadDetections:
         write_lines(p, [rec])
         with pytest.raises(ValidationError, match="frame"):
             load_detections(p, VIDEOS)
+
+
+# Box bounds with exact ties and both signed zeros.
+SIGNED_ZERO_COORDS = (-1.0, -0.0, 0.0, 1.0, 2.5)
+BOUNDS = tuple((lo, hi) for lo in SIGNED_ZERO_COORDS for hi in SIGNED_ZERO_COORDS if lo < hi)
+EMPTY_BOUNDS = tuple((lo, hi) for lo in SIGNED_ZERO_COORDS for hi in SIGNED_ZERO_COORDS if lo >= hi)
+WRONG_TYPES = (None, "a", True, 1.5, 2**53 + 1)
+
+
+@st.composite
+def detection_files(draw) -> list[str]:
+    """Lines of detection records from a small domain, so that records tie.
+
+    In half of the files any field may break its rule, several in one
+    record, so the first error depends on the order of the checks.
+    """
+    faulty = draw(st.booleans())
+
+    def pick(valid, invalid=()):
+        return draw(st.sampled_from(valid + invalid if faulty else valid))
+
+    def line() -> str:
+        (x_min, x_max), (y_min, y_max) = pick(BOUNDS, EMPTY_BOUNDS), pick(BOUNDS, EMPTY_BOUNDS)
+        record = {
+            "video_id": pick(("v1", "v2"), ("ghost",)),
+            "frame": pick((0, 1, 2, 3), (-1, 100)),
+            "object_class": pick(("person", "vehicle", "bicycle")),
+            "x_min": x_min, "y_min": y_min, "x_max": x_max, "y_max": y_max,
+            "confidence": pick((0.0, 0.5, 0.9, 1.0), (-0.5, 1.5)),
+        }
+        if faulty and draw(st.booleans()):
+            record[draw(st.sampled_from(sorted(record)))] = draw(st.sampled_from(WRONG_TYPES))
+        return json.dumps(record)
+
+    return [line() for _ in range(draw(st.integers(0, 30)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lines=detection_files(),
+    min_confidence=st.sampled_from([0.0, 0.5, 0.9]),
+    object_classes=st.sampled_from([None, ("person", "vehicle"), ("bicycle",)]),
+)
+def test_loader_equals_per_record_reference(tmp_path_factory, lines, min_confidence, object_classes):
+    path = tmp_path_factory.mktemp("detections") / "d.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+    def outcome(load):
+        try:
+            return load(path, VIDEOS, min_confidence, object_classes), None
+        except ValidationError as exc:
+            return None, str(exc)
+
+    got, got_error = outcome(load_detections)
+    want, want_error = outcome(reference_load_detections)
+    assert got_error == want_error
+    if want is not None:
+        assert list(got) == list(want)
+        for video, dets in want.items():
+            rows = np.array([(d.frame, d.x_min, d.y_min, d.x_max, d.y_max) for d in dets], dtype=np.float64)
+            # bytes, not values: -0.0 and 0.0 must come out where the reference puts them
+            assert got[video].shape == rows.shape and got[video].tobytes() == rows.tobytes()
 
 
 class TestLoadGroundTruth:
@@ -241,16 +308,22 @@ class TestVideoMeta:
 class TestRoundTrips:
     def test_detections(self, tmp_path):
         dets = [
-            Detection("v1", 3, "person", 1.0, 2.0, 3.0, 4.0, 0.75),
-            Detection("v1", 5, "vehicle", 1.5, 2.5, 9.0, 7.0, 0.6),
-            Detection("v2", 0, "person", 0.0, 0.0, 5.0, 5.0, 1.0),
+            ("v2", 0, "person", 0.0, 0.0, 5.0, 5.0, 1.0),
+            ("v1", 5, "vehicle", 1.5, 2.5, 9.0, 7.0, 0.6),
+            ("v1", 3, "person", 1.0, 2.0, 3.0, 4.0, 0.75),
         ]
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_detections(a, dets)
-        loaded = load_detections(a, VIDEOS, min_confidence=0.0)
-        write_detections(b, [d for group in loaded.values() for d in group])
+        write_detections(b, dets[::-1])
         assert a.read_bytes() == b.read_bytes()
-        assert load_detections(b, VIDEOS, min_confidence=0.0) == loaded
+        assert [json.loads(line) for line in a.read_text().splitlines()][0] == det_record(
+            video_id="v1", x_min=1.0, y_min=2.0, x_max=3.0, y_max=4.0, confidence=0.75)
+        loaded = load_detections(a, VIDEOS, min_confidence=0.0)
+        assert {video: rows.tolist() for video, rows in loaded.items()} == {
+            "v1": [[3, 1.0, 2.0, 3.0, 4.0], [5, 1.5, 2.5, 9.0, 7.0]],
+            "v2": [[0, 0.0, 0.0, 5.0, 5.0]],
+        }
+        assert all(rows.dtype == np.float64 for rows in loaded.values())
 
     def test_ground_truth(self, tmp_path):
         gts = [

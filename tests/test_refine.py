@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actionpipe.geometry import Cuboid
-from actionpipe.ingest import ValidationError
+from actionpipe.ingest import MAX_INT, ValidationError
 from actionpipe.refine import (
     LossParams,
     apply_refinement,
@@ -129,3 +131,21 @@ class TestApplyRefinement:
         refined, applied = apply_refinement(c, (-0.5, 0.5))
         assert applied
         assert (refined.f_start, refined.f_end) == (16, 48)
+
+    @pytest.mark.parametrize("refinement", [(1e308, 1e308), (-1e17, 1e17), (-1e308, 1e308)])
+    def test_bound_past_2_53_falls_back(self, refinement):
+        c = Cuboid(0, 0, 5, 5, 0, 10)
+        assert apply_refinement(c, refinement) == (c, False)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.integers(0, 10**6), length=st.integers(1, 10**4), refinement=st.tuples(FINITE, FINITE))
+def test_any_finite_refinement_gives_a_valid_cuboid(start, length, refinement):
+    c = Cuboid(0, 0, 5, 5, start, start + length - 1)
+    refined, applied = apply_refinement(c, refinement)
+    assert refined.f_start <= refined.f_end
+    assert max(abs(refined.f_start), abs(refined.f_end)) <= MAX_INT
+    assert applied or refined == c

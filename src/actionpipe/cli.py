@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import labeling
@@ -53,6 +53,8 @@ def cmd_propose(cfg: PipelineConfig, jobs: int = 1) -> None:
     detections = load_detections(ensure_path(cfg.detections), videos, cfg.min_confidence, cfg.object_classes)
     tasks = [(dets, videos[vid], cfg.cluster, cfg.jitter) for vid, dets in detections.items()]
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: a serial run never pays its import
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_video = list(pool.map(_propose_one, tasks))
     else:
@@ -299,7 +301,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one subcommand with the cyclic garbage collector paused.
+
+    A stage's records and arrays hold no reference cycles, so reference
+    counting frees them; full collections would only rescan the long-lived
+    heap of imported modules.  The collector's previous state is restored
+    on every exit.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(build_parser().parse_args(argv))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         if args.command == "synth":
             cmd_synth(Path(args.output), args.scenario, args.seed, args.videos)

@@ -72,14 +72,19 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
 def _is_json_of(value, hint) -> bool:
     """True when the parsed JSON `value` has the field type `hint` (null aside).
 
-    A path or string is a JSON string, a float a finite JSON number (not a
-    bool), and a tuple a JSON array of its item type.
+    A path or string is a JSON string, a float a finite JSON number, an int
+    a JSON integer at most 2**53 in magnitude, a bool `true` or `false`
+    (never a number), and a tuple a JSON array of its item type.
     """
     args = typing.get_args(hint)
     if isinstance(hint, types.UnionType):  # `X | None`
         return any(_is_json_of(value, arg) for arg in args if arg is not type(None))
     if typing.get_origin(hint) is tuple:
         return isinstance(value, list) and all(_is_json_of(item, args[0]) for item in value)
+    if hint is bool:
+        return isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool) and abs(value) <= 2**53
     if hint is float:
         return _is_finite(value)
     return isinstance(value, str)
@@ -91,10 +96,11 @@ def _section(name: str, cls: type, section):
     unknown = sorted(set(section) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ValidationError(f"unknown keys in config section {name!r}: {', '.join(unknown)}")
-    try:
-        return cls(**section)
-    except TypeError as exc:
-        raise ValidationError(f"bad config section {name!r}: {exc}") from exc
+    hints = typing.get_type_hints(cls)
+    for key, value in section.items():
+        if not _is_json_of(value, hints[key]):
+            raise ValidationError(f"bad config section {name!r}: field {key!r} has the wrong type: {value!r}")
+    return cls(**section)
 
 
 def config_from_dict(data: dict, base_dir: Path | None = None) -> PipelineConfig:

@@ -2,9 +2,12 @@
 
 Detections are paired with ground truth one-to-one, maximizing match count
 first and total temporal IoU second (`hungarian_match` returns the pairs).
-Sweeping the detection confidence threshold traces an operating curve of
-miss probability against false alarms per minute; per-class curves are
-macro-averaged into the aggregate.
+It solves only over congruent pairs, with edge cost 1 - temporal IoU, by
+shortest augmenting paths with node potentials (Jonker & Volgenant 1987;
+Crouse 2016), so scoring needs no SciPy.  Sweeping the detection
+confidence threshold traces an operating curve of miss probability against
+false alarms per minute; per-class curves are macro-averaged into the
+aggregate.
 
 A curve needs only the match count at each threshold, and every maximum
 matching has the same count whatever the IoU tie-break.  `det_curve`
@@ -17,6 +20,7 @@ shared `geometry.pairwise_iou` kernel.
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
 import logging
 import math
@@ -25,7 +29,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import cuboid_array, pairwise_iou, pairwise_iou_3d
 from .ingest import DEFAULT_ACTION_CLASSES, GroundTruthAction, ValidationError, class_index
@@ -98,20 +101,91 @@ def hungarian_match(
     Only congruent pairs (same video and class, temporal IoU above the gate,
     optional spatial gate) may match; among feasible assignments the match
     count is maximized first and the summed temporal IoU second.  Returns
-    (detection index, gt index) pairs.
+    (detection index, gt index) pairs in ascending detection index.
     """
     if classes is None:
         classes = DEFAULT_ACTION_CLASSES
     if not dets or not gts:
         return []
-    # Reward = K + temporal IoU for congruent pairs, 0 otherwise.  K beats any
-    # achievable IoU sum, so cardinality dominates; zero-reward assignments are
-    # dropped afterwards without changing the objective.
-    big = float(len(dets) + len(gts) + 1)
     congruent, temporal = _congruence(dets, gts, params, classes)
-    reward = np.where(congruent, big + temporal, 0.0)
-    rows, cols = linear_sum_assignment(reward, maximize=True)
-    return [(int(i), int(j)) for i, j in zip(rows, cols) if reward[i, j] > 0.0]
+    cols, rows = np.nonzero(congruent.T)
+    if not len(rows):
+        return []
+    # A maximum matching of least summed (1 - tIoU) is one of largest summed tIoU.
+    edges: list[dict[int, float]] = [{} for _ in gts]
+    for j, i, cost in zip(cols.tolist(), rows.tolist(), (1.0 - temporal[rows, cols]).tolist()):
+        edges[j][i] = cost
+    match = _min_cost_matching(edges, len(dets))
+    return [(i, j) for i, j in enumerate(match) if j >= 0]
+
+
+def _min_cost_matching(edges: list[dict[int, float]], num_dets: int) -> list[int]:
+    """Maximum matching of least total cost by shortest augmenting paths.
+
+    `edges[g]` maps detection index to cost, in [0, 1], for GT g.  Each GT
+    in turn runs Dijkstra over reduced costs to the nearest free detection
+    and flips that path; node potentials keep reduced costs non-negative
+    (Jonker & Volgenant 1987; Crouse 2016).  Every GT may instead stay
+    unmatched at a cost above any sum of edge costs, so after each round the
+    matching of the GTs seen so far is the largest, then the cheapest.  A
+    round touches only the nodes it settles: their potentials move by
+    `settled distance - path length`, which leaves the others as they are.
+    Potentials never rise, and a free detection's edge to the sink has
+    reduced cost equal to its potential, so free detections keep potential
+    0.  Returns the GT matched to each detection, or -1.
+    """
+    m = len(edges)
+    sink = m + num_dets  # nodes: GT g, detection m + d, then the sink
+    unmatched = float(m + 1)
+    potential = [0.0] * sink
+    match = [-1] * num_dets  # GT matched to each detection
+    owner = [-1] * m  # detection matched to each GT
+    for root in range(m):
+        if not edges[root]:
+            continue
+        # The common round: the cheapest edge out of the root (whose potential
+        # is still 0) reaches a free detection, so that edge is the shortest
+        # path and only the root's potential moves.
+        reduced, d = min((cost - potential[m + d], d) for d, cost in edges[root].items())
+        if match[d] < 0:
+            potential[root] = -reduced
+            match[d], owner[root] = root, d
+            continue
+        heap = [(0.0, root)]
+        settled: dict[int, float] = {}
+        best: dict[int, float] = {}
+        via = {root: -1}  # the node before each on its shortest path
+        while True:
+            here, x = heapq.heappop(heap)
+            if x in settled:
+                continue
+            if x == sink:
+                break
+            settled[x] = here
+            if x < m:  # a GT: its unmatched edges, or staying unmatched
+                steps = [(m + d, here + cost + potential[x] - potential[m + d])
+                         for d, cost in edges[x].items() if d != owner[x]]
+                steps.append((sink, here + unmatched + potential[x]))
+            elif match[x - m] < 0:  # a free detection: on to the sink, at no cost
+                steps = [(sink, here)]
+            else:  # a matched detection: back to its GT
+                g = match[x - m]
+                steps = [(g, here - edges[g][x - m] + potential[x] - potential[g])]
+            for y, there in steps:
+                if there < best.get(y, math.inf) and y not in settled:
+                    best[y] = there
+                    via[y] = x
+                    heapq.heappush(heap, (there, y))
+        for x, dist in settled.items():
+            potential[x] += dist - here
+        x = via[sink]
+        if x < m:  # the path ends on GT x staying unmatched; no path reaches x again
+            owner[x], x = -1, via[x]
+        while x >= 0:  # flip the path: each detection on it goes to the GT before it
+            g = via[x]
+            match[x - m], owner[g] = g, x - m
+            x = via[g]
+    return match
 
 
 def _augment(root: int, edges: list[list[int]], owner: list[int]) -> bool:

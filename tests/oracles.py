@@ -1,13 +1,13 @@
 """Independent brute-force oracles shared by the unit and acceptance tests.
 
 Everything here is deliberately naive: voxel counting for 3-D IoU, a
-re-simulated greedy pass for NMS, exhaustive assignment search for the
-matcher, one assignment solve per threshold for DET curves, pair-by-pair
-scalar IoUs for designation, a merge-by-merge replay over explicit member
-lists for Ward trees, and one object per detection record for the detection
-loader.  None of it reuses the code paths under test beyond the plain
-spatial/temporal IoU predicates, the record types, and the located line
-reader and field getters of `ingest`.
+re-simulated greedy pass for NMS, exhaustive assignment search and SciPy's
+`linear_sum_assignment` for the matcher, one assignment solve per threshold
+for DET curves, pair-by-pair scalar IoUs for designation, a merge-by-merge
+replay over explicit member lists for Ward trees, and one object per
+detection record for the detection loader.  None of it reuses the code
+paths under test beyond the plain spatial/temporal IoU predicates, the
+record types, and the located line reader and field getters of `ingest`.
 """
 
 from __future__ import annotations
@@ -120,23 +120,8 @@ def reference_designate(p, gts, thresholds: LabelingThresholds = LabelingThresho
 
 
 def _reference_match_count(dets, gts, params: MatchParams, classes) -> int:
-    """Maximum-cardinality matching size, one assignment solve per (video, class) group."""
-    total = 0
-    for key in {(d.video_id, d.action_class) for d in dets}:
-        group = [d for d in dets if (d.video_id, d.action_class) == key]
-        targets = [g for g in gts if (g.video_id, class_index(g.action_class, classes)) == key]
-        if not targets:
-            continue
-        big = float(len(group) + len(targets) + 1)
-        reward = np.zeros((len(group), len(targets)))
-        for i, det in enumerate(group):
-            for j, gt in enumerate(targets):
-                t = temporal_iou(det.cuboid, gt.cuboid)
-                if t >= params.temporal_iou and spatial_iou(det.cuboid, gt.cuboid) >= params.spatial_iou:
-                    reward[i, j] = big + t
-        rows, cols = linear_sum_assignment(reward, maximize=True)
-        total += int((reward[rows, cols] > 0.0).sum())
-    return total
+    """Maximum-cardinality matching size, from one SciPy assignment solve."""
+    return scipy_assignment(len(dets), len(gts), congruent_pairs(dets, gts, params, classes))[0]
 
 
 def reference_det_curve(dets, gts, video_minutes: float, params: MatchParams = MatchParams(),
@@ -175,6 +160,33 @@ def exhaustive_assignment(num_dets: int, num_gts: int, allowed: dict) -> tuple[i
 
     recurse(0, set(), 0, 0.0)
     return best
+
+
+def congruent_pairs(dets, gts, params: MatchParams = MatchParams(), classes=DEFAULT_ACTION_CLASSES) -> dict:
+    """Temporal IoU of every congruent (det index, gt index) pair, from the scalar predicates."""
+    allowed = {}
+    for i, det in enumerate(dets):
+        for j, gt in enumerate(gts):
+            t = temporal_iou(det.cuboid, gt.cuboid)
+            if ((det.video_id, det.action_class) == (gt.video_id, class_index(gt.action_class, classes))
+                    and t >= params.temporal_iou and spatial_iou(det.cuboid, gt.cuboid) >= params.spatial_iou):
+                allowed[(i, j)] = t
+    return allowed
+
+
+def scipy_assignment(num_dets: int, num_gts: int, allowed: dict) -> tuple[int, float]:
+    """Best (cardinality, temporal-IoU sum) from SciPy's `linear_sum_assignment`.
+
+    Reward K + temporal IoU on allowed pairs and 0 elsewhere; K beats any
+    IoU sum, so cardinality dominates.
+    """
+    big = float(num_dets + num_gts + 1)
+    reward = np.zeros((num_dets, num_gts))
+    for (i, j), t in allowed.items():
+        reward[i, j] = big + t
+    rows, cols = linear_sum_assignment(reward, maximize=True)
+    kept = [(int(i), int(j)) for i, j in zip(rows, cols) if reward[i, j] > 0.0]
+    return len(kept), sum(allowed[pair] for pair in kept)
 
 
 def random_match_instance(rng: np.random.Generator, max_side: int = 6):

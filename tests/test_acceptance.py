@@ -18,7 +18,6 @@ from actionpipe.geometry import Cuboid, iou_3d, spatial_iou, temporal_iou
 from actionpipe.ingest import (
     GroundTruthAction,
     VideoMeta,
-    class_index,
     load_ground_truth,
     load_video_meta,
 )
@@ -37,6 +36,7 @@ from actionpipe.refine import apply_refinement, cross_entropy, full_loss, smooth
 from actionpipe.scoring import MatchParams, hungarian_match, recall_curve
 from actionpipe.synth import generate_fixture
 from oracles import (
+    congruent_pairs,
     exhaustive_assignment,
     random_cuboid,
     random_match_instance,
@@ -197,15 +197,7 @@ def test_criterion_07_hungarian_oracle():
         params = MatchParams()
         for _ in range(500):
             dets, gts = random_match_instance(rng, max_side=6)
-            allowed = {}
-            for i, d in enumerate(dets):
-                for j, g in enumerate(gts):
-                    t = temporal_iou(d.cuboid, g.cuboid)
-                    if (d.video_id == g.video_id
-                            and d.action_class == class_index(g.action_class)
-                            and t >= params.temporal_iou
-                            and spatial_iou(d.cuboid, g.cuboid) >= params.spatial_iou):
-                        allowed[(i, j)] = t
+            allowed = congruent_pairs(dets, gts, params)
             want_card, want_sum = exhaustive_assignment(len(dets), len(gts), allowed)
             pairs = hungarian_match(dets, gts, params)
             got_sum = sum(temporal_iou(dets[i].cuboid, gts[j].cuboid) for i, j in pairs)

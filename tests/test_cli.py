@@ -1,14 +1,20 @@
 import argparse
 import dataclasses
+import gc
 import hashlib
 import importlib
 import importlib.util
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import actionpipe
+from actionpipe import cli
 from actionpipe.cli import _override, build_parser, main
 from actionpipe.config import PipelineConfig, config_from_dict, config_to_dict, load_config, save_config
 from actionpipe.ingest import ValidationError, load_scores, write_scores
@@ -127,6 +133,76 @@ class TestEndToEnd:
         default_count = sum(1 for _ in (fixture_dir / "out" / "proposals.jsonl").open())
         sparse_count = sum(1 for _ in (sparse / "proposals.jsonl").open())
         assert 0 < sparse_count < default_count
+
+
+def run_python(code: str, *args: str) -> str:
+    """Run `code` in a fresh interpreter that imports this checkout's package; return its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(actionpipe.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True, timeout=120,
+                          capture_output=True, text=True)
+    return done.stdout
+
+
+def test_score_never_imports_scipy_optimize_or_a_process_pool(tmp_path):
+    fixture = tmp_path / "fixture"
+    assert main(["synth", "--output", str(fixture), "--scenario", "clean", "--seed", "0", "--videos", "1"]) == 0
+    config = str(fixture / "config.json")
+    for stage in ("propose", "label", "finalize"):
+        assert main([stage, "--config", config]) == 0
+    code = (
+        "import sys\n"
+        "import actionpipe.cli\n"
+        "assert actionpipe.cli.main(['score', '--config', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'optimize']"
+        " or m == 'concurrent.futures.process'))\n"
+    )
+    assert run_python(code, config).splitlines()[-1] == "[]"
+    assert (fixture / "out" / "report.json").is_file()
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("raised,code", [(None, 0), (ValidationError("bad"), 1), (OSError("gone"), 2)],
+                             ids=["exit0", "exit1", "exit2"])
+    def test_main_pauses_and_restores_the_collector(self, monkeypatch, tmp_path, enabled, raised, code):
+        seen = []
+
+        def fake_synth(*args):
+            seen.append(gc.isenabled())
+            if raised is not None:
+                raise raised
+
+        monkeypatch.setattr(cli, "cmd_synth", fake_synth)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["synth", "--output", str(tmp_path)]) == code
+            assert seen == [False] and gc.isenabled() == enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, tmp_path):
+        configs = []
+        for videos in (1, 3):
+            fixture = tmp_path / f"fixture{videos}"
+            assert main(["synth", "--output", str(fixture), "--scenario", "clean", "--seed", "0",
+                         "--videos", str(videos)]) == 0
+            configs.append(str(fixture / "config.json"))
+        # the collector stays off throughout; gc.collect() counts the cyclic garbage left since the last one
+        code = (
+            "import gc, sys\n"
+            "from actionpipe.cli import main\n"
+            "gc.disable()\n"
+            "def garbage(config):\n"
+            "    gc.collect()\n"
+            "    for stage in ('propose', 'label'):\n"
+            "        assert main([stage, '--config', config]) == 0\n"
+            "    return gc.collect()\n"
+            "garbage(sys.argv[1])\n"  # first calls fill lazy caches
+            "print(garbage(sys.argv[1]), garbage(sys.argv[2]))\n"
+        )
+        one, three = map(int, run_python(code, *configs).splitlines()[-1].split())
+        assert one == three
 
 
 class TestExitCodes:
@@ -361,6 +437,21 @@ class TestConfigRoundTrip:
         path.write_text(json.dumps({**SAVED_CONFIG, key: value}), encoding="utf-8")
         assert main(["propose", "--config", str(path)]) == 1
         assert capsys.readouterr().err == f"error: config key {key!r} has the wrong type: {value!r}\n"
+
+    @pytest.mark.parametrize("section,field,value", [
+        ("jitter", "stride", 1.5),
+        ("nms", "temporal_iou", True),
+        ("cluster", "min_cluster_size", 1.5),
+        ("jitter", "half_windows", [True, 2]),
+    ])
+    def test_wrong_section_field_type_exits_1(self, tmp_path, capsys, section, field, value):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**SAVED_CONFIG, section: {**SAVED_CONFIG[section], field: value}}),
+                        encoding="utf-8")
+        assert main(["propose", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad config section {section!r}: field {field!r} has the wrong type: {value!r}\n"
+        )
 
     def test_saved_config_loads(self, tmp_path):
         # a config as `synth` saves it; loss.num_classes is read by nothing but every saved config carries it

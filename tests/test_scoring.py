@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from actionpipe.geometry import Cuboid, iou_3d, spatial_iou, temporal_iou
 from actionpipe.ingest import DEFAULT_ACTION_CLASSES, GroundTruthAction, ValidationError, class_index
@@ -22,7 +24,14 @@ from actionpipe.scoring import (
     pmiss_at,
     recall_curve,
 )
-from oracles import exhaustive_assignment, random_cuboid, random_match_instance, reference_det_curve
+from oracles import (
+    congruent_pairs,
+    exhaustive_assignment,
+    random_cuboid,
+    random_match_instance,
+    reference_det_curve,
+    scipy_assignment,
+)
 
 LABEL = DEFAULT_ACTION_CLASSES[0]
 CLS = class_index(LABEL)
@@ -90,18 +99,62 @@ class TestHungarianMatch:
         params = MatchParams()
         for _ in range(50):
             dets, gts = random_match_instance(rng)
-            allowed = {}
-            for i, d in enumerate(dets):
-                for j, g in enumerate(gts):
-                    t = temporal_iou(d.cuboid, g.cuboid)
-                    if (d.video_id == g.video_id and d.action_class == class_index(g.action_class)
-                            and t >= params.temporal_iou and spatial_iou(d.cuboid, g.cuboid) >= params.spatial_iou):
-                        allowed[(i, j)] = t
+            allowed = congruent_pairs(dets, gts, params)
             want_card, want_sum = exhaustive_assignment(len(dets), len(gts), allowed)
             pairs = hungarian_match(dets, gts, params)
             got_sum = sum(temporal_iou(dets[i].cuboid, gts[j].cuboid) for i, j in pairs)
             assert len(pairs) == want_card
             assert got_sum == pytest.approx(want_sum, abs=1e-9)
+
+
+# Spans and boxes on a small grid, so equal IoUs (exact ties) and duplicate cuboids are common.
+SPANS = ((0, 9), (0, 19), (5, 14), (10, 19), (10, 29), (0, 39))
+BOXES = ((0.0, 0.0, 10.0, 10.0), (5.0, 0.0, 15.0, 10.0))  # spatial IoU 1/3
+OTHER = DEFAULT_ACTION_CLASSES[1]
+
+
+def grid_cuboid(box, span):
+    return Cuboid(*box, *span)
+
+
+def instance_dets(specs):
+    return [sdet(f"d{i}", grid_cuboid(box, span), conf, class_index(label), video)
+            for i, (video, label, box, span, conf) in enumerate(specs)]
+
+
+def instance_gts(specs):
+    return [gt(grid_cuboid(box, span), label, video) for video, label, box, span in specs]
+
+
+PLACE = (st.sampled_from(("v1", "v2")), st.sampled_from((LABEL, OTHER)), st.sampled_from(BOXES), st.sampled_from(SPANS))
+TIE = ("v1", LABEL, BOXES[0], (0, 19))  # tIoU exactly 0.5 with GT spans (0, 9) and (10, 19) alike
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    det_specs=st.lists(st.tuples(*PLACE, st.sampled_from((0.3, 0.5, 0.9))), max_size=7),
+    gt_specs=st.lists(st.tuples(*PLACE), max_size=7),
+    params=st.sampled_from((MatchParams(), MatchParams(temporal_iou=0.0), MatchParams(0.1, 0.3))),
+)
+@example(det_specs=[TIE + (0.9,), TIE + (0.9,)], gt_specs=[TIE[:3] + ((0, 9),), TIE[:3] + ((10, 19),)],
+         params=MatchParams())  # duplicate detections, exact ties
+@example(det_specs=[TIE + (0.5,)], gt_specs=[TIE[:3] + (span,) for span in SPANS], params=MatchParams())  # more GT
+@example(det_specs=[], gt_specs=[TIE[:3] + ((0, 9),)], params=MatchParams())  # no detections
+@example(det_specs=[TIE + (0.5,)], gt_specs=[], params=MatchParams())  # no ground truth
+def test_matcher_equals_oracles(det_specs, gt_specs, params):
+    dets, gts = instance_dets(det_specs), instance_gts(gt_specs)
+    allowed = congruent_pairs(dets, gts, params)
+    pairs = hungarian_match(dets, gts, params)
+    assert pairs == sorted(pairs)
+    assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+    assert all(pair in allowed for pair in pairs)
+    got_sum = sum(allowed[pair] for pair in pairs)
+    for want_card, want_sum in (exhaustive_assignment(len(dets), len(gts), allowed),
+                                scipy_assignment(len(dets), len(gts), allowed)):
+        assert len(pairs) == want_card
+        assert got_sum == pytest.approx(want_sum, abs=1e-9)
+    if gts:
+        assert det_curve(dets, gts, 3.0, params) == reference_det_curve(dets, gts, 3.0, params)
 
 
 class TestDetCurve:

@@ -132,7 +132,9 @@ def _min_cost_matching(edges: list[dict[int, float]], num_dets: int) -> list[int
     `settled distance - path length`, which leaves the others as they are.
     Potentials never rise, and a free detection's edge to the sink has
     reduced cost equal to its potential, so free detections keep potential
-    0.  Returns the GT matched to each detection, or -1.
+    0.  A round relaxes every edge of each GT it settles, so a dense
+    component (every GT congruent with every detection) is slow: 200 x 200
+    takes ~0.1 s.  Returns the GT matched to each detection, or -1.
     """
     m = len(edges)
     sink = m + num_dets  # nodes: GT g, detection m + d, then the sink
@@ -142,14 +144,6 @@ def _min_cost_matching(edges: list[dict[int, float]], num_dets: int) -> list[int
     owner = [-1] * m  # detection matched to each GT
     for root in range(m):
         if not edges[root]:
-            continue
-        # The common round: the cheapest edge out of the root (whose potential
-        # is still 0) reaches a free detection, so that edge is the shortest
-        # path and only the root's potential moves.
-        reduced, d = min((cost - potential[m + d], d) for d, cost in edges[root].items())
-        if match[d] < 0:
-            potential[root] = -reduced
-            match[d], owner[root] = root, d
             continue
         heap = [(0.0, root)]
         settled: dict[int, float] = {}

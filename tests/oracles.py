@@ -8,15 +8,22 @@ replay over explicit member lists for Ward trees, and one object per
 detection record for the detection loader.  None of it reuses the code
 paths under test beyond the plain spatial/temporal IoU predicates, the
 record types, and the located line reader and field getters of `ingest`.
+`run_python` runs a check in a fresh interpreter, for tests of what a
+stage imports or leaves behind.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+import actionpipe
 from actionpipe.geometry import Cuboid, spatial_iou, temporal_iou
 from actionpipe.ingest import (
     DEFAULT_ACTION_CLASSES,
@@ -315,3 +322,11 @@ def reference_envelope(rows) -> Cuboid:
         f_start=min(r[0] for r in rows),
         f_end=max(r[0] for r in rows),
     )
+
+
+def run_python(code: str, *args: str) -> str:
+    """Run `code` in a fresh interpreter that imports this checkout's package; return its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(actionpipe.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, timeout=120, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout

@@ -5,20 +5,17 @@ import hashlib
 import importlib
 import importlib.util
 import json
-import os
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import actionpipe
 from actionpipe import cli
 from actionpipe.cli import _override, build_parser, main
 from actionpipe.config import PipelineConfig, config_from_dict, config_to_dict, load_config, save_config
 from actionpipe.ingest import ValidationError, load_scores, write_scores
 from actionpipe.refine import LossParams
+from oracles import run_python
 
 OUTPUTS = ("proposals.jsonl", "labels.jsonl", "detections_final.jsonl", "report.json")
 
@@ -135,14 +132,6 @@ class TestEndToEnd:
         assert 0 < sparse_count < default_count
 
 
-def run_python(code: str, *args: str) -> str:
-    """Run `code` in a fresh interpreter that imports this checkout's package; return its stdout."""
-    env = dict(os.environ, PYTHONPATH=str(Path(actionpipe.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True, timeout=120,
-                          capture_output=True, text=True)
-    return done.stdout
-
-
 def test_score_never_imports_scipy_optimize_or_a_process_pool(tmp_path):
     fixture = tmp_path / "fixture"
     assert main(["synth", "--output", str(fixture), "--scenario", "clean", "--seed", "0", "--videos", "1"]) == 0
@@ -182,26 +171,33 @@ class TestCollectorPause:
             (gc.enable if was_enabled else gc.disable)()
 
     def test_cyclic_garbage_does_not_grow_with_the_input(self, tmp_path):
-        configs = []
-        for videos in (1, 3):
-            fixture = tmp_path / f"fixture{videos}"
+        # every stage on a 1-video and a 3-video fixture, and loss-oracle on 1 and 3 queries; the pooled
+        # propose runs `_propose_one`, the serial code, in workers that inherit the paused collector
+        inputs = []
+        for size in (1, 3):
+            fixture = tmp_path / f"fixture{size}"
             assert main(["synth", "--output", str(fixture), "--scenario", "clean", "--seed", "0",
-                         "--videos", str(videos)]) == 0
-            configs.append(str(fixture / "config.json"))
+                         "--videos", str(size)]) == 0
+            queries = fixture / "queries.jsonl"
+            queries.write_text(size * (json.dumps({"class_scores": [1.0 / 13] * 13, "true_class": 1,
+                                                   "predicted": [0.0, 0.0], "target": [0.5, 2.0]}) + "\n"),
+                               encoding="utf-8")
+            inputs += [str(fixture / "config.json"), str(queries)]
         # the collector stays off throughout; gc.collect() counts the cyclic garbage left since the last one
         code = (
             "import gc, sys\n"
             "from actionpipe.cli import main\n"
             "gc.disable()\n"
-            "def garbage(config):\n"
+            "def garbage(config, queries):\n"
             "    gc.collect()\n"
-            "    for stage in ('propose', 'label'):\n"
-            "        assert main([stage, '--config', config]) == 0\n"
+            "    for stage in (['propose'], ['propose', '--jobs', '2'], ['label'], ['finalize'], ['score']):\n"
+            "        assert main([*stage, '--config', config]) == 0\n"
+            "    assert main(['loss-oracle', '--input', queries, '--output', queries + '.out']) == 0\n"
             "    return gc.collect()\n"
-            "garbage(sys.argv[1])\n"  # first calls fill lazy caches
-            "print(garbage(sys.argv[1]), garbage(sys.argv[2]))\n"
+            "garbage(*sys.argv[1:3])\n"  # first calls fill lazy caches
+            "print(garbage(*sys.argv[1:3]), garbage(*sys.argv[3:5]))\n"
         )
-        one, three = map(int, run_python(code, *configs).splitlines()[-1].split())
+        one, three = map(int, run_python(code, *inputs).splitlines()[-1].split())
         assert one == three
 
 

@@ -1,9 +1,5 @@
-import os
-import subprocess
-import sys
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.cluster.hierarchy import linkage as scipy_linkage
 
-import actionpipe
 from actionpipe import clustering
 from actionpipe.clustering import (
     ClusterParams,
@@ -26,7 +21,7 @@ from actionpipe.config import load_config
 from actionpipe.geometry import Cuboid
 from actionpipe.ingest import ValidationError, VideoMeta, load_detections, load_video_meta
 from actionpipe.synth import generate_fixture
-from oracles import is_ward_hierarchy, reference_envelope
+from oracles import is_ward_hierarchy, reference_envelope, run_python
 
 META = VideoMeta("v1", 1000, 30.0, 640, 480)
 
@@ -197,8 +192,7 @@ class TestWardExactness:
             "build_linkage(points, ClusterParams())\n"
             "assert 'scipy.cluster' not in sys.modules\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(actionpipe.__file__).parents[1]))
-        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+        run_python(code)
 
 
 class TestWardGuards:

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
+import orjson
 
 from .geometry import Cuboid
 
@@ -47,6 +48,17 @@ DEFAULT_OBJECT_CLASSES = ("person", "vehicle")
 PROB_SUM_TOL = 1e-6
 MAX_INT = 2**53  # larger integers lose exactness in float64 (and may not convert at all)
 
+# Deepest nesting a line may have and still reach orjson.  orjson 3.8
+# recurses once per level with no limit (a valid line a million "[" deep
+# crashes the interpreter), and `json` gives up near Python's recursion
+# limit.  A valid line nests at most half its length deep, so only longer
+# lines have their brackets counted.
+ORJSON_MAX_DEPTH = 256
+
+# One encoder for every output record; `json.dumps(obj, sort_keys=True)`
+# builds an identical one per call.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
 
 class ValidationError(ValueError):
     """Raised when an input record or configuration value is invalid."""
@@ -72,7 +84,7 @@ class ScoreRecord:
     @property
     def argmax_class(self) -> int:
         # ties resolve to the lowest index, deterministically
-        return max(range(len(self.class_scores)), key=lambda i: (self.class_scores[i], -i))
+        return self.class_scores.index(max(self.class_scores))
 
 
 @dataclass(frozen=True)
@@ -96,14 +108,28 @@ def _read_records(path, parse: Callable[[dict], object]) -> Iterator:
     raises (a `ValidationError` or a record type's own check), becomes a
     `ValidationError` prefixed with `path:line: `.  Records are parsed
     lazily, so `parse` may check a record against the ones already yielded.
+
+    orjson parses each line that cannot nest deeper than `ORJSON_MAX_DEPTH`.
+    Any other line, and one orjson rejects (blank, NaN, a lone surrogate
+    escape, padding that is not JSON whitespace, or an error), is stripped
+    and parsed by `json`, so the standard library still decides what is
+    accepted and words every error.  The one difference: an integer
+    outside [-2**63, 2**64) comes back as the nearest float, not an int.
     """
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
+                obj = None
+                if len(raw) <= 2 * ORJSON_MAX_DEPTH or raw.count(b"[") + raw.count(b"{") <= ORJSON_MAX_DEPTH:
+                    try:
+                        obj = orjson.loads(raw)
+                    except orjson.JSONDecodeError:
+                        pass
+                if obj is None:  # orjson rejected or skipped the line, or read `null`
+                    line = raw.decode("utf-8").strip()
+                    if not line:
+                        continue
+                    obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise ValidationError("record is not an object")
                 record = parse(obj)
@@ -331,7 +357,7 @@ def write_lines(path, lines: Iterable[str]) -> None:
 
 def write_records(path, records: Iterable[dict]) -> None:
     """Write one JSON object per line, keys sorted, through `write_lines`."""
-    write_lines(path, (json.dumps(record, sort_keys=True) for record in records))
+    write_lines(path, map(_encode, records))
 
 
 def write_video_meta(path, videos: Iterable[VideoMeta]) -> None:

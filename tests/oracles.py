@@ -4,8 +4,9 @@ Everything here is deliberately naive: voxel counting for 3-D IoU, a
 re-simulated greedy pass for NMS, exhaustive assignment search and SciPy's
 `linear_sum_assignment` for the matcher, one assignment solve per threshold
 for DET curves, pair-by-pair scalar IoUs for designation, a merge-by-merge
-replay over explicit member lists for Ward trees, and one object per
-detection record for the detection loader.  None of it reuses the code
+replay over explicit member lists for Ward trees, one object per
+detection record for the detection loader, and the standard library's
+`json` alone for the record reader.  None of it reuses the code
 paths under test beyond the plain spatial/temporal IoU predicates, the
 record types, and the located line reader and field getters of `ingest`.
 `run_python` runs a check in a fresh interpreter, for tests of what a
@@ -14,11 +15,13 @@ stage imports or leaves behind.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -310,6 +313,25 @@ def reference_load_detections(path, videos, min_confidence=0.5, object_classes=D
         dets.sort(key=lambda d: (d.video_id, d.frame, d.object_class, d.x_min, d.y_min, d.x_max, d.y_max,
                                  d.confidence))
     return dict(sorted(grouped.items()))
+
+
+def reference_read_records(path, parse: Callable[[dict], object]) -> Iterator:
+    """`ingest._read_records` with every line parsed by the standard library's `json` alone."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValidationError("record is not an object")
+                record = parse(obj)
+            except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deeply
+                malformed = isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError, RecursionError))
+                message = f"malformed record: {exc}" if malformed else exc
+                raise ValidationError(f"{path}:{lineno}: {message}") from exc
+            yield record
 
 
 def reference_envelope(rows) -> Cuboid:

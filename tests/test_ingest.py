@@ -279,6 +279,13 @@ class TestLoadScores:
         rec = ScoreRecord("p", (0.4, 0.4) + (0.2 / 11,) * 11, (0.0, 0.0))
         assert rec.argmax_class == 0
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=14))
+    def test_argmax_is_highest_score_lowest_index(self, scores):
+        # exact ties, -0.0 against 0.0 included, go to the lowest index
+        rec = ScoreRecord("p", tuple(scores), (0.0, 0.0))
+        assert rec.argmax_class == max(range(len(scores)), key=lambda i: (scores[i], -i))
+
 
 class TestVideoMeta:
     def test_load(self, tmp_path):

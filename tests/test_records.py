@@ -1,6 +1,7 @@
 """The record codec: one located reader for every input file, one cuboid field dict, one writer."""
 
 import json
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,11 @@ from actionpipe.cli import cmd_loss_oracle
 from actionpipe.geometry import Cuboid
 from actionpipe.ingest import (
     DEFAULT_ACTION_CLASSES,
+    ORJSON_MAX_DEPTH,
     GroundTruthAction,
     ValidationError,
     VideoMeta,
+    _read_records,
     load_detections,
     load_ground_truth,
     load_scores,
@@ -22,6 +25,7 @@ from actionpipe.ingest import (
 )
 from actionpipe.nms import ScoredDetection, load_final_detections, write_final_detections
 from actionpipe.proposals import PROVENANCES, Proposal, load_proposals, write_proposals
+from oracles import reference_read_records, run_python
 
 CUBOID = {"x_min": 0.0, "y_min": 0.0, "x_max": 50.0, "y_max": 40.0, "f_start": 10, "f_end": 40}
 VIDEOS = {"v1": VideoMeta("v1", 100, 30.0, 640.0, 480.0)}
@@ -137,6 +141,122 @@ def test_bad_line_is_located(tmp_path, kind, line, expected):
     assert str(err.value).startswith(f"{path}:2: {expected}")
 
 
+# The reader parses with orjson and leaves every line orjson rejects to `json`;
+# it must read any line as `json` alone does (`reference_read_records`).
+
+# Any text, lone surrogates and non-ASCII whitespace included.
+ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
+# Integers inside orjson's 64-bit range; past it see `test_integer_past_64_bits_reads_as_float`.
+INT64 = st.integers(-(2**63), 2**64 - 1) | st.sampled_from([-(2**63), 2**63, 2**64 - 1, 2**53 + 1])
+LINE_VALUES = st.recursive(
+    st.none() | st.booleans() | INT64 | st.floats() | ANY_TEXT,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(ANY_TEXT, children, max_size=4),
+    max_leaves=8,
+)
+# `str.strip()` whitespace that is not JSON whitespace, a BOM, and a separator that is neither.
+PADDING = st.text(st.sampled_from(" \t\r\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000\ufeff"), max_size=3)
+
+
+@st.composite
+def record_lines(draw) -> bytes:
+    """One line of a record file without its newline: JSON text, padded, cut or nested; blank; or any bytes."""
+    kind = draw(st.sampled_from(("json", "cut", "nested", "blank", "bytes")))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64)).replace(b"\n", b" ")
+    if kind == "blank":
+        return draw(PADDING).encode("utf-8")
+    if kind == "nested":  # around the deepest line handed to orjson, as a valid and as a cut line
+        depth = draw(st.integers(ORJSON_MAX_DEPTH - 2, ORJSON_MAX_DEPTH + 2))
+        text = '{"a": ' + "[" * depth + "]" * depth * draw(st.booleans()) + "}"
+    else:
+        value = draw(st.dictionaries(ANY_TEXT, LINE_VALUES, max_size=4) | LINE_VALUES)
+        text = json.dumps(value, ensure_ascii=draw(st.booleans()), separators=draw(st.sampled_from([None, (",", ":")])))
+        if kind == "cut":
+            text = text[:draw(st.integers(0, len(text)))]
+    # a lone surrogate written without escapes makes the line invalid UTF-8
+    return (draw(PADDING) + text + draw(PADDING)).encode("utf-8", "surrogatepass")
+
+
+def read_outcome(read, path) -> tuple[list, str | None]:
+    """The objects `read` yields from `path`, then its error message or None."""
+    records = []
+    try:
+        for record in read(path, lambda obj: obj):
+            records.append(record)
+    except ValidationError as exc:
+        return records, str(exc)
+    return records, None
+
+
+def assert_identical(got, want):
+    """`==`, with identical types all the way down and floats equal bit for bit (NaN and -0.0 too)."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, float):
+        assert struct.pack("<d", got) == struct.pack("<d", want), (got, want)
+    elif isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            assert_identical(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_identical(g, w)
+    else:
+        assert got == want
+
+
+def assert_reads_as_json_alone(path):
+    got, got_error = read_outcome(_read_records, path)
+    want, want_error = read_outcome(reference_read_records, path)
+    assert got_error == want_error
+    assert_identical(got, want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines=st.lists(record_lines(), min_size=1, max_size=4), crlf=st.booleans(), last_newline=st.booleans())
+def test_reader_reads_any_line_as_json_alone(tmp_path_factory, lines, crlf, last_newline):
+    eol = b"\r\n" if crlf else b"\n"
+    path = tmp_path_factory.mktemp("lines") / "records.jsonl"
+    path.write_bytes(eol.join(lines) + eol * last_newline)
+    assert_reads_as_json_alone(path)
+
+
+@pytest.mark.parametrize("line", [
+    b'{"a": NaN, "b": -Infinity}', b'{"id": "\\ud800"}', b"\x0c{}\xc2\xa0", b"\x1c", b" \t\r",
+    b"\xef\xbb\xbf{}", b"\xff{}", b'{"n": 9223372036854775807, "m": -0, "z": -0.0}', b"null", b"[]",
+    b'{"a": ' + b"[" * 300 + b"]" * 300 + b"}", b"{" * 300,
+], ids=["nan", "lone_surrogate", "nonascii_padding", "separator_only", "blank", "bom", "not_utf8",
+        "int64_and_zeros", "null", "array", "nested_300", "cut_300"])
+def test_reader_reads_line_as_json_alone(tmp_path, line):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(line + b"\r\n")
+    assert_reads_as_json_alone(path)
+
+
+def test_integer_past_64_bits_reads_as_float(tmp_path):
+    # orjson reads an integer outside [-2**63, 2**64) as the nearest float; `json` alone read an int
+    path = tmp_path / "proposals.jsonl"
+    path.write_text(json.dumps({**LOADERS["proposals"][1], "f_end": 2**64}) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        load_proposals(path)
+    assert str(err.value) == f"{path}:1: field 'f_end' must be an integer, got 1.8446744073709552e+19"
+    assert_identical(list(_read_records(path, lambda obj: obj["f_end"])), [2.0**64])
+
+
+def test_line_nested_a_million_deep_is_located(tmp_path):
+    # orjson 3.8 has no depth limit: given this line it overflows the C stack
+    path = tmp_path / "deep.jsonl"
+    path.write_bytes(b"[" * 10**6 + b"]" * 10**6 + b"\n")
+    out = run_python(
+        "import sys\n"
+        "from actionpipe.ingest import ValidationError, _read_records\n"
+        "try:\n    list(_read_records(sys.argv[1], dict))\n"
+        "except ValidationError as exc:\n    print(exc)\n",
+        str(path),
+    )
+    assert out.startswith(f"{path}:1: malformed record: maximum recursion depth exceeded")
+
+
 class TestWriteRecords:
     def test_sorted_keys_one_per_line(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -156,6 +276,23 @@ class TestWriteRecords:
             write_proposals(path, failing())
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["proposals.jsonl"]
+
+
+# Values an output record may hold: non-ASCII text, lone surrogates, -0.0, NaN,
+# integers of any size, nesting.
+WRITTEN_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(-(10**400)) | st.floats() | ANY_TEXT,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(ANY_TEXT, children, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(ANY_TEXT, WRITTEN_VALUES, max_size=5), max_size=4))
+def test_write_records_equals_json_dumps(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("written") / "records.jsonl"
+    write_records(path, records)
+    assert path.read_bytes() == b"".join(json.dumps(r, sort_keys=True).encode("ascii") + b"\n" for r in records)
 
 
 # Byte round trips: write -> load -> write gives the same file.
@@ -213,3 +350,10 @@ def test_ground_truth_byte_round_trip(tmp_path_factory, rows):
         lambda path: [g for group in load_ground_truth(path, videos).values() for g in group],
         actions,
     )
+
+
+def test_lone_surrogate_id_byte_round_trip(tmp_path):
+    # orjson rejects the escaped lone surrogate; `json` reads it, and the writer escapes it again
+    proposals = [Proposal("v\ud800_c0000", "v\ud800", Cuboid(0, 0, 5, 5, 0, 9), "clustering")]
+    assert_byte_round_trip(tmp_path, write_proposals, load_proposals, proposals)
+    assert b'"video_id": "v\\ud800"' in (tmp_path / "first.jsonl").read_bytes()

@@ -55,7 +55,8 @@ def cmd_propose(cfg: PipelineConfig, jobs: int = 1) -> None:
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: a serial run never pays its import
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts all its workers up front; more than one per video would idle
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             per_video = list(pool.map(_propose_one, tasks))
     else:
         per_video = [_propose_one(t) for t in tasks]

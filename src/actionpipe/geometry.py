@@ -15,40 +15,43 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Cuboid:
-    """Axis-aligned spatio-temporal box (x_min, y_min, x_max, y_max, f_start, f_end)."""
+class Cuboid(namedtuple("Cuboid", "x_min y_min x_max y_max f_start f_end")):
+    """Axis-aligned spatio-temporal box (x_min, y_min, x_max, y_max, f_start, f_end).
 
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
-    f_start: int
-    f_end: int
+    A validated tuple: construction coerces the four bounds with `float` and
+    the two frames with `operator.index` (any integer type, never a float),
+    then rejects non-finite bounds, empty extents and inverted spans.  Being
+    a tuple, it also equals a plain tuple of the same values, iterates over
+    them, and `json` would encode it as a list; nothing in the package, its
+    tests or its benchmark relies on that.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "x_min", float(self.x_min))
-        object.__setattr__(self, "y_min", float(self.y_min))
-        object.__setattr__(self, "x_max", float(self.x_max))
-        object.__setattr__(self, "y_max", float(self.y_max))
-        # operator.index accepts any integer type but rejects floats
-        object.__setattr__(self, "f_start", operator.index(self.f_start))
-        object.__setattr__(self, "f_end", operator.index(self.f_end))
-        for name in ("x_min", "y_min", "x_max", "y_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite coordinate {name}={getattr(self, name)!r}")
-        if not self.x_min < self.x_max:
-            raise ValueError(f"empty x extent [{self.x_min}, {self.x_max}]")
-        if not self.y_min < self.y_max:
-            raise ValueError(f"empty y extent [{self.y_min}, {self.y_max}]")
-        if self.f_start > self.f_end:
-            raise ValueError(f"inverted frame span [{self.f_start}, {self.f_end}]")
+    __slots__ = ()
+
+    def __new__(cls, x_min, y_min, x_max, y_max, f_start, f_end):
+        x_min, y_min, x_max, y_max = float(x_min), float(y_min), float(x_max), float(y_max)
+        f_start, f_end = operator.index(f_start), operator.index(f_end)
+        if not math.isfinite(x_min + y_min + x_max + y_max):  # some bound is not finite, or the sum overflowed
+            for name, value in zip(cls._fields, (x_min, y_min, x_max, y_max)):
+                if not math.isfinite(value):
+                    raise ValueError(f"non-finite coordinate {name}={value!r}")
+        if not x_min < x_max:
+            raise ValueError(f"empty x extent [{x_min}, {x_max}]")
+        if not y_min < y_max:
+            raise ValueError(f"empty y extent [{y_min}, {y_max}]")
+        if f_start > f_end:
+            raise ValueError(f"inverted frame span [{f_start}, {f_end}]")
+        return tuple.__new__(cls, (x_min, y_min, x_max, y_max, f_start, f_end))
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through here; keep it validated
+        return cls(*iterable)
 
     @property
     def width(self) -> float:
@@ -118,7 +121,7 @@ def iou_3d(a: Cuboid, b: Cuboid) -> float:
 
 def cuboid_array(cuboids: Iterable[Cuboid]) -> np.ndarray:
     """(n, 6) float64 rows x_min, y_min, x_max, y_max, f_start, f_end."""
-    rows = [(c.x_min, c.y_min, c.x_max, c.y_max, c.f_start, c.f_end) for c in cuboids]
+    rows = list(cuboids)
     return np.array(rows, dtype=np.float64).reshape(len(rows), 6)
 
 

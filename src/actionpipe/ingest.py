@@ -7,6 +7,11 @@ per file, which `_read_records` runs and whose errors it locates as
 `path:line:`.  Field names are fixed and documented in the README.  The six
 cuboid fields have one reader (`read_cuboid`) and one writer
 (`cuboid_record`), and every output file goes through `write_lines`.
+
+The loaders of the per-detection and per-proposal files first read all of
+a record's fields in one call (`field_reader`); only a record that call
+does not accept goes through the field-by-field parse, which alone words
+errors.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 import orjson
@@ -73,9 +78,14 @@ class GroundTruthAction:
     cuboid: Cuboid
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
-    """Classifier output for one proposal: class probabilities + temporal refinement."""
+class ScoreRecord(NamedTuple):
+    """Classifier output for one proposal: class probabilities + temporal refinement.
+
+    A plain named tuple; `load_scores` does the checking.  Being a tuple,
+    it also equals a plain tuple of the same values, iterates over them, and
+    `json` would encode it as a list; nothing in the package, its tests or
+    its benchmark relies on that.
+    """
 
     proposal_id: str
     class_scores: tuple[float, ...]  # index 0 = non-action
@@ -177,8 +187,61 @@ def _get_str(obj: dict, name: str) -> str:
     return value
 
 
+# What each field reader returns; `field_reader` accepts exactly these types.
+_READ_TYPES = {_get_str: str, _get_int: int, _get_number: float}
+
+
+def _tuple_getter(keys: list) -> Callable:
+    """`operator.itemgetter(*keys)`, but giving a tuple for one key or none too."""
+    if len(keys) > 1:
+        return operator.itemgetter(*keys)
+    return lambda values: tuple(values[key] for key in keys)
+
+
+def field_reader(fields: dict[str, Callable]) -> Callable[[dict], tuple | None]:
+    """A function reading every field of a `{name: _get_*}` table from a record in one call.
+
+    It returns the values in table order, each what its reader would
+    return, but only when every value has exactly its reader's type (`str`,
+    `int` or `float`: a bool never passes, nor an int where a float goes),
+    no string is empty, every int is at most 2**53 in magnitude and the
+    floats sum to a finite value.  Otherwise, a field missing included, it
+    returns None and the caller runs its field-by-field parse, which
+    converts such a value or words the error.
+    """
+    read_all = _tuple_getter(list(fields))
+    types = tuple(_READ_TYPES[read] for read in fields.values())
+    read_floats = _tuple_getter([i for i, t in enumerate(types) if t is float])
+    ints = [i for i, t in enumerate(types) if t is int]
+
+    def read(obj: dict) -> tuple | None:
+        try:
+            values = read_all(obj)
+        except KeyError:
+            return None
+        # with the types exact, only a string can equal ""
+        if tuple(map(type, values)) != types or "" in values or not math.isfinite(sum(read_floats(values))):
+            return None
+        for i in ints:
+            if not -MAX_INT <= values[i] <= MAX_INT:
+                return None
+        return values
+
+    return read
+
+
+CUBOID_FIELDS = {
+    "x_min": _get_number, "y_min": _get_number, "x_max": _get_number, "y_max": _get_number,
+    "f_start": _get_int, "f_end": _get_int,
+}
+_read_cuboid_fields = field_reader(CUBOID_FIELDS)
+
+
 def read_cuboid(obj: dict) -> Cuboid:
     """The cuboid fields of one record: four finite pixel bounds, two inclusive frame indices."""
+    values = _read_cuboid_fields(obj)
+    if values is not None:
+        return Cuboid(*values)
     return Cuboid(
         _get_number(obj, "x_min"),
         _get_number(obj, "y_min"),
@@ -204,6 +267,7 @@ DETECTION_FIELDS = {
     "x_min": _get_number, "y_min": _get_number, "x_max": _get_number, "y_max": _get_number,
     "confidence": _get_number,
 }
+_read_detection_fields = field_reader(DETECTION_FIELDS)
 _DETECTION_ROW = operator.itemgetter(1, 3, 4, 5, 6)  # frame, x_min, y_min, x_max, y_max
 
 
@@ -250,7 +314,9 @@ def load_detections(
     """
 
     def parse(obj: dict) -> tuple:
-        record = tuple(get(obj, name) for name, get in DETECTION_FIELDS.items())
+        record = _read_detection_fields(obj)
+        if record is None:
+            record = tuple(get(obj, name) for name, get in DETECTION_FIELDS.items())
         video_id, frame, _, x_min, y_min, x_max, y_max, confidence = record
         if x_min >= x_max or y_min >= y_max:
             raise ValidationError("box must have positive width and height")
@@ -306,6 +372,9 @@ def load_ground_truth(
     return dict(sorted(grouped.items()))
 
 
+_read_score_fields = field_reader({"proposal_id": _get_str, "refine_start": _get_number, "refine_end": _get_number})
+
+
 def load_scores(path, num_classes: int = 12) -> dict[str, ScoreRecord]:
     """Load classifier score records keyed by proposal_id.
 
@@ -313,8 +382,21 @@ def load_scores(path, num_classes: int = 12) -> dict[str, ScoreRecord]:
     summing to 1 within 1e-6, plus the two refinement outputs.
     """
     records: dict[str, ScoreRecord] = {}
+    float_types = (float,) * (num_classes + 1)
 
     def parse(obj: dict) -> ScoreRecord:
+        fields = _read_score_fields(obj)
+        raw = obj.get("class_scores")
+        # a repeated id, or scores other than floats, go to `parse_checked`, which converts or words them
+        if fields is None or fields[0] in records or type(raw) is not list or tuple(map(type, raw)) != float_types:
+            return parse_checked(obj)
+        # a NaN score makes the sum NaN and fails the first test; min and max may step past it
+        if not (abs(sum(raw) - 1.0) <= PROB_SUM_TOL and min(raw) >= 0.0 and max(raw) <= 1.0):
+            return parse_checked(obj)
+        pid, refine_start, refine_end = fields
+        return ScoreRecord(pid, tuple(raw), (refine_start, refine_end))
+
+    def parse_checked(obj: dict) -> ScoreRecord:
         pid = _get_str(obj, "proposal_id")
         if pid in records:
             raise ValidationError(f"duplicate proposal_id {pid!r}")

@@ -65,10 +65,7 @@ def jitter_proposals(
     duplicating earlier bounds (originals included) are deduplicated.
     """
     out = list(proposals)
-    seen = {
-        (p.cuboid.x_min, p.cuboid.y_min, p.cuboid.x_max, p.cuboid.y_max, p.cuboid.f_start, p.cuboid.f_end)
-        for p in proposals
-    }
+    seen = {p.cuboid for p in proposals}
     last_frame = video_meta.num_frames - 1
     for parent in proposals:
         c = parent.cuboid
@@ -79,14 +76,14 @@ def jitter_proposals(
                     f_lo, f_hi = max(0, f_lo), min(last_frame, f_hi)
                 if f_hi - f_lo + 1 < params.min_span:
                     continue
-                key = (c.x_min, c.y_min, c.x_max, c.y_max, f_lo, f_hi)
-                if key in seen:
+                window = Cuboid(c.x_min, c.y_min, c.x_max, c.y_max, f_lo, f_hi)
+                if window in seen:
                     continue
-                seen.add(key)
+                seen.add(window)
                 out.append(Proposal(
                     proposal_id=f"{parent.proposal_id}_a{f_a}w{w}",
                     video_id=parent.video_id,
-                    cuboid=Cuboid(c.x_min, c.y_min, c.x_max, c.y_max, f_lo, f_hi),
+                    cuboid=window,
                     provenance=PROVENANCE_JITTERING,
                     parent_id=parent.proposal_id,
                 ))

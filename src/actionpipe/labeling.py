@@ -8,6 +8,7 @@ in the ambiguous band between those regimes.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -38,19 +39,28 @@ class LabelingThresholds:
                 raise ValidationError(f"{name} must be in [0, 1], got {v}")
 
 
-@dataclass(frozen=True)
-class LabeledProposal:
-    proposal: Proposal
-    designation: str
-    action_class: str | None = None
-    matched_gt: GroundTruthAction | None = None
-    regression_target: tuple[float, float] | None = None
+class LabeledProposal(namedtuple("LabeledProposal", "proposal designation action_class matched_gt regression_target")):
+    """A proposal with its designation, plus class, match and target for positives.
 
-    def __post_init__(self):
-        if self.designation not in DESIGNATIONS:
-            raise ValidationError(f"unknown designation {self.designation!r}")
-        if (self.designation == POSITIVE) != (self.regression_target is not None):
+    A validated tuple: construction rejects an unknown designation, and a
+    regression target on anything but a positive (or none on a positive).
+    Being a tuple, it also equals a plain tuple of the same values, iterates
+    over them, and `json` would encode it as a list; nothing in the package,
+    its tests or its benchmark relies on that.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, proposal, designation, action_class=None, matched_gt=None, regression_target=None):
+        if designation not in DESIGNATIONS:
+            raise ValidationError(f"unknown designation {designation!r}")
+        if (designation == POSITIVE) != (regression_target is not None):
             raise ValidationError("regression_target must be present exactly for positives")
+        return tuple.__new__(cls, (proposal, designation, action_class, matched_gt, regression_target))
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through here; keep it validated
+        return cls(*iterable)
 
 
 def regression_target(p: Cuboid, gt: Cuboid) -> tuple[float, float]:

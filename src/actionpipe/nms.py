@@ -9,12 +9,14 @@ import numpy as np
 
 from .geometry import Cuboid, cuboid_array, pairwise_iou
 from .ingest import (
+    CUBOID_FIELDS,
     ValidationError,
     _get_number,
     _get_str,
     _read_records,
     class_index,
     cuboid_record,
+    field_reader,
     read_cuboid,
     write_records,
 )
@@ -95,8 +97,22 @@ def write_final_detections(path, dets: Iterable[ScoredDetection], action_classes
     ))
 
 
+_read_final_fields = field_reader({
+    "action_class": _get_str, "confidence": _get_number, "video_id": _get_str, "proposal_id": _get_str,
+    **CUBOID_FIELDS,
+})
+
+
 def load_final_detections(path, action_classes: Sequence[str]) -> list[ScoredDetection]:
     def parse(obj: dict) -> ScoredDetection:
+        fields = _read_final_fields(obj)
+        if fields is None:
+            return parse_checked(obj)
+        label, confidence, video_id, proposal_id, *box = fields
+        cuboid = Cuboid(*box)  # before the label, as in `parse_checked`
+        return ScoredDetection(video_id, proposal_id, class_index(label, action_classes), confidence, cuboid)
+
+    def parse_checked(obj: dict) -> ScoredDetection:
         label = _get_str(obj, "action_class")
         confidence = _get_number(obj, "confidence")
         cuboid = read_cuboid(obj)

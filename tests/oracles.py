@@ -5,8 +5,10 @@ re-simulated greedy pass for NMS, exhaustive assignment search and SciPy's
 `linear_sum_assignment` for the matcher, one assignment solve per threshold
 for DET curves, pair-by-pair scalar IoUs for designation, a merge-by-merge
 replay over explicit member lists for Ward trees, one object per
-detection record for the detection loader, and the standard library's
-`json` alone for the record reader.  None of it reuses the code
+detection record for the detection loader, the standard library's
+`json` alone for the record reader, the record types as the frozen
+dataclasses they were before they became validated tuples, and the
+field-by-field loaders that built them.  None of it reuses the code
 paths under test beyond the plain spatial/temporal IoU predicates, the
 record types, and the located line reader and field getters of `ingest`.
 `run_python` runs a check in a fresh interpreter, for tests of what a
@@ -16,6 +18,8 @@ stage imports or leaves behind.
 from __future__ import annotations
 
 import json
+import math
+import operator
 import os
 import subprocess
 import sys
@@ -31,8 +35,10 @@ from actionpipe.geometry import Cuboid, spatial_iou, temporal_iou
 from actionpipe.ingest import (
     DEFAULT_ACTION_CLASSES,
     DEFAULT_OBJECT_CLASSES,
+    PROB_SUM_TOL,
     GroundTruthAction,
     ValidationError,
+    _get,
     _get_int,
     _get_number,
     _get_str,
@@ -40,6 +46,7 @@ from actionpipe.ingest import (
     class_index,
 )
 from actionpipe.labeling import (
+    DESIGNATIONS,
     DISCARDED,
     EASY_NEGATIVE,
     HARD_NEGATIVE,
@@ -49,6 +56,7 @@ from actionpipe.labeling import (
     regression_target,
 )
 from actionpipe.nms import NmsParams, ScoredDetection
+from actionpipe.proposals import PROVENANCES
 from actionpipe.scoring import DetCurve, MatchParams
 
 
@@ -344,6 +352,156 @@ def reference_envelope(rows) -> Cuboid:
         f_start=min(r[0] for r in rows),
         f_end=max(r[0] for r in rows),
     )
+
+
+@dataclass(frozen=True)
+class ReferenceCuboid:
+    """`geometry.Cuboid` as a frozen dataclass, checks in `__post_init__`."""
+
+    x_min: float
+    y_min: float
+    x_max: float
+    y_max: float
+    f_start: int
+    f_end: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "x_min", float(self.x_min))
+        object.__setattr__(self, "y_min", float(self.y_min))
+        object.__setattr__(self, "x_max", float(self.x_max))
+        object.__setattr__(self, "y_max", float(self.y_max))
+        # operator.index accepts any integer type but rejects floats
+        object.__setattr__(self, "f_start", operator.index(self.f_start))
+        object.__setattr__(self, "f_end", operator.index(self.f_end))
+        for name in ("x_min", "y_min", "x_max", "y_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"non-finite coordinate {name}={getattr(self, name)!r}")
+        if not self.x_min < self.x_max:
+            raise ValueError(f"empty x extent [{self.x_min}, {self.x_max}]")
+        if not self.y_min < self.y_max:
+            raise ValueError(f"empty y extent [{self.y_min}, {self.y_max}]")
+        if self.f_start > self.f_end:
+            raise ValueError(f"inverted frame span [{self.f_start}, {self.f_end}]")
+
+
+@dataclass(frozen=True)
+class ReferenceProposal:
+    """`proposals.Proposal` as a frozen dataclass."""
+
+    proposal_id: str
+    video_id: str
+    cuboid: Cuboid
+    provenance: str
+    parent_id: str | None = None
+
+    def __post_init__(self):
+        if self.provenance not in PROVENANCES:
+            raise ValidationError(f"unknown provenance {self.provenance!r}")
+
+
+@dataclass(frozen=True)
+class ReferenceLabeledProposal:
+    """`labeling.LabeledProposal` as a frozen dataclass."""
+
+    proposal: ReferenceProposal
+    designation: str
+    action_class: str | None = None
+    matched_gt: GroundTruthAction | None = None
+    regression_target: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if self.designation not in DESIGNATIONS:
+            raise ValidationError(f"unknown designation {self.designation!r}")
+        if (self.designation == POSITIVE) != (self.regression_target is not None):
+            raise ValidationError("regression_target must be present exactly for positives")
+
+
+@dataclass(frozen=True)
+class ReferenceScoreRecord:
+    """`ingest.ScoreRecord` as a frozen dataclass."""
+
+    proposal_id: str
+    class_scores: tuple[float, ...]  # index 0 = non-action
+    refinement: tuple[float, float]  # normalized (start, end) corrections
+
+    @property
+    def argmax_class(self) -> int:
+        # ties resolve to the lowest index, deterministically
+        return self.class_scores.index(max(self.class_scores))
+
+
+def reference_read_cuboid(obj: dict) -> ReferenceCuboid:
+    """The cuboid fields of one record, read field by field."""
+    return ReferenceCuboid(
+        _get_number(obj, "x_min"),
+        _get_number(obj, "y_min"),
+        _get_number(obj, "x_max"),
+        _get_number(obj, "y_max"),
+        _get_int(obj, "f_start"),
+        _get_int(obj, "f_end"),
+    )
+
+
+def reference_load_proposals(path) -> list[ReferenceProposal]:
+    """`proposals.load_proposals`, every field read by its getter."""
+    seen: set[str] = set()
+
+    def parse(obj: dict) -> ReferenceProposal:
+        pid = _get_str(obj, "proposal_id")
+        if pid in seen:
+            raise ValidationError(f"duplicate proposal_id {pid!r}")
+        seen.add(pid)
+        provenance = _get_str(obj, "provenance")
+        parent = obj.get("parent_id")
+        if parent is not None and (not isinstance(parent, str) or not parent):
+            raise ValidationError("parent_id must be null or a nonempty string")
+        return ReferenceProposal(pid, _get_str(obj, "video_id"), reference_read_cuboid(obj), provenance, parent)
+
+    return list(_read_records(path, parse))
+
+
+def reference_load_scores(path, num_classes: int = 12) -> dict[str, ReferenceScoreRecord]:
+    """`ingest.load_scores`, every field and every score checked one by one."""
+    records: dict[str, ReferenceScoreRecord] = {}
+
+    def parse(obj: dict) -> ReferenceScoreRecord:
+        pid = _get_str(obj, "proposal_id")
+        if pid in records:
+            raise ValidationError(f"duplicate proposal_id {pid!r}")
+        raw = _get(obj, "class_scores")
+        if not isinstance(raw, list) or len(raw) != num_classes + 1:
+            raise ValidationError(f"class_scores must hold {num_classes + 1} values")
+        scores = []
+        for i, value in enumerate(raw):
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
+                raise ValidationError(f"class_scores[{i}] = {value!r} outside [0, 1]")
+            scores.append(float(value))
+        if abs(sum(scores) - 1.0) > PROB_SUM_TOL:
+            raise ValidationError(f"class_scores sum to {sum(scores)}, expected 1")
+        refinement = (_get_number(obj, "refine_start"), _get_number(obj, "refine_end"))
+        return ReferenceScoreRecord(pid, tuple(scores), refinement)
+
+    for rec in _read_records(path, parse):
+        records[rec.proposal_id] = rec
+    return dict(sorted(records.items()))
+
+
+def reference_load_final_detections(path, action_classes) -> list[ScoredDetection]:
+    """`nms.load_final_detections`, every field read by its getter (cuboids are `ReferenceCuboid`)."""
+
+    def parse(obj: dict) -> ScoredDetection:
+        label = _get_str(obj, "action_class")
+        confidence = _get_number(obj, "confidence")
+        cuboid = reference_read_cuboid(obj)
+        return ScoredDetection(
+            video_id=_get_str(obj, "video_id"),
+            proposal_id=_get_str(obj, "proposal_id"),
+            action_class=class_index(label, action_classes),
+            confidence=confidence,
+            cuboid=cuboid,
+        )
+
+    return list(_read_records(path, parse))
 
 
 def run_python(code: str, *args: str) -> str:

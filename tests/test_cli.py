@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import dataclasses
 import gc
 import hashlib
@@ -109,6 +110,31 @@ class TestEndToEnd:
         assert main(["propose", "--config", str(cfg_path), "--output", str(serial)]) == 0
         assert main(["propose", "--config", str(cfg_path), "--output", str(parallel), "--jobs", "3"]) == 0
         assert (serial / "proposals.jsonl").read_bytes() == (parallel / "proposals.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("jobs,workers", [(2, 2), (3, 3), (64, 3)])
+    def test_parallel_propose_starts_at_most_one_worker_per_video(self, fixture_dir, tmp_path, monkeypatch, jobs,
+                                                                 workers):
+        sizes = []
+
+        class SerialPool:
+            """Stands in for ProcessPoolExecutor: records the pool size asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg_path = fixture_dir / "config.json"  # 3 videos
+        assert main(["propose", "--config", str(cfg_path), "--output", str(tmp_path), "--jobs", str(jobs)]) == 0
+        assert sizes == [workers]
 
     def test_multi_label_emits_at_least_argmax(self, fixture_dir, tmp_path):
         cfg_path = fixture_dir / "config.json"

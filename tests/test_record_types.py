@@ -1,0 +1,354 @@
+"""The per-proposal record types and loaders against what they replaced.
+
+`Cuboid`, `Proposal`, `LabeledProposal` and `ScoreRecord` are validated
+named tuples, and the loaders read a record's fields in one call
+(`ingest.field_reader`), parsing field by field only a record that call
+does not accept.  `tests/oracles.py` keeps the frozen dataclasses and the
+field-by-field loaders they replaced; for any arguments, and for any record
+file, both must give the same fields (types and float bits included) or
+the same error.
+"""
+
+import dataclasses
+import json
+import math
+import pickle
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from actionpipe.geometry import Cuboid
+from actionpipe.ingest import (
+    DEFAULT_ACTION_CLASSES,
+    MAX_INT,
+    ScoreRecord,
+    ValidationError,
+    VideoMeta,
+    _get_int,
+    _get_number,
+    _get_str,
+    field_reader,
+    load_detections,
+    load_scores,
+)
+from actionpipe.labeling import DESIGNATIONS, LabeledProposal
+from actionpipe.nms import load_final_detections
+from actionpipe.proposals import PROVENANCES, Proposal, load_proposals
+from oracles import (
+    ReferenceCuboid,
+    ReferenceLabeledProposal,
+    ReferenceProposal,
+    ReferenceScoreRecord,
+    reference_load_detections,
+    reference_load_final_detections,
+    reference_load_proposals,
+    reference_load_scores,
+)
+
+
+def record_fields(record):
+    """A record's field values as nested plain tuples, whether it is a dataclass or a named tuple."""
+    if dataclasses.is_dataclass(record):
+        values = [getattr(record, f.name) for f in dataclasses.fields(record)]
+    elif isinstance(record, tuple) and hasattr(record, "_fields"):
+        values = list(record)
+    else:
+        return record
+    return (type(record).__name__.removeprefix("Reference"), *map(record_fields, values))
+
+
+def assert_identical(got, want):
+    """`==`, with identical types all the way down and floats equal bit for bit (NaN and -0.0 too)."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, float):
+        assert struct.pack("<d", got) == struct.pack("<d", want), (got, want)
+    elif isinstance(want, (tuple, list)):
+        assert len(got) == len(want), (got, want)
+        for g, w in zip(got, want):
+            assert_identical(g, w)
+    else:
+        assert got == want, (got, want)
+
+
+def outcome(make, *args, **kwargs):
+    """(fields, None) for the built record, or (None, (exception type, message))."""
+    try:
+        return record_fields(make(*args, **kwargs)), None
+    except Exception as exc:  # the type and the message are what is compared
+        return None, (type(exc), str(exc))
+
+
+def assert_same_outcome(new, old, *args, **kwargs):
+    got, got_error = outcome(new, *args, **kwargs)
+    want, want_error = outcome(old, *args, **kwargs)
+    assert got_error == want_error
+    assert_identical(got, want)
+
+
+# Constructor arguments: signed zeros, NaN, infinities, bools, numpy scalars,
+# integers at and past 64 bits, numeric and other strings, None.
+ODD_ARGS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1e308, 2.0**53 + 2]),
+    st.booleans(),
+    st.sampled_from([2**53 + 1, 2**63, -(2**63), 2**64, 10**400]),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(-5, 5).map(np.int32),
+    st.floats().map(np.float64),
+    st.sampled_from(["", "1.5", "nan", "-inf", " 2 ", "x"]),
+    st.text(max_size=3),
+    st.none(),
+)
+# Ordinary small values, so that most draws reach the checks past the coercions.
+PLAIN_ARGS = st.sampled_from([-1, 0, 1, 2, 5, -0.0, 0.0, 0.5, 1.0, 2.5])
+ARGS = PLAIN_ARGS | ODD_ARGS
+OMITTED = object()  # an argument left to its default
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(ARGS, min_size=6, max_size=6), st.booleans())
+def test_cuboid_equals_dataclass(args, by_keyword):
+    if by_keyword:
+        kwargs = dict(zip(("x_min", "y_min", "x_max", "y_max", "f_start", "f_end"), args))
+        assert_same_outcome(Cuboid, ReferenceCuboid, **kwargs)
+    else:
+        assert_same_outcome(Cuboid, ReferenceCuboid, *args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(ARGS, min_size=2, max_size=2),
+    st.sampled_from(PROVENANCES) | ARGS,
+    st.sampled_from([OMITTED, None, "p0"]) | ARGS,
+    st.booleans(),
+)
+def test_proposal_equals_dataclass(ids, provenance, parent_id, by_keyword):
+    cuboid = Cuboid(0, 0, 5, 5, 0, 9)
+    args = [*ids, cuboid, provenance] + ([] if parent_id is OMITTED else [parent_id])
+    names = ("proposal_id", "video_id", "cuboid", "provenance", "parent_id")
+    if by_keyword:
+        assert_same_outcome(Proposal, ReferenceProposal, **dict(zip(names, args)))
+    else:
+        assert_same_outcome(Proposal, ReferenceProposal, *args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(DESIGNATIONS) | ARGS,
+    st.lists(st.sampled_from([OMITTED, None, (0.5, -0.5)]) | ARGS, min_size=3, max_size=3),
+)
+def test_labeled_proposal_equals_dataclass(designation, optional):
+    proposal = Proposal("p0", "v", Cuboid(0, 0, 5, 5, 0, 9), "clustering")
+    names = ("action_class", "matched_gt", "regression_target")
+    kwargs = {name: value for name, value in zip(names, optional) if value is not OMITTED}
+    assert_same_outcome(LabeledProposal, ReferenceLabeledProposal, proposal, designation, **kwargs)
+    assert_same_outcome(LabeledProposal, ReferenceLabeledProposal, proposal=proposal, designation=designation,
+                        **kwargs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(ARGS, min_size=3, max_size=3))
+def test_score_record_equals_dataclass(args):
+    assert_same_outcome(ScoreRecord, ReferenceScoreRecord, *args)
+    assert_same_outcome(ScoreRecord, ReferenceScoreRecord, **dict(zip(ScoreRecord._fields, args)))
+
+
+def test_replace_and_pickle_go_through_the_checks():
+    c = Cuboid(0, 0, 5, 5, 0, 9)
+    assert c._replace(f_end=12) == Cuboid(0, 0, 5, 5, 0, 12)
+    with pytest.raises(ValueError, match=r"inverted frame span \[10, 9\]"):
+        c._replace(f_start=10)
+    with pytest.raises(ValidationError, match="unknown provenance 'x'"):
+        Proposal("p", "v", c, "clustering")._replace(provenance="x")
+    # `propose --jobs N` sends proposals back from its workers by pickle
+    p = Proposal("p", "v", c, "jittering", "q")
+    back = pickle.loads(pickle.dumps(p))
+    assert back == p and type(back) is Proposal and type(back.cuboid) is Cuboid
+
+
+# The field reader accepts only values its caller need not parse field by field.
+
+READER = field_reader({"s": _get_str, "i": _get_int, "f": _get_number})
+
+
+@pytest.mark.parametrize("record,accepted", [
+    ({"s": "a", "i": 3, "f": 0.5}, True),
+    ({"s": "a", "i": -MAX_INT, "f": -0.0}, True),
+    ({"s": "a", "i": 3}, False),
+    ({"s": "", "i": 3, "f": 0.5}, False),
+    ({"s": "a", "i": True, "f": 0.5}, False),
+    ({"s": "a", "i": 3, "f": 1}, False),
+    ({"s": "a", "i": 3.0, "f": 0.5}, False),
+    ({"s": "a", "i": MAX_INT + 1, "f": 0.5}, False),
+    ({"s": "a", "i": 3, "f": math.nan}, False),
+    ({"s": "a", "i": 3, "f": -math.inf}, False),
+    ({"s": "a", "i": 3, "f": 2.0**60}, True),
+    ({"s": 7, "i": 3, "f": 0.5}, False),
+])
+def test_field_reader_accepts_only_exact_types(record, accepted):
+    got = READER(record)
+    assert got == ((record["s"], record["i"], record["f"]) if accepted else None)
+
+
+@pytest.mark.parametrize("fields,record", [
+    ({"f": _get_number}, {"f": 0.5}),
+    ({"i": _get_int}, {"i": 3}),
+    ({"s": _get_str, "i": _get_int}, {"s": "a", "i": 3}),
+    ({"a": _get_number, "b": _get_number, "s": _get_str}, {"a": 1.0, "b": -0.0, "s": "a"}),
+])
+def test_field_reader_of_any_table_size(fields, record):
+    read = field_reader(fields)
+    assert read(record) == tuple(record.values())
+    for name, value in record.items():
+        damaged = {**record, name: math.nan if isinstance(value, float) else True}
+        assert read(damaged) is None
+
+
+# Loader oracle: files of valid records with one or two damaged fields.
+
+VIDEOS = {"v1": VideoMeta("v1", 100, 30.0, 640.0, 480.0), "v2": VideoMeta("v2", 50, 30.0, 640.0, 480.0)}
+SCORES = [0.05] + [0.95 / 12] * 12
+
+
+def _cuboid(i):
+    return {"x_min": [-0.0, 0.0, 1.5][i % 3], "y_min": 2.0, "x_max": 50.0, "y_max": 40.25,
+            "f_start": 10 + i, "f_end": 40}
+
+
+# kind -> (new loader, reference loader, valid record i, {field: what it holds})
+LOADERS = {
+    "proposals": (
+        load_proposals,
+        reference_load_proposals,
+        lambda i: {"proposal_id": f"v1_c{i}", "video_id": "v1", "parent_id": None if i % 2 else "v1_c0",
+                   "provenance": PROVENANCES[i % 2], **_cuboid(i)},
+    ),
+    "scores": (
+        load_scores,
+        reference_load_scores,
+        lambda i: {"proposal_id": f"v1_c{i}", "class_scores": SCORES[i:] + SCORES[:i],
+                   "refine_start": -0.5, "refine_end": 0.25 * i},
+    ),
+    "final_detections": (
+        lambda path: load_final_detections(path, DEFAULT_ACTION_CLASSES),
+        lambda path: reference_load_final_detections(path, DEFAULT_ACTION_CLASSES),
+        lambda i: {"video_id": "v1", "proposal_id": f"v1_c{i}", "action_class": DEFAULT_ACTION_CLASSES[i],
+                   "confidence": [0.9, 1.0, 0.0][i % 3], **_cuboid(i)},
+    ),
+    "detections": (
+        lambda path: load_detections(path, VIDEOS, 0.5, None),
+        lambda path: reference_load_detections(path, VIDEOS, 0.5, None),
+        lambda i: {"video_id": ["v1", "v2"][i % 2], "frame": 3 + i, "object_class": "person",
+                   "x_min": 10.0, "y_min": -0.0, "x_max": 30.5, "y_max": 60.0, "confidence": [0.9, 0.3][i % 2]},
+    ),
+}
+# What a damaged field may hold instead, by the type of its valid value.
+DAMAGED = {
+    type(None): st.sampled_from(["", 5, "v1_c0", False]),
+    str: st.sampled_from(["", "zz", True, 5, None, 0.5]),
+    int: st.sampled_from([True, False, 1.5, 10.0, -1, 10**6, 2**53, 2**53 + 1, -(2**53 + 1), None, "3"]),
+    float: st.sampled_from([True, 0, 1, 7, math.nan, math.inf, -math.inf, 2**53 + 1, 2.0**53 + 2, 1e300, -1e300,
+                            -0.0, 1.5, -0.5, 60.0, "0.5", None]),
+    list: st.sampled_from([
+        [0.05, math.nan] + [0.95 / 11] * 11,  # NaN after a valid score
+        [math.nan] + [1.0 / 12] * 12,
+        [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],  # integers, a valid distribution
+        [1.0, 0, 0.0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [-0.0, 1.0] + [0.0] * 11,
+        [1.5, -0.5] + [0.0] * 11,
+        [True] + [0.0] * 12,
+        [0.1] * 13,  # sums to 1.3
+        [1.0 / 12] * 12,  # one short
+        [math.inf, -math.inf] + [0.0] * 11,
+        [1e308, 1e308] + [0.0] * 11,
+        "0.5",
+    ]),
+}
+
+
+@st.composite
+def record_files(draw, kind):
+    """Lines of 1-3 valid records, then up to two damaged fields on one of them.
+
+    A damage drops a field, swaps its value for one of another type or out
+    of range (NaN and the infinities are written as `json` writes them), or
+    repeats an earlier record's `proposal_id`.
+    """
+    make = LOADERS[kind][2]
+    records = [make(i) for i in range(draw(st.integers(1, 3)))]
+    target = draw(st.integers(0, len(records) - 1))
+    record = records[target]
+    for _ in range(draw(st.integers(0, 2))):
+        name = draw(st.sampled_from(sorted(record)))
+        how = draw(st.sampled_from(("drop", "value", "repeat_id")))
+        if how == "drop":
+            del record[name]
+        elif how == "repeat_id" and target > 0 and "proposal_id" in record:
+            record["proposal_id"] = records[draw(st.integers(0, target - 1))]["proposal_id"]
+        elif type(record[name]) in DAMAGED:
+            record[name] = draw(DAMAGED[type(record[name])])
+    return [json.dumps(r) for r in records]
+
+
+def normalized(kind, result):
+    """A loader's result as nested plain tuples of field values."""
+    if kind == "scores":
+        return tuple((pid, record_fields(rec)) for pid, rec in result.items())
+    if kind == "detections":  # arrays from the loader, `ReferenceDetection` lists from the oracle
+        return tuple(
+            (video, rows.shape, rows.tobytes()) if isinstance(rows, np.ndarray) else (
+                video, (len(rows), 5),
+                np.array([(d.frame, d.x_min, d.y_min, d.x_max, d.y_max) for d in rows], dtype=np.float64).tobytes())
+            for video, rows in result.items()
+        )
+    return tuple(map(record_fields, result))
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_loader_equals_field_by_field_reference(tmp_path_factory, kind, data):
+    load, reference, _ = LOADERS[kind]
+    path = tmp_path_factory.mktemp(kind) / f"{kind}.jsonl"
+    path.write_text("".join(line + "\n" for line in data.draw(record_files(kind))), encoding="utf-8")
+    got, got_error = outcome(lambda: normalized(kind, load(path)))
+    want, want_error = outcome(lambda: normalized(kind, reference(path)))
+    assert got_error == want_error
+    assert_identical(got, want)
+
+
+@pytest.mark.parametrize("kind,faults,expected", [
+    ("final_detections", {"action_class": "Parkour", "f_start": 41}, "inverted frame span [41, 40]"),
+    ("final_detections", {"action_class": "Parkour", "confidence": 1.5}, "unknown action_class 'Parkour'"),
+    ("proposals", {"provenance": "x", "x_min": 50.0}, "empty x extent [50.0, 50.0]"),
+    ("proposals", {"parent_id": "", "x_min": math.nan}, "parent_id must be null or a nonempty string"),
+    ("scores", {"class_scores": [1.5, -0.5] + [0.0] * 11, "refine_end": math.inf}, "class_scores[0] = 1.5 outside"),
+    ("detections", {"confidence": 1.5, "x_max": 10.0}, "box must have positive width and height"),
+], ids=["span_before_label", "label_before_confidence", "extent_before_provenance", "parent_before_nan",
+        "scores_before_refinement", "box_before_confidence"])
+def test_first_of_two_faults_is_reported(tmp_path, kind, faults, expected):
+    load, reference, make = LOADERS[kind]
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_text(json.dumps({**make(0), **faults}) + "\n", encoding="utf-8")
+    for read in (load, reference):
+        with pytest.raises(ValidationError) as err:
+            read(path)
+        assert str(err.value).startswith(f"{path}:1: {expected}")
+
+
+@pytest.mark.parametrize("kind", ["proposals", "scores"])
+def test_repeated_id_is_found_before_a_missing_field(tmp_path, kind):
+    load, reference, make = LOADERS[kind]
+    first, second = make(0), make(1)
+    second["proposal_id"] = first["proposal_id"]
+    del second["video_id" if kind == "proposals" else "refine_start"]
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n", encoding="utf-8")
+    expected = f"{path}:2: duplicate proposal_id 'v1_c0'"
+    for read in (load, reference):
+        with pytest.raises(ValidationError) as err:
+            read(path)
+        assert str(err.value) == expected

@@ -232,21 +232,28 @@ def _ward(feats: np.ndarray) -> np.ndarray:
 def cut_tree(merges: np.ndarray, k: int) -> list[list[int]]:
     """Partition the leaves of a `build_linkage` merge matrix into min(k, n) clusters.
 
-    Replays the merge sequence so the cut at k+1 always refines the cut at
-    k.  Clusters come back sorted by their smallest member index.
+    The clusters are those left after the first n - k merges, so the cut at
+    k+1 always refines the cut at k.  Each merge becomes the parent of its
+    two children, and every leaf finds its root by pointer jumping, which
+    halves the remaining depth per step.  Clusters come back sorted by their
+    smallest member index, members ascending.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
     n = len(merges) + 1
-    k_eff = min(k, n)
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    for i in range(n - k_eff):
-        a = int(merges[i, 0])
-        b = int(merges[i, 1])
-        members[n + i] = members.pop(a) + members.pop(b)
-    clusters = [sorted(m) for m in members.values()]
-    clusters.sort(key=lambda c: c[0])
-    return clusters
+    cuts = n - min(k, n)
+    root = np.arange(n + cuts)
+    children = np.asarray(merges)[:cuts, :2].astype(np.int64)
+    root[children[:, 0]] = root[children[:, 1]] = np.arange(n, n + cuts)
+    while True:
+        jumped = root[root]
+        if np.array_equal(jumped, root):
+            break
+        root = jumped
+    leaves = np.argsort(root[:n], kind="stable")  # grouped by root, ascending within a group
+    groups = np.split(leaves, np.flatnonzero(np.diff(root[leaves])) + 1)
+    groups.sort(key=lambda g: g[0])
+    return [g.tolist() for g in groups]
 
 
 def num_clusters(num_frames: int, params: ClusterParams) -> int:

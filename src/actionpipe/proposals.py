@@ -11,10 +11,10 @@ from .ingest import (
     ValidationError,
     _get_str,
     _read_records,
-    cuboid_record,
     field_reader,
+    line_encoder,
     read_cuboid,
-    write_records,
+    write_lines,
 )
 
 PROVENANCE_CLUSTERING = "clustering"
@@ -43,22 +43,17 @@ class Proposal(namedtuple("Proposal", "proposal_id video_id cuboid provenance pa
         return cls(*iterable)
 
 
+# A proposal record's fields with their readers; `parent_id`, null or a string, is read on its own.
+PROPOSAL_FIELDS = {"proposal_id": _get_str, "video_id": _get_str, "provenance": _get_str, **CUBOID_FIELDS}
+_read_proposal_fields = field_reader(PROPOSAL_FIELDS)
+_proposal_line = line_encoder({**PROPOSAL_FIELDS, "parent_id": _get_str}, nullable=("parent_id",))
+
+
 def write_proposals(path, proposals: Iterable[Proposal]) -> None:
-    write_records(path, (
-        {
-            "proposal_id": prop.proposal_id,
-            "video_id": prop.video_id,
-            "parent_id": prop.parent_id,
-            "provenance": prop.provenance,
-            **cuboid_record(prop.cuboid),
-        }
+    write_lines(path, (
+        _proposal_line(prop.proposal_id, prop.video_id, prop.provenance, *prop.cuboid, prop.parent_id)
         for prop in proposals
     ))
-
-
-_read_proposal_fields = field_reader({
-    "proposal_id": _get_str, "video_id": _get_str, "provenance": _get_str, **CUBOID_FIELDS,
-})
 
 
 def load_proposals(path) -> list[Proposal]:

@@ -4,7 +4,7 @@ Everything here is deliberately naive: voxel counting for 3-D IoU, a
 re-simulated greedy pass for NMS, exhaustive assignment search and SciPy's
 `linear_sum_assignment` for the matcher, one assignment solve per threshold
 for DET curves, pair-by-pair scalar IoUs for designation, a merge-by-merge
-replay over explicit member lists for Ward trees, one object per
+replay over explicit member lists for Ward trees and their cuts, one object per
 detection record for the detection loader, the standard library's
 `json` alone for the record reader, the record types as the frozen
 dataclasses they were before they became validated tuples, and the
@@ -231,6 +231,22 @@ def random_match_instance(rng: np.random.Generator, max_side: int = 6):
     return dets, gts
 
 
+def reference_cut_tree(merges, k: int) -> list[list[int]]:
+    """`clustering.cut_tree` by replaying the first n - k merges over explicit member lists."""
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    n = len(merges) + 1
+    k_eff = min(k, n)
+    members: dict[int, list[int]] = {i: [i] for i in range(n)}
+    for i in range(n - k_eff):
+        a = int(merges[i, 0])
+        b = int(merges[i, 1])
+        members[n + i] = members.pop(a) + members.pop(b)
+    clusters = [sorted(m) for m in members.values()]
+    clusters.sort(key=lambda c: c[0])
+    return clusters
+
+
 def is_ward_hierarchy(points, merges, rtol: float = 1e-9) -> bool:
     """True when `merges` (SciPy linkage layout) is a Ward tree of `points`.
 
@@ -430,6 +446,23 @@ class ReferenceScoreRecord:
         return self.class_scores.index(max(self.class_scores))
 
 
+@dataclass(frozen=True)
+class ReferenceScoredDetection:
+    """`nms.ScoredDetection` as a frozen dataclass."""
+
+    video_id: str
+    proposal_id: str
+    action_class: int  # 1-based action index; non-action proposals never reach here
+    confidence: float
+    cuboid: Cuboid
+
+    def __post_init__(self):
+        if self.action_class < 1:
+            raise ValidationError("action_class must be >= 1")
+        if not 0.0 <= self.confidence <= 1.0:
+            raise ValidationError(f"confidence {self.confidence} outside [0, 1]")
+
+
 def reference_read_cuboid(obj: dict) -> ReferenceCuboid:
     """The cuboid fields of one record, read field by field."""
     return ReferenceCuboid(
@@ -486,14 +519,14 @@ def reference_load_scores(path, num_classes: int = 12) -> dict[str, ReferenceSco
     return dict(sorted(records.items()))
 
 
-def reference_load_final_detections(path, action_classes) -> list[ScoredDetection]:
+def reference_load_final_detections(path, action_classes) -> list[ReferenceScoredDetection]:
     """`nms.load_final_detections`, every field read by its getter (cuboids are `ReferenceCuboid`)."""
 
-    def parse(obj: dict) -> ScoredDetection:
+    def parse(obj: dict) -> ReferenceScoredDetection:
         label = _get_str(obj, "action_class")
         confidence = _get_number(obj, "confidence")
         cuboid = reference_read_cuboid(obj)
-        return ScoredDetection(
+        return ReferenceScoredDetection(
             video_id=_get_str(obj, "video_id"),
             proposal_id=_get_str(obj, "proposal_id"),
             action_class=class_index(label, action_classes),

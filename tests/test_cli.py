@@ -9,12 +9,15 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from actionpipe import cli
+from actionpipe import cli, ingest
 from actionpipe.cli import _override, build_parser, main
 from actionpipe.config import PipelineConfig, config_from_dict, config_to_dict, load_config, save_config
+from actionpipe.geometry import Cuboid
 from actionpipe.ingest import ValidationError, load_scores, write_scores
+from actionpipe.nms import FINAL_DETECTION_FIELDS, ScoredDetection, write_final_detections
 from actionpipe.refine import LossParams
 from oracles import run_python
 
@@ -102,6 +105,28 @@ class TestEndToEnd:
             for path in sorted(tmp_path.rglob("*")) if path.is_file()
         }
         assert digests == GOLDEN_DIGESTS
+
+    def test_noisy_pipeline_writes_no_line_through_the_encoder(self, tmp_path, monkeypatch):
+        # A value of a drifted type (say, a numpy confidence) is still written
+        # right, by the encoder, so only this test would see the template lost.
+        assert main(["synth", "--output", str(tmp_path), "--scenario", "noisy", "--seed", "0", "--videos", "2"]) == 0
+        encoded = []
+        iterencode = json.JSONEncoder.iterencode
+
+        def spy(encoder, o, _one_shot=False):
+            if encoder is ingest._encode.__self__:  # the encoder `write_records` and the fallbacks use
+                encoded.append(o)
+            return iterencode(encoder, o, _one_shot)
+
+        monkeypatch.setattr(json.JSONEncoder, "iterencode", spy)
+        config = str(tmp_path / "config.json")
+        for argv in (["propose"], ["label"], ["finalize"], ["finalize", "--multi-label", "--min-class-score", "0.005"]):
+            assert main([*argv, "--config", config]) == 0
+        assert '"designation": "positive"' in (tmp_path / "out" / "labels.jsonl").read_text(encoding="utf-8")
+        assert encoded == []
+        det = ScoredDetection("v", "p", 1, np.float64(0.5), Cuboid(0, 0, 5, 5, 0, 9))
+        write_final_detections(tmp_path / "drifted.jsonl", [det], ("loading",))
+        assert encoded == [dict(zip(FINAL_DETECTION_FIELDS, ("loading", det.confidence, "v", "p", *det.cuboid)))]
 
     def test_parallel_propose_matches_serial(self, fixture_dir, tmp_path):
         cfg_path = fixture_dir / "config.json"

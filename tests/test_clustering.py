@@ -21,7 +21,7 @@ from actionpipe.config import load_config
 from actionpipe.geometry import Cuboid
 from actionpipe.ingest import ValidationError, VideoMeta, load_detections, load_video_meta
 from actionpipe.synth import generate_fixture
-from oracles import is_ward_hierarchy, reference_envelope, run_python
+from oracles import is_ward_hierarchy, reference_cut_tree, reference_envelope, run_python
 
 META = VideoMeta("v1", 1000, 30.0, 640, 480)
 
@@ -299,6 +299,30 @@ class TestCutTree:
             fine = cut_tree(merges, k + 1)
             for part in fine:
                 assert any(frozenset(part) <= c for c in coarse)
+
+
+def chain_track(n):
+    """A noise-free accelerating track: each Ward round finds few reciprocal pairs, so the tree is deep."""
+    return np.column_stack([np.full(n, 320.0), np.full(n, 240.0), np.cumsum(np.arange(n, dtype=np.float64))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["uniform", "duplicates", "chain"]),
+    st.integers(1, 120),
+    st.integers(0, 2**32 - 1),
+)
+def test_cut_tree_equals_merge_replay(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        points = rng.uniform(0.0, 100.0, (n, 3))
+    elif kind == "duplicates":
+        points = rng.integers(0, 3, (n, 3)).astype(np.float64)
+    else:
+        points = chain_track(n)
+    merges = build_linkage(points, ClusterParams())
+    for k in range(1, n + 3):
+        assert cut_tree(merges, k) == reference_cut_tree(merges, k)
 
 
 class TestClustersToProposals:

@@ -1,7 +1,7 @@
 """The per-proposal record types and loaders against what they replaced.
 
-`Cuboid`, `Proposal`, `LabeledProposal` and `ScoreRecord` are validated
-named tuples, and the loaders read a record's fields in one call
+`Cuboid`, `Proposal`, `LabeledProposal`, `ScoreRecord` and
+`ScoredDetection` are validated named tuples, and the loaders read a record's fields in one call
 (`ingest.field_reader`), parsing field by field only a record that call
 does not accept.  `tests/oracles.py` keeps the frozen dataclasses and the
 field-by-field loaders they replaced; for any arguments, and for any record
@@ -35,12 +35,13 @@ from actionpipe.ingest import (
     load_scores,
 )
 from actionpipe.labeling import DESIGNATIONS, LabeledProposal
-from actionpipe.nms import load_final_detections
+from actionpipe.nms import ScoredDetection, load_final_detections
 from actionpipe.proposals import PROVENANCES, Proposal, load_proposals
 from oracles import (
     ReferenceCuboid,
     ReferenceLabeledProposal,
     ReferenceProposal,
+    ReferenceScoredDetection,
     ReferenceScoreRecord,
     reference_load_detections,
     reference_load_final_detections,
@@ -156,6 +157,21 @@ def test_score_record_equals_dataclass(args):
     assert_same_outcome(ScoreRecord, ReferenceScoreRecord, **dict(zip(ScoreRecord._fields, args)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(ARGS, min_size=2, max_size=2),
+    st.sampled_from([1, 12]) | ARGS,
+    st.sampled_from([0.0, 0.5, 1.0]) | ARGS,
+    st.booleans(),
+)
+def test_scored_detection_equals_dataclass(ids, action_class, confidence, by_keyword):
+    args = [*ids, action_class, confidence, Cuboid(0, 0, 5, 5, 0, 9)]
+    if by_keyword:
+        assert_same_outcome(ScoredDetection, ReferenceScoredDetection, **dict(zip(ScoredDetection._fields, args)))
+    else:
+        assert_same_outcome(ScoredDetection, ReferenceScoredDetection, *args)
+
+
 def test_replace_and_pickle_go_through_the_checks():
     c = Cuboid(0, 0, 5, 5, 0, 9)
     assert c._replace(f_end=12) == Cuboid(0, 0, 5, 5, 0, 12)
@@ -163,6 +179,8 @@ def test_replace_and_pickle_go_through_the_checks():
         c._replace(f_start=10)
     with pytest.raises(ValidationError, match="unknown provenance 'x'"):
         Proposal("p", "v", c, "clustering")._replace(provenance="x")
+    with pytest.raises(ValidationError, match=r"confidence 1.5 outside \[0, 1\]"):
+        ScoredDetection("v", "p", 1, 0.5, c)._replace(confidence=1.5)
     # `propose --jobs N` sends proposals back from its workers by pickle
     p = Proposal("p", "v", c, "jittering", "q")
     back = pickle.loads(pickle.dumps(p))

@@ -1,12 +1,15 @@
-"""The record codec: one located reader for every input file, one cuboid field dict, one writer."""
+"""The record codec: one located reader for every input file, one cuboid field table, one writer per output."""
 
 import json
+import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from actionpipe import labeling, nms, proposals
 from actionpipe.cli import cmd_loss_oracle
 from actionpipe.geometry import Cuboid
 from actionpipe.ingest import (
@@ -15,6 +18,9 @@ from actionpipe.ingest import (
     GroundTruthAction,
     ValidationError,
     VideoMeta,
+    _get_int,
+    _get_number,
+    _get_str,
     _read_records,
     load_detections,
     load_ground_truth,
@@ -23,8 +29,9 @@ from actionpipe.ingest import (
     write_ground_truth,
     write_records,
 )
-from actionpipe.nms import ScoredDetection, load_final_detections, write_final_detections
-from actionpipe.proposals import PROVENANCES, Proposal, load_proposals, write_proposals
+from actionpipe.labeling import LABEL_FIELDS
+from actionpipe.nms import FINAL_DETECTION_FIELDS, ScoredDetection, load_final_detections, write_final_detections
+from actionpipe.proposals import PROPOSAL_FIELDS, PROVENANCES, Proposal, load_proposals, write_proposals
 from oracles import reference_read_records, run_python
 
 CUBOID = {"x_min": 0.0, "y_min": 0.0, "x_max": 50.0, "y_max": 40.0, "f_start": 10, "f_end": 40}
@@ -293,6 +300,54 @@ def test_write_records_equals_json_dumps(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("written") / "records.jsonl"
     write_records(path, records)
     assert path.read_bytes() == b"".join(json.dumps(r, sort_keys=True).encode("ascii") + b"\n" for r in records)
+
+
+# The line functions of the three per-proposal outputs write a record through a
+# template only when every value has its exact type; any value may reach them.
+
+# (line function, its field table in argument order, fields that may be None)
+LINE_FUNCTIONS = {
+    "proposals": (proposals._proposal_line, {**PROPOSAL_FIELDS, "parent_id": _get_str}, {"parent_id"}),
+    "labels": (labeling._label_line, LABEL_FIELDS, {"action_class", "target_start", "target_end"}),
+    "final_detections": (nms._final_line, FINAL_DETECTION_FIELDS, set()),
+}
+TEXT_VALUES = ANY_TEXT | st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\x7f", "é✓", "\ud800", "\udfff x", ""])
+EXACT_VALUES = {
+    _get_str: TEXT_VALUES,
+    _get_int: st.integers() | st.sampled_from([0, -1, 2**53 + 1, 2**63, -(2**63) - 1, 2**64]),
+    _get_number: st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 1e16, 1e-5, 5e-324]),
+}
+# What the template must leave to the encoder: non-finite floats, bools, numpy scalars, subclasses.
+OTHER_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False]),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    TEXT_VALUES.map(type("Text", (str,), {})),
+    st.integers().map(type("Integer", (int,), {})),
+    st.floats(allow_nan=False).map(type("Real", (float,), {})),
+    *EXACT_VALUES.values(),
+)
+
+
+@pytest.mark.parametrize("kind", sorted(LINE_FUNCTIONS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_line_function_equals_json_dumps(kind, data):
+    line, fields, nullable = LINE_FUNCTIONS[kind]
+    other = data.draw(st.sets(st.sampled_from(sorted(fields)), max_size=2))  # most records take the template
+    values = [
+        data.draw(OTHER_VALUES if name in other else EXACT_VALUES[read] | st.none() if name in nullable
+                  else EXACT_VALUES[read])
+        for name, read in fields.items()
+    ]
+    record = dict(zip(fields, values))
+    try:
+        want = json.dumps(record, sort_keys=True)
+    except TypeError as exc:  # a numpy integer is no JSON value
+        with pytest.raises(TypeError, match=str(exc)):
+            line(*values)
+    else:
+        assert line(*values) == want
 
 
 # Byte round trips: write -> load -> write gives the same file.

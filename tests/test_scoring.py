@@ -1,4 +1,3 @@
-import dataclasses
 import logging
 import time
 
@@ -225,7 +224,7 @@ class TestDetCurve:
             dets, gts = random_match_instance(rng, max_side=10)
             if not gts:
                 continue
-            dets = [dataclasses.replace(d, confidence=float(rng.choice([0.3, 0.5, 0.7, 0.9]))) for d in dets]
+            dets = [d._replace(confidence=float(rng.choice([0.3, 0.5, 0.7, 0.9]))) for d in dets]
             assert det_curve(dets, gts, 3.0, params) == reference_det_curve(dets, gts, 3.0, params)
 
     def test_later_detection_reroutes_earlier_match(self):

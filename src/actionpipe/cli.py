@@ -13,13 +13,20 @@ import dataclasses
 import gc
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
-from . import labeling
-from .clustering import propose_video
-from .config import PipelineConfig, load_config
-from .ingest import (
+# No stage calls BLAS, yet NumPy and SciPy each bundle an OpenBLAS build that
+# starts a pool of worker threads as it loads; one thread starts none.  Set
+# before the first import below that loads NumPy.  A value the user set stays,
+# and `propose --jobs` workers inherit the setting with the environment.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import labeling  # noqa: E402
+from .clustering import propose_video  # noqa: E402
+from .config import PipelineConfig, load_config  # noqa: E402
+from .ingest import (  # noqa: E402
     ScoreRecord,
     ValidationError,
     _get,
@@ -34,12 +41,12 @@ from .ingest import (
     write_lines,
     write_records,
 )
-from .jitter import jitter_proposals
-from .nms import ScoredDetection, load_final_detections, nms_3d, write_final_detections
-from .proposals import PROVENANCE_CLUSTERING, Proposal, load_proposals, write_proposals
-from .refine import LossParams, apply_refinement, cross_entropy, full_loss, localization_loss
-from .scoring import aggregate_det_curve, mean_pmiss_at, per_class_det_curves
-from .synth import SCENARIOS, generate_fixture
+from .jitter import jitter_proposals  # noqa: E402
+from .nms import ScoredDetection, load_final_detections, nms_3d, write_final_detections  # noqa: E402
+from .proposals import PROVENANCE_CLUSTERING, Proposal, load_proposals, write_proposals  # noqa: E402
+from .refine import LossParams, apply_refinement, cross_entropy, full_loss, localization_loss  # noqa: E402
+from .scoring import aggregate_det_curve, mean_pmiss_at, per_class_det_curves  # noqa: E402
+from .synth import SCENARIOS, generate_fixture  # noqa: E402
 
 
 def _propose_one(args) -> list[Proposal]:
@@ -105,6 +112,8 @@ def _to_detection(prop: Proposal, record: ScoreRecord, cls: int) -> ScoredDetect
 def cmd_finalize(cfg: PipelineConfig, multi_label: bool = False, min_class_score: float = 0.05) -> None:
     if cfg.scores is None:
         raise ValidationError("config has no scores path; finalize needs classifier scores")
+    if not 0.0 <= min_class_score <= 1.0:
+        raise ValidationError(f"min_class_score must be in [0, 1], got {min_class_score}")
     scores = load_scores(ensure_path(cfg.scores), num_classes=len(cfg.action_classes))
     proposals = load_proposals(ensure_path(cfg.output_dir / "proposals.jsonl"))
     by_video: dict[str, list[ScoredDetection]] = {}

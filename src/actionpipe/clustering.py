@@ -57,10 +57,10 @@ class ClusterParams:
     def __post_init__(self):
         if self.linkage not in LINKAGE_METHODS:
             raise ValidationError(f"linkage must be one of {LINKAGE_METHODS}, got {self.linkage!r}")
-        if not self.temporal_scale > 0:
-            raise ValidationError("temporal_scale must be positive")
-        if not self.clusters_per_frame > 0:
-            raise ValidationError("clusters_per_frame must be positive")
+        if not 0 < self.temporal_scale < math.inf:
+            raise ValidationError(f"temporal_scale must be positive and finite, got {self.temporal_scale}")
+        if not 0 < self.clusters_per_frame < math.inf:
+            raise ValidationError(f"clusters_per_frame must be positive and finite, got {self.clusters_per_frame}")
         if self.min_cluster_size < 1:
             raise ValidationError("min_cluster_size must be >= 1")
 
@@ -85,6 +85,13 @@ def build_linkage(points: np.ndarray, params: ClusterParams) -> np.ndarray:
         return np.empty((0, 4))
     feats = np.array(points, dtype=np.float64)
     feats[:, 2] *= params.temporal_scale
+    # A squared Ward distance is at most n/2 * (sum of squared axis spans), a
+    # weighted centroid sum at most n * max|x|, and an axis span at most twice
+    # its largest |x|: where this bound is finite, neither overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = 2.0 * len(feats) * np.sum(np.abs(feats).max(axis=0) ** 2)
+    if not np.isfinite(bound):
+        raise ValidationError("detection features too large for Ward linkage: its distances would overflow a float")
     return _ward(feats)
 
 

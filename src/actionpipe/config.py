@@ -50,8 +50,8 @@ class PipelineConfig:
             raise ValidationError("min_confidence must be in [0, 1]")
         if self.recall_iou_mode not in IOU_MODES:
             raise ValidationError(f"recall_iou_mode must be one of {IOU_MODES}")
-        if any(r < 0 for r in self.rate_grid):
-            raise ValidationError("rate_grid entries must be >= 0")
+        if not all(_is_finite(r) and r >= 0 for r in self.rate_grid):
+            raise ValidationError(f"rate_grid entries must be finite and >= 0, got {list(self.rate_grid)}")
 
 
 # keys that name files; a relative path resolves against the config's directory

@@ -74,14 +74,6 @@ class Cuboid(namedtuple("Cuboid", "x_min y_min x_max y_max f_start f_end")):
         return self.area * self.num_frames
 
     @property
-    def center_x(self) -> float:
-        return (self.x_min + self.x_max) / 2.0
-
-    @property
-    def center_y(self) -> float:
-        return (self.y_min + self.y_max) / 2.0
-
-    @property
     def mid_frame(self) -> float:
         return (self.f_start + self.f_end) / 2.0
 

@@ -24,8 +24,8 @@ class LossParams:
     num_classes: int = 12  # read by nothing; kept because every saved config carries it
 
     def __post_init__(self):
-        if self.loc_weight < 0:
-            raise ValidationError("loc_weight must be non-negative")
+        if not 0 <= self.loc_weight < math.inf:
+            raise ValidationError(f"loc_weight must be non-negative and finite, got {self.loc_weight}")
         if self.num_classes < 1:
             raise ValidationError("num_classes must be >= 1")
 

@@ -537,9 +537,19 @@ def reference_load_final_detections(path, action_classes) -> list[ReferenceScore
     return list(_read_records(path, parse))
 
 
-def run_python(code: str, *args: str) -> str:
-    """Run `code` in a fresh interpreter that imports this checkout's package; return its stdout."""
-    env = dict(os.environ, PYTHONPATH=str(Path(actionpipe.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", code, *args], env=env, timeout=120, capture_output=True, text=True)
+def run_python(code: str, *args: str, env: dict[str, str | None] | None = None) -> str:
+    """Run `code` in a fresh interpreter that imports this checkout's package; return its stdout.
+
+    `env` sets variables in the child's copy of this environment; a None
+    value removes the variable.
+    """
+    child_env = dict(os.environ, PYTHONPATH=str(Path(actionpipe.__file__).parents[1]))
+    for name, value in (env or {}).items():
+        if value is None:
+            child_env.pop(name, None)
+        else:
+            child_env[name] = value
+    done = subprocess.run([sys.executable, "-c", code, *args], env=child_env, timeout=120, capture_output=True,
+                          text=True)
     assert done.returncode == 0, done.stderr
     return done.stdout

@@ -356,6 +356,34 @@ class TestExitCodes:
         assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
 
 
+class TestNonFiniteOverrides:
+    """Argparse reads `inf` and `nan` as floats; the validators refuse them, as a config file cannot hold them."""
+
+    @pytest.mark.parametrize("stage,flags,output", [
+        ("propose", ["--clusters-per-frame", "inf"], "proposals.jsonl"),
+        ("propose", ["--temporal-scale", "inf"], "proposals.jsonl"),
+        ("propose", ["--temporal-scale", "1e160"], "proposals.jsonl"),  # finite, but Ward distances overflow
+        ("finalize", ["--min-class-score", "nan"], "detections_final.jsonl"),
+        ("score", ["--rates", "nan", "0.1", "inf"], "report.json"),
+    ], ids=["clusters_per_frame_inf", "temporal_scale_inf", "temporal_scale_1e160", "min_class_score_nan",
+            "rates_nan_inf"])
+    def test_exits_1_and_writes_nothing(self, fixture_dir, tmp_path, capsys, stage, flags, output):
+        config = ["--config", str(fixture_dir / "config.json"), "--output", str(tmp_path)]
+        stages = ("propose", "label", "finalize", "score")
+        for before in stages[:stages.index(stage)]:
+            assert main([before, *config]) == 0
+        capsys.readouterr()
+        assert main([stage, *config, *flags]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / output).exists()
+
+    def test_loss_oracle_refuses_a_non_finite_weight(self, tmp_path, capsys):
+        queries = tmp_path / "q.jsonl"
+        queries.write_text(json.dumps({"class_scores": [0.5, 0.5], "true_class": 0}) + "\n", encoding="utf-8")
+        assert main(["loss-oracle", "--input", str(queries), "--loc-weight", "nan"]) == 1
+        assert capsys.readouterr().err.startswith("error: loc_weight")
+
+
 class TestEdgeInputs:
     def test_empty_detections_succeed(self, fixture_dir, tmp_path):
         cfg = json.loads((fixture_dir / "config.json").read_text())

@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 
@@ -50,6 +51,11 @@ class TestParams:
             ClusterParams(clusters_per_frame=-1.0)
         with pytest.raises(ValidationError):
             ClusterParams(min_cluster_size=0)
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValidationError, match="finite"):
+                ClusterParams(temporal_scale=value)
+            with pytest.raises(ValidationError, match="finite"):
+                ClusterParams(clusters_per_frame=value)
 
 
 class TestBuildLinkage:
@@ -242,6 +248,17 @@ class TestWardGuards:
         merges = build_linkage(points, ClusterParams())
         assert time.monotonic() - start < 3.0
         assert merges[-1, 3] == 10000
+
+    def test_features_whose_distances_overflow_are_refused(self):
+        points = np.random.default_rng(11).uniform(size=(300, 3))
+        merges = build_linkage(points * 1e150, ClusterParams())
+        assert merges.shape == (299, 4) and np.isfinite(merges).all()
+        with pytest.raises(ValidationError, match="overflow"):
+            build_linkage(points * 1e160, ClusterParams())
+        # a small spread far from the origin: the weighted centroid sums overflow
+        offset = np.column_stack([np.full(1000, 1e306), np.zeros(1000), np.arange(1000.0)])
+        with pytest.raises(ValidationError, match="overflow"):
+            build_linkage(offset, ClusterParams())
 
     def test_five_minute_video_memory_stays_linear(self):
         # ~90k detections: SciPy's condensed distance matrix alone would take ~32 GB

@@ -44,7 +44,7 @@ class TestCuboid:
         c = Cuboid(1, 2, 5, 8, 3, 7)
         assert c.width == 4 and c.height == 6 and c.area == 24
         assert c.num_frames == 5 and c.volume == 120
-        assert c.center_x == 3 and c.center_y == 5 and c.mid_frame == 5.0
+        assert c.mid_frame == 5.0
 
 
 class TestSpatialIou:

@@ -2,20 +2,21 @@
 
 All inputs and outputs are JSON Lines: one object per line, UTF-8, numbers
 as decimal text.  Loading is order-independent (collections come back
-canonically sorted) and every record is validated by one `parse` function
-per file, which `_read_records` runs and whose errors it locates as
-`path:line:`.  Field names are fixed and documented in the README.  Each
-record type states its fields once, as a `{name: _get_*}` table; the six
-cuboid fields are one such table (`CUBOID_FIELDS`), which every record type
-with a cuboid includes.
+canonically sorted).  Field names are fixed and documented in the README.
+Each record type states its fields once, as a `{name: _get_*}` table; the
+six cuboid fields are one such table (`CUBOID_FIELDS`), which every record
+type with a cuboid includes.
 
-The loaders of the per-detection and per-proposal files first read all of
-a record's fields in one call (`field_reader`); only a record that call
-does not accept goes through the field-by-field parse, which alone words
-errors.  Every output file goes through `write_lines`.  Proposals, training
-labels and final detections are encoded from their table by one generated
-line function each (`line_encoder`): a `%` template behind an exact-type
-guard, with the JSON encoder as fallback, the same bytes either way.
+Every loader has one `parse` function, which `_read_records` runs and
+whose errors it locates as `path:line:`.  It reads all of a record's
+table fields in one call (`field_reader`), which returns their values in
+table order or raises the error of the first field its reader rejects, and
+then applies the loader's own rules.  So of several faults in one record,
+a field's comes first, then the rules' in the loader's order.  Every output
+file goes through `write_lines`.  Proposals, training labels and final
+detections are encoded from their table by one generated line function
+each (`line_encoder`): a `%` template behind an exact-type guard, with the
+JSON encoder as fallback, the same bytes either way.
 """
 
 from __future__ import annotations
@@ -202,59 +203,49 @@ def _tuple_getter(keys: list) -> Callable:
     return lambda values: tuple(values[key] for key in keys)
 
 
-def field_reader(fields: dict[str, Callable]) -> Callable[[dict], tuple | None]:
+def field_reader(fields: dict[str, Callable]) -> Callable[[dict], tuple]:
     """A function reading every field of a `{name: _get_*}` table from a record in one call.
 
-    It returns the values in table order, each what its reader would
-    return, but only when every value has exactly its reader's type (`str`,
-    `int` or `float`: a bool never passes, nor an int where a float goes),
-    no string is empty, every int is at most 2**53 in magnitude and the
-    floats sum to a finite value.  Otherwise, a field missing included, it
-    returns None and the caller runs its field-by-field parse, which
-    converts such a value or words the error.
+    It returns the values in table order, each what its reader returns, or
+    raises the `ValidationError` of the first field, in table order, that
+    its reader rejects.  A record whose values all have exactly their
+    reader's type (`str`, `int` or `float`: a bool never passes, nor an int
+    where a float goes), with no empty string, every int at most 2**53 in
+    magnitude and the floats summing to a finite value, is returned as the
+    tuple of its values; any other goes through the readers one by one,
+    which convert such a value or word the error.
     """
     read_all = _tuple_getter(list(fields))
     types = tuple(_READ_TYPES[read] for read in fields.values())
     read_floats = _tuple_getter([i for i, t in enumerate(types) if t is float])
     ints = [i for i, t in enumerate(types) if t is int]
+    readers = tuple(fields.items())
 
-    def read(obj: dict) -> tuple | None:
+    def read_each(obj: dict) -> tuple:
+        return tuple(get(obj, name) for name, get in readers)
+
+    def read(obj: dict) -> tuple:
         try:
             values = read_all(obj)
         except KeyError:
-            return None
+            return read_each(obj)
         # with the types exact, only a string can equal ""
         if tuple(map(type, values)) != types or "" in values or not math.isfinite(sum(read_floats(values))):
-            return None
+            return read_each(obj)
         for i in ints:
             if not -MAX_INT <= values[i] <= MAX_INT:
-                return None
+                return read_each(obj)
         return values
 
     return read
 
 
-# The cuboid fields of a record with their readers, in `Cuboid` field order.
+# The cuboid fields of a record with their readers, in `Cuboid` field order:
+# four finite pixel bounds, two inclusive frame indices.
 CUBOID_FIELDS = {
     "x_min": _get_number, "y_min": _get_number, "x_max": _get_number, "y_max": _get_number,
     "f_start": _get_int, "f_end": _get_int,
 }
-_read_cuboid_fields = field_reader(CUBOID_FIELDS)
-
-
-def read_cuboid(obj: dict) -> Cuboid:
-    """The cuboid fields of one record: four finite pixel bounds, two inclusive frame indices."""
-    values = _read_cuboid_fields(obj)
-    if values is not None:
-        return Cuboid(*values)
-    return Cuboid(
-        _get_number(obj, "x_min"),
-        _get_number(obj, "y_min"),
-        _get_number(obj, "x_max"),
-        _get_number(obj, "y_max"),
-        _get_int(obj, "f_start"),
-        _get_int(obj, "f_end"),
-    )
 
 
 # A detection record's fields with their readers.  A record is the tuple of
@@ -267,6 +258,17 @@ DETECTION_FIELDS = {
 _read_detection_fields = field_reader(DETECTION_FIELDS)
 _DETECTION_ROW = operator.itemgetter(1, 3, 4, 5, 6)  # frame, x_min, y_min, x_max, y_max
 
+# The other input record types' fields with their readers, in `VideoMeta`
+# and `GroundTruthAction` field order; a score record's `class_scores`, a
+# list, is read on its own.
+_read_video_fields = field_reader({
+    "video_id": _get_str, "num_frames": _get_int, "frame_rate": _get_number, "width": _get_number,
+    "height": _get_number,
+})
+GROUND_TRUTH_FIELDS = {"video_id": _get_str, "action_class": _get_str, **CUBOID_FIELDS}
+_read_ground_truth_fields = field_reader(GROUND_TRUTH_FIELDS)
+_read_score_fields = field_reader({"proposal_id": _get_str, "refine_start": _get_number, "refine_end": _get_number})
+
 
 def _ground_truth_key(g: GroundTruthAction) -> tuple:
     return (g.video_id, g.cuboid.f_start, g.cuboid.f_end, g.action_class, g.cuboid.x_min, g.cuboid.y_min)
@@ -277,13 +279,7 @@ def load_video_meta(path) -> dict[str, VideoMeta]:
     videos: dict[str, VideoMeta] = {}
 
     def parse(obj: dict) -> VideoMeta:
-        meta = VideoMeta(
-            video_id=_get_str(obj, "video_id"),
-            num_frames=_get_int(obj, "num_frames"),
-            frame_rate=_get_number(obj, "frame_rate"),
-            width=_get_number(obj, "width"),
-            height=_get_number(obj, "height"),
-        )
+        meta = VideoMeta(*_read_video_fields(obj))
         if meta.num_frames <= 0 or meta.frame_rate <= 0 or meta.width <= 0 or meta.height <= 0:
             raise ValidationError("video dimensions, frames and rate must be positive")
         if meta.video_id in videos:
@@ -304,16 +300,15 @@ def load_detections(
     """Load per-frame detections as one (n, 5) float64 array per video_id.
 
     Each row is `frame, x_min, y_min, x_max, y_max`.  Records failing
-    validation raise; records below `min_confidence` or with an object class
-    outside `object_classes` (None = keep all) are dropped after validation.
-    Rows keep the canonical order of their full records (`DETECTION_FIELDS`),
-    so the result does not depend on input line order.
+    validation raise, a box reaching outside its video's frame included;
+    records below `min_confidence` or with an object class outside
+    `object_classes` (None = keep all) are dropped after validation.  Rows
+    keep the canonical order of their full records (`DETECTION_FIELDS`), so
+    the result does not depend on input line order.
     """
 
     def parse(obj: dict) -> tuple:
         record = _read_detection_fields(obj)
-        if record is None:
-            record = tuple(get(obj, name) for name, get in DETECTION_FIELDS.items())
         video_id, frame, _, x_min, y_min, x_max, y_max, confidence = record
         if x_min >= x_max or y_min >= y_max:
             raise ValidationError("box must have positive width and height")
@@ -323,8 +318,11 @@ def load_detections(
             raise ValidationError(f"negative frame index {frame}")
         if video_id not in videos:
             raise ValidationError(f"unknown video_id {video_id!r}")
-        if frame >= videos[video_id].num_frames:
-            raise ValidationError(f"frame {frame} outside video {video_id!r} with {videos[video_id].num_frames} frames")
+        meta = videos[video_id]
+        if frame >= meta.num_frames:
+            raise ValidationError(f"frame {frame} outside video {video_id!r} with {meta.num_frames} frames")
+        if x_min < 0 or y_min < 0 or x_max > meta.width or y_max > meta.height:
+            raise ValidationError(f"box outside video bounds of {video_id!r}")
         return record
 
     keep = None if object_classes is None else frozenset(object_classes)
@@ -348,10 +346,9 @@ def load_ground_truth(
     allowed = tuple(action_classes)
 
     def parse(obj: dict) -> GroundTruthAction:
-        video_id = _get_str(obj, "video_id")
-        label = _get_str(obj, "action_class")
+        video_id, label, *box = _read_ground_truth_fields(obj)
         class_index(label, allowed)
-        cuboid = read_cuboid(obj)
+        cuboid = Cuboid(*box)
         if video_id not in videos:
             raise ValidationError(f"unknown video_id {video_id!r}")
         meta = videos[video_id]
@@ -369,9 +366,6 @@ def load_ground_truth(
     return dict(sorted(grouped.items()))
 
 
-_read_score_fields = field_reader({"proposal_id": _get_str, "refine_start": _get_number, "refine_end": _get_number})
-
-
 def load_scores(path, num_classes: int = 12) -> dict[str, ScoreRecord]:
     """Load classifier score records keyed by proposal_id.
 
@@ -381,22 +375,7 @@ def load_scores(path, num_classes: int = 12) -> dict[str, ScoreRecord]:
     records: dict[str, ScoreRecord] = {}
     float_types = (float,) * (num_classes + 1)
 
-    def parse(obj: dict) -> ScoreRecord:
-        fields = _read_score_fields(obj)
-        raw = obj.get("class_scores")
-        # a repeated id, or scores other than floats, go to `parse_checked`, which converts or words them
-        if fields is None or fields[0] in records or type(raw) is not list or tuple(map(type, raw)) != float_types:
-            return parse_checked(obj)
-        # a NaN score makes the sum NaN and fails the first test; min and max may step past it
-        if not (abs(sum(raw) - 1.0) <= PROB_SUM_TOL and min(raw) >= 0.0 and max(raw) <= 1.0):
-            return parse_checked(obj)
-        pid, refine_start, refine_end = fields
-        return ScoreRecord(pid, tuple(raw), (refine_start, refine_end))
-
-    def parse_checked(obj: dict) -> ScoreRecord:
-        pid = _get_str(obj, "proposal_id")
-        if pid in records:
-            raise ValidationError(f"duplicate proposal_id {pid!r}")
+    def checked_scores(obj: dict) -> list[float]:
         raw = _get(obj, "class_scores")
         if not isinstance(raw, list) or len(raw) != num_classes + 1:
             raise ValidationError(f"class_scores must hold {num_classes + 1} values")
@@ -407,8 +386,19 @@ def load_scores(path, num_classes: int = 12) -> dict[str, ScoreRecord]:
             scores.append(float(value))
         if abs(sum(scores) - 1.0) > PROB_SUM_TOL:
             raise ValidationError(f"class_scores sum to {sum(scores)}, expected 1")
-        refinement = (_get_number(obj, "refine_start"), _get_number(obj, "refine_end"))
-        return ScoreRecord(pid, tuple(scores), refinement)
+        return scores
+
+    def parse(obj: dict) -> ScoreRecord:
+        pid, refine_start, refine_end = _read_score_fields(obj)
+        if pid in records:
+            raise ValidationError(f"duplicate proposal_id {pid!r}")
+        scores = obj.get("class_scores")
+        # scores other than floats go to `checked_scores`, which converts or words them; a NaN
+        # score makes the sum NaN and fails the first test, where min and max may step past it
+        if not (type(scores) is list and tuple(map(type, scores)) == float_types
+                and abs(sum(scores) - 1.0) <= PROB_SUM_TOL and min(scores) >= 0.0 and max(scores) <= 1.0):
+            scores = checked_scores(obj)
+        return ScoreRecord(pid, tuple(scores), (refine_start, refine_end))
 
     for rec in _read_records(path, parse):
         records[rec.proposal_id] = rec
@@ -502,7 +492,7 @@ def write_detections(path, detections: Iterable[tuple]) -> None:
 
 def write_ground_truth(path, actions: Iterable[GroundTruthAction]) -> None:
     write_records(path, (
-        {"video_id": gt.video_id, "action_class": gt.action_class, **dict(zip(CUBOID_FIELDS, gt.cuboid))}
+        dict(zip(GROUND_TRUTH_FIELDS, (gt.video_id, gt.action_class, *gt.cuboid)))
         for gt in sorted(actions, key=_ground_truth_key)
     ))
 

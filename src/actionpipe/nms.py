@@ -18,7 +18,6 @@ from .ingest import (
     class_index,
     field_reader,
     line_encoder,
-    read_cuboid,
     write_lines,
 )
 
@@ -111,23 +110,8 @@ def write_final_detections(path, dets: Iterable[ScoredDetection], action_classes
 
 def load_final_detections(path, action_classes: Sequence[str]) -> list[ScoredDetection]:
     def parse(obj: dict) -> ScoredDetection:
-        fields = _read_final_fields(obj)
-        if fields is None:
-            return parse_checked(obj)
-        label, confidence, video_id, proposal_id, *box = fields
-        cuboid = Cuboid(*box)  # before the label, as in `parse_checked`
+        label, confidence, video_id, proposal_id, *box = _read_final_fields(obj)
+        cuboid = Cuboid(*box)  # checked before the label
         return ScoredDetection(video_id, proposal_id, class_index(label, action_classes), confidence, cuboid)
-
-    def parse_checked(obj: dict) -> ScoredDetection:
-        label = _get_str(obj, "action_class")
-        confidence = _get_number(obj, "confidence")
-        cuboid = read_cuboid(obj)
-        return ScoredDetection(
-            video_id=_get_str(obj, "video_id"),
-            proposal_id=_get_str(obj, "proposal_id"),
-            action_class=class_index(label, action_classes),
-            confidence=confidence,
-            cuboid=cuboid,
-        )
 
     return list(_read_records(path, parse))

@@ -13,7 +13,6 @@ from .ingest import (
     _read_records,
     field_reader,
     line_encoder,
-    read_cuboid,
     write_lines,
 )
 
@@ -61,24 +60,13 @@ def load_proposals(path) -> list[Proposal]:
     seen: set[str] = set()
 
     def parse(obj: dict) -> Proposal:
-        fields = _read_proposal_fields(obj)
-        parent = obj.get("parent_id")
-        # a repeated id or a bad parent_id is an error that `parse_checked` words, in its order
-        if fields is None or fields[0] in seen or (parent is not None and (not isinstance(parent, str) or not parent)):
-            return parse_checked(obj)
-        pid, video_id, provenance, *box = fields
-        seen.add(pid)
-        return Proposal(pid, video_id, Cuboid(*box), provenance, parent)
-
-    def parse_checked(obj: dict) -> Proposal:
-        pid = _get_str(obj, "proposal_id")
+        pid, video_id, provenance, *box = _read_proposal_fields(obj)
         if pid in seen:
             raise ValidationError(f"duplicate proposal_id {pid!r}")
         seen.add(pid)
-        provenance = _get_str(obj, "provenance")
         parent = obj.get("parent_id")
         if parent is not None and (not isinstance(parent, str) or not parent):
             raise ValidationError("parent_id must be null or a nonempty string")
-        return Proposal(pid, _get_str(obj, "video_id"), read_cuboid(obj), provenance, parent)
+        return Proposal(pid, video_id, Cuboid(*box), provenance, parent)
 
     return list(_read_records(path, parse))

@@ -7,8 +7,9 @@ for DET curves, pair-by-pair scalar IoUs for designation, a merge-by-merge
 replay over explicit member lists for Ward trees and their cuts, one object per
 detection record for the detection loader, the standard library's
 `json` alone for the record reader, the record types as the frozen
-dataclasses they were before they became validated tuples, and the
-field-by-field loaders that built them.  None of it reuses the code
+dataclasses they were before they became validated tuples, and a
+field-by-field loader for each record file: every field read by its getter
+in table order, then the loader's rules.  None of it reuses the code
 paths under test beyond the plain spatial/temporal IoU predicates, the
 record types, and the located line reader and field getters of `ingest`.
 `run_python` runs a check in a fresh interpreter, for tests of what a
@@ -38,6 +39,7 @@ from actionpipe.ingest import (
     PROB_SUM_TOL,
     GroundTruthAction,
     ValidationError,
+    VideoMeta,
     _get,
     _get_int,
     _get_number,
@@ -322,10 +324,11 @@ def reference_load_detections(path, videos, min_confidence=0.5, object_classes=D
             raise ValidationError(f"negative frame index {det.frame}")
         if det.video_id not in videos:
             raise ValidationError(f"unknown video_id {det.video_id!r}")
-        if det.frame >= videos[det.video_id].num_frames:
-            raise ValidationError(
-                f"frame {det.frame} outside video {det.video_id!r} with {videos[det.video_id].num_frames} frames"
-            )
+        meta = videos[det.video_id]
+        if det.frame >= meta.num_frames:
+            raise ValidationError(f"frame {det.frame} outside video {det.video_id!r} with {meta.num_frames} frames")
+        if det.x_min < 0 or det.y_min < 0 or det.x_max > meta.width or det.y_max > meta.height:
+            raise ValidationError(f"box outside video bounds of {det.video_id!r}")
         return det
 
     keep = None if object_classes is None else frozenset(object_classes)
@@ -463,9 +466,9 @@ class ReferenceScoredDetection:
             raise ValidationError(f"confidence {self.confidence} outside [0, 1]")
 
 
-def reference_read_cuboid(obj: dict) -> ReferenceCuboid:
-    """The cuboid fields of one record, read field by field."""
-    return ReferenceCuboid(
+def reference_cuboid_values(obj: dict) -> tuple:
+    """The six cuboid fields of one record, read field by field in `Cuboid` order."""
+    return (
         _get_number(obj, "x_min"),
         _get_number(obj, "y_min"),
         _get_number(obj, "x_max"),
@@ -475,30 +478,81 @@ def reference_read_cuboid(obj: dict) -> ReferenceCuboid:
     )
 
 
+def reference_load_video_meta(path) -> dict[str, VideoMeta]:
+    """`ingest.load_video_meta`, every field read by its getter, then the rules."""
+    videos: dict[str, VideoMeta] = {}
+
+    def parse(obj: dict) -> VideoMeta:
+        video_id = _get_str(obj, "video_id")
+        num_frames = _get_int(obj, "num_frames")
+        frame_rate = _get_number(obj, "frame_rate")
+        width = _get_number(obj, "width")
+        height = _get_number(obj, "height")
+        if num_frames <= 0 or frame_rate <= 0 or width <= 0 or height <= 0:
+            raise ValidationError("video dimensions, frames and rate must be positive")
+        if video_id in videos:
+            raise ValidationError(f"duplicate video_id {video_id!r}")
+        return VideoMeta(video_id, num_frames, frame_rate, width, height)
+
+    for meta in _read_records(path, parse):
+        videos[meta.video_id] = meta
+    return dict(sorted(videos.items()))
+
+
+def reference_load_ground_truth(path, videos, action_classes=DEFAULT_ACTION_CLASSES):
+    """`ingest.load_ground_truth`, every field read by its getter, then the rules (cuboids are `ReferenceCuboid`)."""
+
+    def parse(obj: dict) -> GroundTruthAction:
+        video_id = _get_str(obj, "video_id")
+        label = _get_str(obj, "action_class")
+        values = reference_cuboid_values(obj)
+        class_index(label, action_classes)
+        cuboid = ReferenceCuboid(*values)
+        if video_id not in videos:
+            raise ValidationError(f"unknown video_id {video_id!r}")
+        meta = videos[video_id]
+        if cuboid.f_start < 0 or cuboid.f_end >= meta.num_frames:
+            raise ValidationError(f"frame span outside video {video_id!r}")
+        if cuboid.x_min < 0 or cuboid.y_min < 0 or cuboid.x_max > meta.width or cuboid.y_max > meta.height:
+            raise ValidationError(f"box outside video bounds of {video_id!r}")
+        return GroundTruthAction(video_id, label, cuboid)
+
+    grouped: dict[str, list[GroundTruthAction]] = {}
+    for gt in _read_records(path, parse):
+        grouped.setdefault(gt.video_id, []).append(gt)
+    for gts in grouped.values():
+        gts.sort(key=lambda g: (g.video_id, g.cuboid.f_start, g.cuboid.f_end, g.action_class, g.cuboid.x_min,
+                                g.cuboid.y_min))
+    return dict(sorted(grouped.items()))
+
+
 def reference_load_proposals(path) -> list[ReferenceProposal]:
-    """`proposals.load_proposals`, every field read by its getter."""
+    """`proposals.load_proposals`, every field read by its getter, then the rules."""
     seen: set[str] = set()
 
     def parse(obj: dict) -> ReferenceProposal:
         pid = _get_str(obj, "proposal_id")
+        video_id = _get_str(obj, "video_id")
+        provenance = _get_str(obj, "provenance")
+        values = reference_cuboid_values(obj)
         if pid in seen:
             raise ValidationError(f"duplicate proposal_id {pid!r}")
         seen.add(pid)
-        provenance = _get_str(obj, "provenance")
         parent = obj.get("parent_id")
         if parent is not None and (not isinstance(parent, str) or not parent):
             raise ValidationError("parent_id must be null or a nonempty string")
-        return ReferenceProposal(pid, _get_str(obj, "video_id"), reference_read_cuboid(obj), provenance, parent)
+        return ReferenceProposal(pid, video_id, ReferenceCuboid(*values), provenance, parent)
 
     return list(_read_records(path, parse))
 
 
 def reference_load_scores(path, num_classes: int = 12) -> dict[str, ReferenceScoreRecord]:
-    """`ingest.load_scores`, every field and every score checked one by one."""
+    """`ingest.load_scores`, every field read by its getter, then the rules, every score checked one by one."""
     records: dict[str, ReferenceScoreRecord] = {}
 
     def parse(obj: dict) -> ReferenceScoreRecord:
         pid = _get_str(obj, "proposal_id")
+        refinement = (_get_number(obj, "refine_start"), _get_number(obj, "refine_end"))
         if pid in records:
             raise ValidationError(f"duplicate proposal_id {pid!r}")
         raw = _get(obj, "class_scores")
@@ -511,7 +565,6 @@ def reference_load_scores(path, num_classes: int = 12) -> dict[str, ReferenceSco
             scores.append(float(value))
         if abs(sum(scores) - 1.0) > PROB_SUM_TOL:
             raise ValidationError(f"class_scores sum to {sum(scores)}, expected 1")
-        refinement = (_get_number(obj, "refine_start"), _get_number(obj, "refine_end"))
         return ReferenceScoreRecord(pid, tuple(scores), refinement)
 
     for rec in _read_records(path, parse):
@@ -520,15 +573,18 @@ def reference_load_scores(path, num_classes: int = 12) -> dict[str, ReferenceSco
 
 
 def reference_load_final_detections(path, action_classes) -> list[ReferenceScoredDetection]:
-    """`nms.load_final_detections`, every field read by its getter (cuboids are `ReferenceCuboid`)."""
+    """`nms.load_final_detections`, every field read by its getter, then the rules (cuboids are `ReferenceCuboid`)."""
 
     def parse(obj: dict) -> ReferenceScoredDetection:
         label = _get_str(obj, "action_class")
         confidence = _get_number(obj, "confidence")
-        cuboid = reference_read_cuboid(obj)
+        video_id = _get_str(obj, "video_id")
+        proposal_id = _get_str(obj, "proposal_id")
+        values = reference_cuboid_values(obj)
+        cuboid = ReferenceCuboid(*values)
         return ReferenceScoredDetection(
-            video_id=_get_str(obj, "video_id"),
-            proposal_id=_get_str(obj, "proposal_id"),
+            video_id=video_id,
+            proposal_id=proposal_id,
             action_class=class_index(label, action_classes),
             confidence=confidence,
             cuboid=cuboid,

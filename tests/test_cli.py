@@ -278,6 +278,23 @@ class TestExitCodes:
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["propose", "--config", str(cfg_path)]) == 1
 
+    def test_detection_box_outside_frame(self, fixture_dir, tmp_path, capsys):
+        cfg = json.loads((fixture_dir / "config.json").read_text())
+        det = tmp_path / "det.jsonl"
+        lines = (fixture_dir / cfg["detections"]).read_text().splitlines()
+        wide = {**json.loads(lines[0]), "x_max": 1e6}
+        det.write_text("".join(line + "\n" for line in [*lines, json.dumps(wide)]), encoding="utf-8")
+        for key in ("ground_truth", "videos", "scores"):
+            cfg[key] = str(fixture_dir / cfg[key])
+        cfg["detections"] = str(det)
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["propose", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{det}:{len(lines) + 1}: box outside video bounds of {wide['video_id']!r}" in err
+        assert not (tmp_path / "out" / "proposals.jsonl").exists()
+
     def test_missing_score_record(self, fixture_dir, tmp_path):
         run_pipeline(fixture_dir / "config.json")
         cfg = json.loads((fixture_dir / "config.json").read_text())

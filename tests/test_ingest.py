@@ -111,6 +111,13 @@ class TestLoadDetections:
         with pytest.raises(ValidationError, match="frame 100"):
             load_detections(p, VIDEOS)
 
+    def test_box_outside_frame(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        write_lines(p, [det_record(), det_record(x_max=1e6)])
+        with pytest.raises(ValidationError) as err:
+            load_detections(p, VIDEOS)
+        assert str(err.value) == f"{p}:2: box outside video bounds of 'v1'"
+
     def test_unknown_video(self, tmp_path):
         p = tmp_path / "d.jsonl"
         write_lines(p, [det_record(video_id="ghost")])

@@ -1,12 +1,15 @@
-"""The per-proposal record types and loaders against what they replaced.
+"""The record types and loaders against what they replaced.
 
 `Cuboid`, `Proposal`, `LabeledProposal`, `ScoreRecord` and
-`ScoredDetection` are validated named tuples, and the loaders read a record's fields in one call
-(`ingest.field_reader`), parsing field by field only a record that call
-does not accept.  `tests/oracles.py` keeps the frozen dataclasses and the
-field-by-field loaders they replaced; for any arguments, and for any record
-file, both must give the same fields (types and float bits included) or
-the same error.
+`ScoredDetection` are validated named tuples, and each of the six loaders
+reads a record's fields through its table in one call
+(`ingest.field_reader`): the values in table order, or the error of the
+first field, in table order, that its reader rejects; then it applies its
+own rules.  `tests/oracles.py` keeps the frozen dataclasses and a
+field-by-field loader per record file, which reads every field with its
+getter before the same rules; for any arguments, and for any record file,
+both must give the same fields (types and float bits included) or the same
+error.
 """
 
 import dataclasses
@@ -32,7 +35,9 @@ from actionpipe.ingest import (
     _get_str,
     field_reader,
     load_detections,
+    load_ground_truth,
     load_scores,
+    load_video_meta,
 )
 from actionpipe.labeling import DESIGNATIONS, LabeledProposal
 from actionpipe.nms import ScoredDetection, load_final_detections
@@ -45,8 +50,10 @@ from oracles import (
     ReferenceScoreRecord,
     reference_load_detections,
     reference_load_final_detections,
+    reference_load_ground_truth,
     reference_load_proposals,
     reference_load_scores,
+    reference_load_video_meta,
 )
 
 
@@ -187,9 +194,15 @@ def test_replace_and_pickle_go_through_the_checks():
     assert back == p and type(back) is Proposal and type(back.cuboid) is Cuboid
 
 
-# The field reader accepts only values its caller need not parse field by field.
+# The field reader gives what its table's readers give in table order, and
+# takes the record's own values as they are only when their types are exact.
 
-READER = field_reader({"s": _get_str, "i": _get_int, "f": _get_number})
+READER_FIELDS = {"s": _get_str, "i": _get_int, "f": _get_number}
+READER = field_reader(READER_FIELDS)
+
+
+def read_each(fields):
+    return lambda record: tuple(get(record, name) for name, get in fields.items())
 
 
 @pytest.mark.parametrize("record,accepted", [
@@ -207,8 +220,9 @@ READER = field_reader({"s": _get_str, "i": _get_int, "f": _get_number})
     ({"s": 7, "i": 3, "f": 0.5}, False),
 ])
 def test_field_reader_accepts_only_exact_types(record, accepted):
-    got = READER(record)
-    assert got == ((record["s"], record["i"], record["f"]) if accepted else None)
+    assert_same_outcome(READER, read_each(READER_FIELDS), record)
+    got, _ = outcome(READER, record)
+    assert (got is not None and tuple(map(type, got)) == tuple(map(type, record.values()))) == accepted
 
 
 @pytest.mark.parametrize("fields,record", [
@@ -219,10 +233,10 @@ def test_field_reader_accepts_only_exact_types(record, accepted):
 ])
 def test_field_reader_of_any_table_size(fields, record):
     read = field_reader(fields)
-    assert read(record) == tuple(record.values())
+    assert_same_outcome(read, read_each(fields), record)
     for name, value in record.items():
         damaged = {**record, name: math.nan if isinstance(value, float) else True}
-        assert read(damaged) is None
+        assert_same_outcome(read, read_each(fields), damaged)
 
 
 # Loader oracle: files of valid records with one or two damaged fields.
@@ -261,6 +275,17 @@ LOADERS = {
         lambda path: reference_load_detections(path, VIDEOS, 0.5, None),
         lambda i: {"video_id": ["v1", "v2"][i % 2], "frame": 3 + i, "object_class": "person",
                    "x_min": 10.0, "y_min": -0.0, "x_max": 30.5, "y_max": 60.0, "confidence": [0.9, 0.3][i % 2]},
+    ),
+    "ground_truth": (
+        lambda path: load_ground_truth(path, VIDEOS),
+        lambda path: reference_load_ground_truth(path, VIDEOS),
+        lambda i: {"video_id": ["v1", "v2"][i % 2], "action_class": DEFAULT_ACTION_CLASSES[i], **_cuboid(i)},
+    ),
+    "videos": (
+        load_video_meta,
+        reference_load_video_meta,
+        lambda i: {"video_id": f"v{i}", "num_frames": 100 + i, "frame_rate": [30.0, 25.0, 29.97][i % 3],
+                   "width": 640.0, "height": [480.0, 360.5, 1e4][i % 3]},
     ),
 }
 # What a damaged field may hold instead, by the type of its valid value.
@@ -313,8 +338,10 @@ def record_files(draw, kind):
 
 def normalized(kind, result):
     """A loader's result as nested plain tuples of field values."""
-    if kind == "scores":
-        return tuple((pid, record_fields(rec)) for pid, rec in result.items())
+    if kind in ("scores", "videos"):
+        return tuple((key, record_fields(rec)) for key, rec in result.items())
+    if kind == "ground_truth":
+        return tuple((video, tuple(map(record_fields, gts))) for video, gts in result.items())
     if kind == "detections":  # arrays from the loader, `ReferenceDetection` lists from the oracle
         return tuple(
             (video, rows.shape, rows.tobytes()) if isinstance(rows, np.ndarray) else (
@@ -338,19 +365,25 @@ def test_loader_equals_field_by_field_reference(tmp_path_factory, kind, data):
     assert_identical(got, want)
 
 
+DROPPED = object()  # a fault that removes the field
+
+
 @pytest.mark.parametrize("kind,faults,expected", [
     ("final_detections", {"action_class": "Parkour", "f_start": 41}, "inverted frame span [41, 40]"),
     ("final_detections", {"action_class": "Parkour", "confidence": 1.5}, "unknown action_class 'Parkour'"),
     ("proposals", {"provenance": "x", "x_min": 50.0}, "empty x extent [50.0, 50.0]"),
-    ("proposals", {"parent_id": "", "x_min": math.nan}, "parent_id must be null or a nonempty string"),
-    ("scores", {"class_scores": [1.5, -0.5] + [0.0] * 11, "refine_end": math.inf}, "class_scores[0] = 1.5 outside"),
+    ("proposals", {"parent_id": "", "x_min": math.nan}, "field 'x_min' must be a finite number, got nan"),
+    ("scores", {"class_scores": [1.5, -0.5] + [0.0] * 11, "refine_end": math.inf},
+     "field 'refine_end' must be a finite number, got inf"),
     ("detections", {"confidence": 1.5, "x_max": 10.0}, "box must have positive width and height"),
-], ids=["span_before_label", "label_before_confidence", "extent_before_provenance", "parent_before_nan",
-        "scores_before_refinement", "box_before_confidence"])
+    ("ground_truth", {"action_class": "Parkour", "f_start": DROPPED}, "missing field 'f_start'"),
+], ids=["span_before_label", "label_before_confidence", "extent_before_provenance", "nan_before_parent",
+        "refinement_before_scores", "box_before_confidence", "field_before_label"])
 def test_first_of_two_faults_is_reported(tmp_path, kind, faults, expected):
     load, reference, make = LOADERS[kind]
     path = tmp_path / f"{kind}.jsonl"
-    path.write_text(json.dumps({**make(0), **faults}) + "\n", encoding="utf-8")
+    record = {name: value for name, value in {**make(0), **faults}.items() if value is not DROPPED}
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
     for read in (load, reference):
         with pytest.raises(ValidationError) as err:
             read(path)
@@ -358,14 +391,15 @@ def test_first_of_two_faults_is_reported(tmp_path, kind, faults, expected):
 
 
 @pytest.mark.parametrize("kind", ["proposals", "scores"])
-def test_repeated_id_is_found_before_a_missing_field(tmp_path, kind):
+def test_missing_field_is_found_before_a_repeated_id(tmp_path, kind):
     load, reference, make = LOADERS[kind]
     first, second = make(0), make(1)
     second["proposal_id"] = first["proposal_id"]
-    del second["video_id" if kind == "proposals" else "refine_start"]
+    missing = "video_id" if kind == "proposals" else "refine_start"
+    del second[missing]
     path = tmp_path / f"{kind}.jsonl"
     path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n", encoding="utf-8")
-    expected = f"{path}:2: duplicate proposal_id 'v1_c0'"
+    expected = f"{path}:2: missing field {missing!r}"
     for read in (load, reference):
         with pytest.raises(ValidationError) as err:
             read(path)

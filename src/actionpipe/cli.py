@@ -98,8 +98,8 @@ def cmd_label(cfg: PipelineConfig) -> None:
     print(f"wrote training manifest to {out_path}")
 
 
-def _to_detection(prop: Proposal, record: ScoreRecord, cls: int) -> ScoredDetection:
-    refined, _ = apply_refinement(prop.cuboid, record.refinement)
+def _to_detection(prop: Proposal, record: ScoreRecord, cls: int, num_frames: int) -> ScoredDetection:
+    refined, _ = apply_refinement(prop.cuboid, record.refinement, num_frames)
     return ScoredDetection(
         video_id=prop.video_id,
         proposal_id=prop.proposal_id,
@@ -114,22 +114,26 @@ def cmd_finalize(cfg: PipelineConfig, multi_label: bool = False, min_class_score
         raise ValidationError("config has no scores path; finalize needs classifier scores")
     if not 0.0 <= min_class_score <= 1.0:
         raise ValidationError(f"min_class_score must be in [0, 1], got {min_class_score}")
+    videos = load_video_meta(ensure_path(cfg.videos))
     scores = load_scores(ensure_path(cfg.scores), num_classes=len(cfg.action_classes))
     proposals = load_proposals(ensure_path(cfg.output_dir / "proposals.jsonl"))
     by_video: dict[str, list[ScoredDetection]] = {}
     for prop in proposals:
+        meta = videos.get(prop.video_id)
+        if meta is None:
+            raise ValidationError(f"proposal {prop.proposal_id!r} has unknown video_id {prop.video_id!r}")
         record = scores.get(prop.proposal_id)
         if record is None:
             raise ValidationError(f"no score record for proposal {prop.proposal_id!r}")
         if multi_label:
             for cls in range(1, len(record.class_scores)):
                 if record.class_scores[cls] >= min_class_score:
-                    by_video.setdefault(prop.video_id, []).append(_to_detection(prop, record, cls))
+                    by_video.setdefault(prop.video_id, []).append(_to_detection(prop, record, cls, meta.num_frames))
         else:
             cls = record.argmax_class
             if cls == 0:
                 continue
-            by_video.setdefault(prop.video_id, []).append(_to_detection(prop, record, cls))
+            by_video.setdefault(prop.video_id, []).append(_to_detection(prop, record, cls, meta.num_frames))
     final: list[ScoredDetection] = []
     for vid in sorted(by_video):
         final.extend(nms_3d(by_video[vid], cfg.nms))

@@ -69,19 +69,20 @@ def full_loss(
     return cls + params.loc_weight * localization_loss(predicted, target)
 
 
-def apply_refinement(c: Cuboid, refinement: tuple[float, float]) -> tuple[Cuboid, bool]:
-    """Move the temporal bounds by the normalized refinement pair.
+def apply_refinement(c: Cuboid, refinement: tuple[float, float], num_frames: int) -> tuple[Cuboid, bool]:
+    """Move the temporal bounds by the normalized refinement pair, inside the video.
 
-    New bounds are mid + r*half rounded to the nearest frame.  If a bound is
-    not finite or exceeds 2**53 in magnitude, or rounding inverts or
-    collapses the span, the cuboid is returned unrefined; the second element
-    reports whether refinement was applied.
+    New bounds are mid + r*half rounded to the nearest frame, then clamped
+    to the video's frames [0, num_frames - 1].  If a bound is not finite or
+    exceeds 2**53 in magnitude, or rounding or clamping inverts or collapses
+    the span, the cuboid is returned unrefined; the second element reports
+    whether refinement was applied.
     """
     mid, half = c.mid_frame, c.num_frames / 2.0
     start, end = mid + refinement[0] * half, mid + refinement[1] * half
     if not (abs(start) <= MAX_INT and abs(end) <= MAX_INT):  # false for inf too
         return c, False
-    new_start, new_end = round(start), round(end)
+    new_start, new_end = max(round(start), 0), min(round(end), num_frames - 1)
     if new_start >= new_end:
         return c, False
     return Cuboid(c.x_min, c.y_min, c.x_max, c.y_max, new_start, new_end), True

@@ -2,12 +2,12 @@
 
 Detections are paired with ground truth one-to-one, maximizing match count
 first and total temporal IoU second (`hungarian_match` returns the pairs).
-It solves only over congruent pairs, with edge cost 1 - temporal IoU, by
-shortest augmenting paths with node potentials (Jonker & Volgenant 1987;
-Crouse 2016), so scoring needs no SciPy.  Sweeping the detection
-confidence threshold traces an operating curve of miss probability against
-false alarms per minute; per-class curves are macro-averaged into the
-aggregate.
+It solves one dense assignment over the detections and GTs that have a
+congruent pair, with cost 1 - temporal IoU, by shortest augmenting paths
+with row and column potentials (Jonker & Volgenant 1987; Crouse 2016), in
+NumPy, so scoring needs no SciPy.  Sweeping the detection confidence
+threshold traces an operating curve of miss probability against false
+alarms per minute; per-class curves are macro-averaged into the aggregate.
 
 A curve needs only the match count at each threshold, and every maximum
 matching has the same count whatever the IoU tie-break.  `det_curve`
@@ -20,7 +20,6 @@ shared `geometry.pairwise_iou` kernel.
 from __future__ import annotations
 
 import bisect
-import heapq
 import itertools
 import logging
 import math
@@ -108,78 +107,69 @@ def hungarian_match(
     if not dets or not gts:
         return []
     congruent, temporal = _congruence(dets, gts, params, classes)
-    cols, rows = np.nonzero(congruent.T)
-    if not len(rows):
+    det_rows = np.flatnonzero(congruent.any(axis=1))
+    if not len(det_rows):
         return []
-    # A maximum matching of least summed (1 - tIoU) is one of largest summed tIoU.
-    edges: list[dict[int, float]] = [{} for _ in gts]
-    for j, i, cost in zip(cols.tolist(), rows.tolist(), (1.0 - temporal[rows, cols]).tolist()):
-        edges[j][i] = cost
-    match = _min_cost_matching(edges, len(dets))
-    return [(i, j) for i, j in enumerate(match) if j >= 0]
+    gt_cols = np.flatnonzero(congruent.any(axis=0))
+    cut = np.ix_(det_rows, gt_cols)
+    congruent = congruent[cut]
+    # A least-cost assignment minimizes summed (1 - tIoU).  A non-congruent pair
+    # costs more than any sum of congruent costs, so the count of congruent
+    # pairs comes first; those pairs are dropped from the result.
+    cost = np.where(congruent, 1.0 - temporal[cut], max(congruent.shape) + 1.0)
+    if cost.shape[0] <= cost.shape[1]:
+        gt_of = _min_cost_assignment(cost)
+    else:
+        gt_of = np.full(cost.shape[0], -1)
+        gt_of[_min_cost_assignment(cost.T)] = np.arange(cost.shape[1])
+    return [(int(det_rows[i]), int(gt_cols[j])) for i, j in enumerate(gt_of.tolist()) if j >= 0 and congruent[i, j]]
 
 
-def _min_cost_matching(edges: list[dict[int, float]], num_dets: int) -> list[int]:
-    """Maximum matching of least total cost by shortest augmenting paths.
+def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column assigned to each row by a least-cost assignment, for rows <= columns.
 
-    `edges[g]` maps detection index to cost, in [0, 1], for GT g.  Each GT
-    in turn runs Dijkstra over reduced costs to the nearest free detection
-    and flips that path; node potentials keep reduced costs non-negative
-    (Jonker & Volgenant 1987; Crouse 2016).  Every GT may instead stay
-    unmatched at a cost above any sum of edge costs, so after each round the
-    matching of the GTs seen so far is the largest, then the cheapest.  A
-    round touches only the nodes it settles: their potentials move by
-    `settled distance - path length`, which leaves the others as they are.
-    Potentials never rise, and a free detection's edge to the sink has
-    reduced cost equal to its potential, so free detections keep potential
-    0.  A round relaxes every edge of each GT it settles, so a dense
-    component (every GT congruent with every detection) is slow: 200 x 200
-    takes ~0.1 s.  Returns the GT matched to each detection, or -1.
+    Shortest augmenting paths with row and column potentials u and v, one
+    row at a time (Jonker & Volgenant 1987; Crouse 2016, the method behind
+    SciPy's `linear_sum_assignment`).  Each row runs Dijkstra over reduced
+    costs `cost - u - v`, which the potentials keep non-negative, settling
+    one column per step (a free column first on ties) until it settles a
+    free column; then the potentials of the rows and columns it reached
+    move and the path flips.  Every step is one pass over a cost row.
     """
-    m = len(edges)
-    sink = m + num_dets  # nodes: GT g, detection m + d, then the sink
-    unmatched = float(m + 1)
-    potential = [0.0] * sink
-    match = [-1] * num_dets  # GT matched to each detection
-    owner = [-1] * m  # detection matched to each GT
-    for root in range(m):
-        if not edges[root]:
-            continue
-        heap = [(0.0, root)]
-        settled: dict[int, float] = {}
-        best: dict[int, float] = {}
-        via = {root: -1}  # the node before each on its shortest path
+    num_rows, num_cols = cost.shape
+    u, v = np.zeros(num_rows), np.zeros(num_cols)
+    col_of = np.full(num_rows, -1)
+    row_of = np.full(num_cols, -1)
+    for root in range(num_rows):
+        dist = np.full(num_cols, np.inf)  # shortest path length found to each column
+        via = np.empty(num_cols, dtype=np.intp)  # the row before each column on that path
+        todo = np.ones(num_cols, dtype=bool)  # columns not yet settled
+        reached: list[int] = []  # matched rows, entered from their settled columns
+        i, low = root, 0.0
         while True:
-            here, x = heapq.heappop(heap)
-            if x in settled:
-                continue
-            if x == sink:
+            reach = cost[i] + (low - u[i]) - v
+            better = todo & (reach < dist)
+            dist[better] = reach[better]
+            via[better] = i
+            low = dist[todo].min()
+            ties = np.flatnonzero(todo & (dist == low))
+            free = ties[row_of[ties] < 0]
+            j = free[0] if len(free) else ties[0]
+            todo[j] = False
+            if row_of[j] < 0:
                 break
-            settled[x] = here
-            if x < m:  # a GT: its unmatched edges, or staying unmatched
-                steps = [(m + d, here + cost + potential[x] - potential[m + d])
-                         for d, cost in edges[x].items() if d != owner[x]]
-                steps.append((sink, here + unmatched + potential[x]))
-            elif match[x - m] < 0:  # a free detection: on to the sink, at no cost
-                steps = [(sink, here)]
-            else:  # a matched detection: back to its GT
-                g = match[x - m]
-                steps = [(g, here - edges[g][x - m] + potential[x] - potential[g])]
-            for y, there in steps:
-                if there < best.get(y, math.inf) and y not in settled:
-                    best[y] = there
-                    via[y] = x
-                    heapq.heappush(heap, (there, y))
-        for x, dist in settled.items():
-            potential[x] += dist - here
-        x = via[sink]
-        if x < m:  # the path ends on GT x staying unmatched; no path reaches x again
-            owner[x], x = -1, via[x]
-        while x >= 0:  # flip the path: each detection on it goes to the GT before it
-            g = via[x]
-            match[x - m], owner[g] = g, x - m
-            x = via[g]
-    return match
+            i = row_of[j]
+            reached.append(i)
+        u[root] += low
+        u[reached] += low - dist[col_of[reached]]
+        v[~todo] -= low - dist[~todo]
+        while True:  # flip the path: each column on it goes to the row before it
+            i = via[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == root:
+                break
+    return col_of
 
 
 def _augment(root: int, edges: list[list[int]], owner: list[int]) -> bool:

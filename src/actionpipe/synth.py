@@ -28,6 +28,7 @@ from .ingest import (
     DEFAULT_ACTION_CLASSES,
     GroundTruthAction,
     ScoreRecord,
+    ValidationError,
     VideoMeta,
     class_index,
     load_detections,
@@ -216,7 +217,11 @@ def fixture_config(out_dir: Path) -> PipelineConfig:
 def generate_fixture(out_dir, scenario: str = "clean", seed: int = 0, num_videos: int = 10) -> dict:
     """Write a complete fixture: metadata, detections, ground truth, oracle scores, config."""
     if scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
+        raise ValidationError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    if num_videos < 1:
+        raise ValidationError(f"a fixture needs at least one video, got {num_videos}")
     params = SCENARIOS[scenario]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

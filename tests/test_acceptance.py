@@ -104,7 +104,7 @@ def test_criterion_02_refinement_round_trip():
             mid, half = p.mid_frame, p.num_frames / 2.0
             assert abs((mid + pair[0] * half) - g.f_start) <= 0.5
             assert abs((mid + pair[1] * half) - g.f_end) <= 0.5
-            refined, applied = apply_refinement(p, pair)
+            refined, applied = apply_refinement(p, pair, num_frames=2300)  # a video holding both spans
             if applied and (refined.f_start, refined.f_end) == (g.f_start, g.f_end):
                 exact += 1
         assert exact >= 990

@@ -309,6 +309,31 @@ class TestExitCodes:
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["finalize", "--config", str(cfg_path)]) == 1
 
+    def test_proposal_of_unknown_video(self, fixture_dir, tmp_path, capsys):
+        run_pipeline(fixture_dir / "config.json")
+        cfg = json.loads((fixture_dir / "config.json").read_text())
+        lines = (fixture_dir / cfg["videos"]).read_text().splitlines()
+        videos = tmp_path / "videos.jsonl"
+        videos.write_text("".join(line + "\n" for line in lines[1:]), encoding="utf-8")
+        for key in ("detections", "ground_truth", "scores"):
+            cfg[key] = str(fixture_dir / cfg[key])
+        cfg["videos"] = str(videos)
+        cfg["output_dir"] = str(tmp_path / "out")
+        (tmp_path / "out").mkdir()
+        shutil.copy(fixture_dir / "out" / "proposals.jsonl", tmp_path / "out" / "proposals.jsonl")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["finalize", "--config", str(cfg_path)]) == 1
+        assert f"has unknown video_id {json.loads(lines[0])['video_id']!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "detections_final.jsonl").exists()
+
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--videos", "0"], ["--videos", "-2"]])
+    def test_synth_rejects_bad_counts(self, tmp_path, capsys, flags):
+        out = tmp_path / "fixture"
+        assert main(["synth", "--output", str(out), *flags]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_oversized_integer_is_validation_error(self, fixture_dir, tmp_path):
         cfg = json.loads((fixture_dir / "config.json").read_text())
         videos = [json.loads(line) for line in (fixture_dir / cfg["videos"]).read_text().splitlines()]
@@ -414,6 +439,26 @@ class TestEdgeInputs:
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["propose", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "out" / "proposals.jsonl").read_text() == ""
+
+    def test_refined_spans_stay_inside_their_video(self, fixture_dir, tmp_path):
+        run_pipeline(fixture_dir / "config.json")
+        cfg = json.loads((fixture_dir / "config.json").read_text())
+        scores = load_scores(fixture_dir / "scores.jsonl")
+        widened = tmp_path / "scores.jsonl"  # every span refined to 4 times its length about its middle
+        write_scores(widened, [rec._replace(refinement=(-4.0, 4.0)) for rec in scores.values()])
+        for key in ("detections", "ground_truth", "videos"):
+            cfg[key] = str(fixture_dir / cfg[key])
+        cfg["scores"] = str(widened)
+        cfg["output_dir"] = str(tmp_path / "out")
+        (tmp_path / "out").mkdir()
+        shutil.copy(fixture_dir / "out" / "proposals.jsonl", tmp_path / "out" / "proposals.jsonl")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["finalize", "--config", str(cfg_path)]) == 0
+        frames = {v["video_id"]: v["num_frames"] for v in map(json.loads, open(cfg["videos"], encoding="utf-8"))}
+        dets = [json.loads(line) for line in (tmp_path / "out" / "detections_final.jsonl").read_text().splitlines()]
+        assert dets and all(0 <= d["f_start"] <= d["f_end"] <= frames[d["video_id"]] - 1 for d in dets)
+        assert any(d["f_start"] == 0 or d["f_end"] == frames[d["video_id"]] - 1 for d in dets)
 
     def test_all_non_action_scores_give_empty_finalize(self, fixture_dir, tmp_path):
         run_pipeline(fixture_dir / "config.json")

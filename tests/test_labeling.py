@@ -61,7 +61,7 @@ class TestRegressionTarget:
             p = Cuboid(0, 0, 10, 10, f0, f0 + int(rng.integers(1, 300)))
             g0 = int(rng.integers(0, 500))
             g = Cuboid(0, 0, 10, 10, g0, g0 + int(rng.integers(1, 300)))
-            refined, applied = apply_refinement(p, regression_target(p, g))
+            refined, applied = apply_refinement(p, regression_target(p, g), num_frames=800)  # holds both spans
             assert applied
             assert (refined.f_start, refined.f_end) == (g.f_start, g.f_end)
 

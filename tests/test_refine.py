@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from actionpipe.geometry import Cuboid
 from actionpipe.ingest import MAX_INT, ValidationError
+from actionpipe.nms import ScoredDetection, nms_3d
 from actionpipe.refine import (
     LossParams,
     apply_refinement,
@@ -104,48 +105,83 @@ class TestFullLoss:
             assert full_loss(probs, a, v, r) >= 0.0
 
 
+VIDEO = 1000  # frames in the video of the cuboids below, unless a test says otherwise
+
+
 class TestApplyRefinement:
     def test_fixed_point(self):
         c = Cuboid(0, 0, 10, 10, 0, 63)
-        refined, applied = apply_refinement(c, (-0.984375, 0.984375))
+        refined, applied = apply_refinement(c, (-0.984375, 0.984375), VIDEO)
         assert applied and (refined.f_start, refined.f_end) == (0, 63)
 
     def test_zero_refinement_falls_back(self):
         c = Cuboid(0, 0, 10, 10, 0, 63)
-        refined, applied = apply_refinement(c, (0.0, 0.0))
+        refined, applied = apply_refinement(c, (0.0, 0.0), VIDEO)
         assert not applied and refined == c
 
     def test_inverted_falls_back(self):
         c = Cuboid(0, 0, 10, 10, 0, 63)
-        refined, applied = apply_refinement(c, (1.0, -1.0))
+        refined, applied = apply_refinement(c, (1.0, -1.0), VIDEO)
         assert not applied and refined == c
 
     def test_spatial_untouched(self):
         c = Cuboid(3, 4, 13, 24, 100, 163)
-        refined, applied = apply_refinement(c, (-0.5, 0.75))
+        refined, applied = apply_refinement(c, (-0.5, 0.75), VIDEO)
         assert applied
         assert (refined.x_min, refined.y_min, refined.x_max, refined.y_max) == (3, 4, 13, 24)
 
     def test_shift(self):
         c = Cuboid(0, 0, 10, 10, 0, 63)  # mid 31.5, half 32
-        refined, applied = apply_refinement(c, (-0.5, 0.5))
+        refined, applied = apply_refinement(c, (-0.5, 0.5), VIDEO)
         assert applied
         assert (refined.f_start, refined.f_end) == (16, 48)
 
     @pytest.mark.parametrize("refinement", [(1e308, 1e308), (-1e17, 1e17), (-1e308, 1e308)])
     def test_bound_past_2_53_falls_back(self, refinement):
         c = Cuboid(0, 0, 5, 5, 0, 10)
-        assert apply_refinement(c, refinement) == (c, False)
+        assert apply_refinement(c, refinement, VIDEO) == (c, False)
+
+    def test_clamped_to_the_video(self):
+        c = Cuboid(0, 0, 10, 10, 880, 899)  # mid 889.5, half 10: (0, 9) gives [890, 980]
+        assert apply_refinement(c, (0.0, 9.0), 900) == (Cuboid(0, 0, 10, 10, 890, 899), True)
+        c = Cuboid(0, 0, 10, 10, 0, 10)  # mid 5, half 5.5: (-5, 0.2) gives [-22, 6]
+        assert apply_refinement(c, (-5.0, 0.2), 900) == (Cuboid(0, 0, 10, 10, 0, 6), True)
+
+    @pytest.mark.parametrize("refinement", [(2.0, 3.0), (-3.0, -2.0), (0.99, 2.0)])
+    def test_span_clamped_away_falls_back(self, refinement):
+        c = Cuboid(0, 0, 10, 10, 0, 99)  # refined past one end of the video, or onto its last frame alone
+        assert apply_refinement(c, refinement, 100) == (c, False)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+REFINEMENT = st.one_of(FINITE, st.floats(-3.0, 3.0))
+WINDOW = st.tuples(
+    st.integers(0, 10**6),  # start, wrapped into the video
+    st.integers(1, 10**4),  # length, cut at the video's end
+    st.tuples(REFINEMENT, REFINEMENT),
+    st.sampled_from((0.0, 20.0)),  # x offset: spatial IoU 1/3 or 1 between windows
+    st.floats(0.0, 1.0),  # confidence
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(start=st.integers(0, 10**6), length=st.integers(1, 10**4), refinement=st.tuples(FINITE, FINITE))
-def test_any_finite_refinement_gives_a_valid_cuboid(start, length, refinement):
-    c = Cuboid(0, 0, 5, 5, start, start + length - 1)
-    refined, applied = apply_refinement(c, refinement)
-    assert refined.f_start <= refined.f_end
-    assert max(abs(refined.f_start), abs(refined.f_end)) <= MAX_INT
-    assert applied or refined == c
+@given(num_frames=st.integers(1, 2 * 10**6), windows=st.lists(WINDOW, min_size=1, max_size=8))
+def test_any_finite_refinement_gives_a_valid_cuboid(num_frames, windows):
+    # refine -> clamp -> NMS, as `finalize` runs them on proposals inside their video
+    dets = []
+    for k, (start, length, refinement, x0, confidence) in enumerate(windows):
+        start %= num_frames
+        c = Cuboid(x0, 0, x0 + 30, 5, start, min(start + length - 1, num_frames - 1))
+        refined, applied = apply_refinement(c, refinement, num_frames)
+        assert 0 <= refined.f_start <= refined.f_end <= num_frames - 1
+        if applied:
+            mid, half = c.mid_frame, c.num_frames / 2.0
+            start, end = mid + refinement[0] * half, mid + refinement[1] * half
+            assert max(abs(start), abs(end)) <= MAX_INT
+            assert (refined.f_start, refined.f_end) == (max(round(start), 0), min(round(end), num_frames - 1))
+        else:
+            assert refined == c
+        dets.append(ScoredDetection("v", f"p{k}", 1, confidence, refined))
+    kept = nms_3d(dets)
+    assert kept and all(d in dets for d in kept)
+    assert len({d.proposal_id for d in kept}) == len(kept)

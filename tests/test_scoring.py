@@ -106,23 +106,43 @@ class TestHungarianMatch:
             assert got_sum == pytest.approx(want_sum, abs=1e-9)
 
     def test_dense_instance_scales(self):
-        # every detection congruent with every GT (one video and class, long overlapping spans), so each
-        # augmenting search settles many nodes: ~0.1 s on a 2-core x86 VM, 400 x 400 ~0.8 s; SciPy ~3 ms
+        # every detection congruent with every GT (one video and class, long overlapping spans): one dense
+        # 400 x 400 assignment, ~0.3 s on a 2-core x86 VM; SciPy ~10 ms
         rng = np.random.default_rng(11)
 
         def overlapping():
             return Cuboid(0.0, 0.0, 10.0, 10.0, int(rng.integers(0, 21)), int(rng.integers(80, 101)))
 
-        gts = [gt(overlapping()) for _ in range(200)]
-        dets = [sdet(f"d{i:03d}", overlapping()) for i in range(200)]
+        gts = [gt(overlapping()) for _ in range(400)]
+        dets = [sdet(f"d{i:03d}", overlapping()) for i in range(400)]
         started = time.perf_counter()
         pairs = hungarian_match(dets, gts)
         assert time.perf_counter() - started < 1.0
         allowed = congruent_pairs(dets, gts)
-        assert len(allowed) == 200 * 200
-        want_card, want_sum = scipy_assignment(200, 200, allowed)
+        assert len(allowed) == 400 * 400
+        want_card, want_sum = scipy_assignment(400, 400, allowed)
         assert len(pairs) == want_card
         assert sum(allowed[pair] for pair in pairs) == pytest.approx(want_sum, abs=1e-9)
+
+    def test_mostly_congruent_instances_match_scipy(self):
+        # 10-60 per side, one class; a tenth of each side in a second video, and spans whose temporal IoU
+        # falls from 1 to ~0.1, so most pairs but not all are congruent
+        rng = np.random.default_rng(53)
+
+        def placed(count):
+            return [(Cuboid(0.0, 0.0, 10.0, 10.0, int(rng.integers(0, 41)), int(rng.integers(50, 101))),
+                     "v2" if rng.random() < 0.1 else "v1") for _ in range(count)]
+
+        for _ in range(30):
+            gts = [gt(span, video=video) for span, video in placed(int(rng.integers(10, 61)))]
+            dets = [sdet(f"d{i:02d}", span, video=video)
+                    for i, (span, video) in enumerate(placed(int(rng.integers(10, 61))))]
+            allowed = congruent_pairs(dets, gts)
+            assert len(allowed) > len(dets) * len(gts) / 2
+            pairs = hungarian_match(dets, gts)
+            want_card, want_sum = scipy_assignment(len(dets), len(gts), allowed)
+            assert len(pairs) == want_card
+            assert sum(allowed[pair] for pair in pairs) == pytest.approx(want_sum, abs=1e-9)
 
 
 # Spans and boxes on a small grid, so equal IoUs (exact ties) and duplicate cuboids are common.

@@ -3,7 +3,7 @@ import pytest
 from actionpipe import labeling
 from actionpipe.clustering import propose_video
 from actionpipe.config import load_config
-from actionpipe.ingest import load_detections, load_ground_truth, load_scores, load_video_meta
+from actionpipe.ingest import ValidationError, load_detections, load_ground_truth, load_scores, load_video_meta
 from actionpipe.jitter import jitter_proposals
 from actionpipe.synth import SCENARIOS, generate_fixture
 
@@ -16,7 +16,7 @@ def fingerprint(root):
 
 class TestGenerateFixture:
     def test_rejects_unknown_scenario(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             generate_fixture(tmp_path, "weird")
 
     def test_deterministic_given_seed(self, tmp_path):

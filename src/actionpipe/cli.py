@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
+import itertools
 import json
 import math
 import os
@@ -34,6 +35,7 @@ from .ingest import (  # noqa: E402
     _is_finite,
     _read_records,
     ensure_path,
+    indented_json,
     load_detections,
     load_ground_truth,
     load_scores,
@@ -160,23 +162,26 @@ def cmd_score(cfg: PipelineConfig) -> None:
         "rate_grid": list(cfg.rate_grid),
         "aggregate": {
             "mean_p_miss": mean_pmiss_at(aggregate, cfg.rate_grid),
-            "points": [list(p) for p in aggregate.points],
+            "points": aggregate.points,
         },
         "classes": {
             label: {
                 "p_miss": mean_pmiss_at(curve, cfg.rate_grid),
-                "points": [list(p) for p in curve.points],
+                "points": curve.points,
             }
             for label, curve in curves.items()
         },
     }
+    text = indented_json(report)  # raises before anything is written when a number is not finite
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     report_path = cfg.output_dir / "report.json"
-    write_lines(report_path, [json.dumps(report, indent=2, sort_keys=True)])
+    write_lines(report_path, [text])
     curve_dir = cfg.output_dir / "curves"
     curve_dir.mkdir(exist_ok=True)
     for label, curve in [("aggregate", aggregate)] + sorted(curves.items()):
-        write_lines(curve_dir / f"{label}.txt", ["# rate_fa p_miss"] + [f"{r:.6g} {p:.6g}" for r, p in curve.points])
+        # one line per point; `"%.6g" % x` is `f"{x:.6g}"` for every float
+        template = "\n".join(["# rate_fa p_miss"] + ["%.6g %.6g"] * len(curve.points))
+        write_lines(curve_dir / f"{label}.txt", [template % tuple(itertools.chain.from_iterable(curve.points))])
     print("rate_fa:     " + "  ".join(f"{r:8.3g}" for r in cfg.rate_grid))
     print("mean p_miss: " + "  ".join(f"{p:8.3g}" for p in report["aggregate"]["mean_p_miss"]))
     print(f"wrote {report_path} and {len(curves) + 1} curve files under {curve_dir}")

@@ -10,7 +10,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .clustering import ClusterParams
-from .ingest import DEFAULT_ACTION_CLASSES, DEFAULT_OBJECT_CLASSES, ValidationError, _is_finite, write_lines
+from .ingest import (
+    DEFAULT_ACTION_CLASSES,
+    DEFAULT_OBJECT_CLASSES,
+    ValidationError,
+    _is_finite,
+    indented_json,
+    write_lines,
+)
 from .jitter import JitterParams
 from .labeling import LabelingThresholds
 from .nms import NmsParams
@@ -46,6 +53,12 @@ class PipelineConfig:
             raise ValidationError("action_classes must be nonempty")
         if len(set(self.action_classes)) != len(self.action_classes):
             raise ValidationError("action_classes must be unique")
+        for label in self.action_classes:  # `score` writes each class's curve to curves/<label>.txt
+            if label in ("", ".", "..", "aggregate") or "/" in label or "\0" in label:
+                raise ValidationError(
+                    f"action class label {label!r} cannot name a curve file: it must be nonempty, not '.', "
+                    "'..' or 'aggregate', and hold no '/' or NUL"
+                )
         if not 0.0 <= self.min_confidence <= 1.0:
             raise ValidationError("min_confidence must be in [0, 1]")
         if self.recall_iou_mode not in IOU_MODES:
@@ -157,4 +170,4 @@ def load_config(path) -> PipelineConfig:
 
 
 def save_config(cfg: PipelineConfig, path) -> None:
-    write_lines(path, [json.dumps(config_to_dict(cfg), indent=2, sort_keys=True)])
+    write_lines(path, [indented_json(config_to_dict(cfg))])

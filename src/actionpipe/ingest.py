@@ -16,12 +16,16 @@ a field's comes first, then the rules' in the loader's order.  Every output
 file goes through `write_lines`.  Proposals, training labels and final
 detections are encoded from their table by one generated line function
 each (`line_encoder`): a `%` template behind an exact-type guard, with the
-JSON encoder as fallback, the same bytes either way.
+JSON encoder as fallback, the same bytes either way.  An indented JSON
+document (the `score` report, a saved config) is written by
+`indented_json`, which gives `json.dumps(value, indent=2, sort_keys=True)`
+without the standard library's pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import operator
@@ -282,6 +286,8 @@ def load_video_meta(path) -> dict[str, VideoMeta]:
         meta = VideoMeta(*_read_video_fields(obj))
         if meta.num_frames <= 0 or meta.frame_rate <= 0 or meta.width <= 0 or meta.height <= 0:
             raise ValidationError("video dimensions, frames and rate must be positive")
+        if not math.isfinite(meta.minutes):  # a subnormal frame rate
+            raise ValidationError(f"video length num_frames / frame_rate / 60 = {meta.minutes!r} minutes is not finite")
         if meta.video_id in videos:
             raise ValidationError(f"duplicate video_id {meta.video_id!r}")
         return meta
@@ -427,6 +433,48 @@ def write_lines(path, lines: Iterable[str]) -> None:
 def write_records(path, records: Iterable[dict]) -> None:
     """Write one JSON object per line, keys sorted, through `write_lines`."""
     write_lines(path, map(_encode, records))
+
+
+def _finite_numbers(values: list) -> bool:
+    """True when every value is exactly a `float` or an `int` (never a bool) and their sum is finite."""
+    try:
+        return set(map(type, values)) <= {float, int} and math.isfinite(sum(values))
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def indented_json(value, indent: str = "") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` for a tree of dicts with string keys, lists and scalars.
+
+    With `indent` set, `json` runs its pure-Python encoder, which builds a
+    closure cycle per call and took ~40 ms for a 400 KB `score` report
+    against ~9 ms for the C encoder without indentation.  Here the tree is
+    walked in Python and each leaf is written by the C encoder (`_encode`).
+    A list of number pairs, such as a curve's points, is filled into one
+    `%r` template per list when every value is exactly a `float` or an
+    `int` and their sum is finite; a `repr` is what the encoder writes for
+    those types.  Any other list is walked item by item, so the text is the
+    same either way.  A non-finite float raises `ValidationError`: strict
+    JSON has no NaN or Infinity.  `indent` is the current line's indent.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (f"{inner}{_encode(key)}: {indented_json(item, inner)}" for key, item in sorted(value.items()))
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) <= {list, tuple} and set(map(len, value)) == {2}:
+            flat = list(itertools.chain.from_iterable(value))
+            if _finite_numbers(flat):
+                pair = f"{inner}[\n{inner}  %r,\n{inner}  %r\n{inner}]"
+                return "[\n" + ",\n".join([pair] * len(value)) % tuple(flat) + "\n" + indent + "]"
+        return "[\n" + ",\n".join(inner + indented_json(item, inner) for item in value) + "\n" + indent + "]"
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(f"cannot write the non-finite number {value!r} as JSON")
+    return _encode(value)
 
 
 def line_encoder(fields: dict[str, Callable], nullable: Iterable[str] = ()) -> Callable[..., str]:

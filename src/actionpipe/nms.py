@@ -109,9 +109,12 @@ def write_final_detections(path, dets: Iterable[ScoredDetection], action_classes
 
 
 def load_final_detections(path, action_classes: Sequence[str]) -> list[ScoredDetection]:
+    index_of = {label: i for i, label in enumerate(action_classes, start=1)}  # class_index of each known label
+
     def parse(obj: dict) -> ScoredDetection:
         label, confidence, video_id, proposal_id, *box = _read_final_fields(obj)
         cuboid = Cuboid(*box)  # checked before the label
-        return ScoredDetection(video_id, proposal_id, class_index(label, action_classes), confidence, cuboid)
+        cls = index_of.get(label) or class_index(label, action_classes)  # an unknown label raises there
+        return ScoredDetection(video_id, proposal_id, cls, confidence, cuboid)
 
     return list(_read_records(path, parse))

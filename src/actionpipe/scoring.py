@@ -13,14 +13,16 @@ A curve needs only the match count at each threshold, and every maximum
 matching has the same count whatever the IoU tie-break.  `det_curve`
 therefore adds detections in descending confidence and grows one maximum
 matching by augmenting paths (Kuhn 1955) instead of solving an assignment
-per threshold.  Matching, the sweep and recall read their overlaps from the
-shared `geometry.pairwise_iou` kernel.
+per threshold; only the path searches run in Python, and the order, the
+threshold groups, the rates and the lower envelope are NumPy arrays.
+`aggregate_det_curve` looks every class curve up on the union rate grid
+with one `np.searchsorted` each.  Matching, the sweep and recall read their
+overlaps from the shared `geometry.pairwise_iou` kernel.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import logging
 import math
 import operator
@@ -218,11 +220,16 @@ def det_curve(
 
     Only the size of a maximum matching reaches the curve, and that size
     does not depend on how IoU ties are broken.  So one sweep adds the
-    detections in descending confidence and grows a maximum matching by one
-    augmenting-path search per detection, recording a point after the last
-    detection of each distinct confidence.  The matching can never outgrow
-    the `hungarian_match` assignment over all detections; once it reaches
-    that size, every later detection is a false alarm and is not searched.
+    detections in descending confidence (a stable order, so equal
+    confidences keep their input order) and grows a maximum matching by one
+    augmenting-path search per detection that has a congruent GT; one with
+    none can never augment.  The matching can never outgrow the
+    `hungarian_match` assignment over all detections; once it reaches that
+    size, no later detection is searched.  The rest is arrays: a point
+    after the last detection of each distinct confidence, then the last
+    point of each run of equal rates.  The false-alarm count never falls
+    along the sweep, so equal rates are contiguous, and p_miss never rises,
+    so a run's last point has its lowest p_miss.
     """
     if classes is None:
         classes = DEFAULT_ACTION_CLASSES
@@ -239,18 +246,25 @@ def det_curve(
         edges[i].append(j)
     owner = [-1] * len(gts)
     final = len(hungarian_match(dets, gts, params, classes))
-    order = sorted(range(len(dets)), key=lambda i: dets[i].confidence, reverse=True)
-    points: dict[float, float] = {}
-    surviving = matched = 0
-    for _, group in itertools.groupby(order, key=lambda i: dets[i].confidence):
-        for i in group:
-            surviving += 1
-            if matched < final:
-                matched += _augment(i, edges, owner)
-        p_miss = (len(gts) - matched) / len(gts)
-        rate_fa = (surviving - matched) / video_minutes
-        points[rate_fa] = min(points.get(rate_fa, 1.0), p_miss)
-    return DetCurve(class_label, tuple(sorted(points.items())))
+    confidence = np.fromiter((d.confidence for d in dets), dtype=np.float64, count=len(dets))
+    order = np.argsort(-confidence, kind="stable")
+    gained = np.zeros(len(dets), dtype=np.intp)  # gained[k]: 1 when the k-th detection swept grew the matching
+    searched = np.flatnonzero(congruent.any(axis=1)[order])  # sweep positions of the detections with an edge
+    matched = 0
+    for k, i in zip(searched.tolist(), order[searched].tolist()):
+        if matched == final:
+            break
+        if _augment(i, edges, owner):
+            gained[k] = 1
+            matched += 1
+    swept = confidence[order]
+    ends = np.flatnonzero(np.append(swept[1:] != swept[:-1], True))  # the last detection of each confidence
+    matched_at = np.cumsum(gained)[ends]
+    p_miss = (len(gts) - matched_at) / len(gts)
+    with np.errstate(over="ignore"):  # a rate past the float range is inf, as in Python; `score` refuses to write it
+        rate_fa = (ends + 1 - matched_at) / video_minutes
+    envelope = np.append(rate_fa[1:] != rate_fa[:-1], True)
+    return DetCurve(class_label, tuple(zip(rate_fa[envelope].tolist(), p_miss[envelope].tolist())))
 
 
 def pmiss_at(curve: DetCurve, rate: float) -> float:
@@ -285,34 +299,39 @@ def per_class_det_curves(
     """
     if classes is None:
         classes = DEFAULT_ACTION_CLASSES
-    gt_labels = {gt.action_class for gt in gts}
-    det_labels = {classes[d.action_class - 1] for d in dets}
-    for label in sorted(det_labels - gt_labels):
+    dets_of: dict[int, list[ScoredDetection]] = {}
+    for d in dets:
+        dets_of.setdefault(d.action_class, []).append(d)
+    gts_of: dict[str, list[GroundTruthAction]] = {}
+    for g in gts:
+        gts_of.setdefault(g.action_class, []).append(g)
+    for label in sorted({classes[idx - 1] for idx in dets_of} - set(gts_of)):
         log.warning("class %r has detections but no ground truth; omitted from the aggregate", label)
-    curves: dict[str, DetCurve] = {}
-    for label in [c for c in classes if c in gt_labels]:
-        idx = class_index(label, classes)
-        curves[label] = det_curve(
-            [d for d in dets if d.action_class == idx],
-            [g for g in gts if g.action_class == label],
-            video_minutes,
-            params,
-            classes,
-            class_label=label,
-        )
-    return curves
+    return {
+        label: det_curve(dets_of.get(idx, []), gts_of[label], video_minutes, params, classes, class_label=label)
+        for idx, label in enumerate(classes, start=1)
+        if label in gts_of
+    }
 
 
 def aggregate_det_curve(curves: Iterable[DetCurve]) -> DetCurve:
-    """Unweighted mean of per-class miss probabilities on the union rate grid."""
+    """Unweighted mean of per-class miss probabilities on the union rate grid.
+
+    Each curve is looked up at every grid rate by one `np.searchsorted`, as
+    `pmiss_at` would (1.0 below its first point), and the curves are summed
+    one at a time in their order, so every mean equals `sum(...) / n` over
+    the curves bit for bit.
+    """
     curves = list(curves)
     if not curves:
         raise ValidationError("aggregate needs at least one per-class curve")
-    grid = sorted({rate for c in curves for rate, _ in c.points})
-    if not grid:
-        grid = [0.0]
-    points = tuple((rate, sum(pmiss_at(c, rate) for c in curves) / len(curves)) for rate in grid)
-    return DetCurve("aggregate", points)
+    grid = np.unique(np.array([rate for c in curves for rate, _ in c.points] or [0.0], dtype=np.float64))
+    total = np.zeros(len(grid))
+    for c in curves:
+        rates = np.array([rate for rate, _ in c.points], dtype=np.float64)
+        p_miss = np.array([1.0] + [p for _, p in c.points], dtype=np.float64)
+        total += p_miss[np.searchsorted(rates, grid, side="right")]
+    return DetCurve("aggregate", tuple(zip(grid.tolist(), (total / len(curves)).tolist())))
 
 
 def recall_curve(

@@ -3,7 +3,9 @@
 Everything here is deliberately naive: voxel counting for 3-D IoU, a
 re-simulated greedy pass for NMS, exhaustive assignment search and SciPy's
 `linear_sum_assignment` for the matcher, one assignment solve per threshold
-for DET curves, pair-by-pair scalar IoUs for designation, a merge-by-merge
+for DET curves, one `pmiss_at` lookup per curve and rate for their
+aggregate, one `np.array` call for cuboid arrays, pair-by-pair scalar IoUs
+for designation, a merge-by-merge
 replay over explicit member lists for Ward trees and their cuts, one object per
 detection record for the detection loader, the standard library's
 `json` alone for the record reader, the record types as the frozen
@@ -11,7 +13,8 @@ dataclasses they were before they became validated tuples, and a
 field-by-field loader for each record file: every field read by its getter
 in table order, then the loader's rules.  None of it reuses the code
 paths under test beyond the plain spatial/temporal IoU predicates, the
-record types, and the located line reader and field getters of `ingest`.
+record types, the stepwise `pmiss_at` lookup, and the located line reader
+and field getters of `ingest`.
 `run_python` runs a check in a fresh interpreter, for tests of what a
 stage imports or leaves behind.
 """
@@ -59,7 +62,7 @@ from actionpipe.labeling import (
 )
 from actionpipe.nms import NmsParams, ScoredDetection
 from actionpipe.proposals import PROVENANCES
-from actionpipe.scoring import DetCurve, MatchParams
+from actionpipe.scoring import DetCurve, MatchParams, pmiss_at
 
 
 def random_cuboid(rng: np.random.Generator, grid: int = 4, max_frame: int = 60) -> Cuboid:
@@ -157,6 +160,20 @@ def reference_det_curve(dets, gts, video_minutes: float, params: MatchParams = M
         rate_fa = (len(surviving) - matched) / video_minutes
         points[rate_fa] = min(points.get(rate_fa, 1.0), p_miss)
     return DetCurve(class_label, tuple(sorted(points.items())))
+
+
+def reference_aggregate_det_curve(curves) -> DetCurve:
+    """Macro-average on the union rate grid: one `pmiss_at` lookup per curve and rate, summed with `sum`."""
+    curves = list(curves)
+    grid = sorted({rate for c in curves for rate, _ in c.points}) or [0.0]
+    return DetCurve("aggregate", tuple((rate, sum(pmiss_at(c, rate) for c in curves) / len(curves))
+                                       for rate in grid))
+
+
+def reference_cuboid_array(rows) -> np.ndarray:
+    """(n, 6) float64 array of cuboid rows, converted by one `np.array` call."""
+    rows = list(rows)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), 6)
 
 
 def exhaustive_assignment(num_dets: int, num_gts: int, allowed: dict) -> tuple[int, float]:

@@ -398,6 +398,72 @@ class TestExitCodes:
         assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
 
 
+def absolute_config(fixture_dir, tmp_path, **changes) -> Path:
+    """A copy of the fixture's config in tmp_path, its input paths absolute, output in tmp_path/out."""
+    cfg = json.loads((fixture_dir / "config.json").read_text())
+    for key in ("detections", "ground_truth", "videos", "scores"):
+        cfg[key] = str(fixture_dir / cfg[key])
+    cfg.update(output_dir=str(tmp_path / "out"), **changes)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    return cfg_path
+
+
+def write_jsonl(path, records) -> str:
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return str(path)
+
+
+class TestStrictReport:
+    """`report.json` is strict JSON: a video length or a false-alarm rate past the float range exits 1."""
+
+    def test_video_minutes_overflow_is_located(self, fixture_dir, tmp_path, capsys):
+        videos = [json.loads(line) for line in (fixture_dir / "videos.jsonl").read_text().splitlines()]
+        videos[1]["frame_rate"] = 1e-310  # 900 frames / 1e-310 fps overflows to inf minutes
+        config = absolute_config(fixture_dir, tmp_path, videos=write_jsonl(tmp_path / "videos.jsonl", videos))
+        for stage in ("propose", "label", "finalize", "score"):
+            assert main([stage, "--config", str(config)]) == 1
+            assert f"{tmp_path / 'videos.jsonl'}:2: video length" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("num_videos,num_frames,frame_rate", [
+        (1, 1, 1e307),  # 1.7e-309 minutes, subnormal: one false alarm per minute overflows
+        (100, 1, 6e-309),  # 2.8e306 minutes each, finite; their sum overflows
+    ], ids=["rate_fa_overflow", "total_minutes_overflow"])
+    def test_score_exits_1_rather_than_write_a_non_finite_number(self, tmp_path, capsys, num_videos, num_frames,
+                                                                 frame_rate):
+        box = {"x_min": 0.0, "y_min": 0.0, "x_max": 10.0, "y_max": 10.0, "f_start": 0, "f_end": 0}
+        out = tmp_path / "out"
+        out.mkdir()
+        videos = [{"video_id": f"v{i:03d}", "num_frames": num_frames, "frame_rate": frame_rate, "width": 20.0,
+                   "height": 20.0} for i in range(num_videos)]
+        dets = [{"action_class": "loading", "confidence": conf, "video_id": "v000", "proposal_id": f"p{i}", **box}
+                for i, conf in enumerate((0.9, 0.8))]  # one hit, one false alarm
+        gts = [{"video_id": "v000", "action_class": "loading", **box}]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "detections": "unused.jsonl",
+            "ground_truth": write_jsonl(tmp_path / "gt.jsonl", gts),
+            "videos": write_jsonl(tmp_path / "videos.jsonl", videos),
+            "output_dir": str(out),
+        }), encoding="utf-8")
+        write_jsonl(out / "detections_final.jsonl", dets)
+        assert main(["score", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write the non-finite number inf")
+        assert sorted(path.name for path in out.iterdir()) == ["detections_final.jsonl"]
+
+
+@pytest.mark.parametrize("label", ["", ".", "..", "aggregate", "open/close", "nul\x00byte"],
+                         ids=["empty", "dot", "dotdot", "aggregate", "slash", "nul"])
+def test_label_that_cannot_name_a_curve_file_exits_1_before_any_write(fixture_dir, tmp_path, capsys, label):
+    classes = ["vehicle_u_turn", label, *json.loads((fixture_dir / "config.json").read_text())["action_classes"][2:]]
+    config = absolute_config(fixture_dir, tmp_path, action_classes=classes)
+    for stage in ("propose", "label", "finalize", "score"):
+        assert main([stage, "--config", str(config)]) == 1
+        assert f"action class label {label!r} cannot name a curve file" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestNonFiniteOverrides:
     """Argparse reads `inf` and `nan` as floats; the validators refuse them, as a config file cannot hold them."""
 

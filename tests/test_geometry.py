@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actionpipe.geometry import (
@@ -14,7 +14,7 @@ from actionpipe.geometry import (
     spatial_iou,
     temporal_iou,
 )
-from oracles import random_cuboid, voxel_iou
+from oracles import random_cuboid, reference_cuboid_array, voxel_iou
 
 
 def cub(x0, y0, x1, y1, f0=0, f1=0):
@@ -174,3 +174,26 @@ class TestPairwiseKernel:
         assert cuboid_array([]).shape == (0, 6)
         spatial, temporal = pairwise_iou(cuboid_array([cub(0, 0, 1, 1)]), cuboid_array([]))
         assert spatial.shape == temporal.shape == (1, 0)
+
+
+# floats of every magnitude (-0.0 included) and ints, some past 2**53, where float64 rounds
+VALUE = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-2**60, 2**60)
+
+
+class TestCuboidArray:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[VALUE] * 6) | _cuboids(), max_size=8))
+    @example([(-0.0, 0.0, 1.0, 1.0, 2**53 + 1, 7)])
+    @example([])
+    def test_equals_one_np_array_call_bit_for_bit(self, rows):
+        got, want = cuboid_array(iter(rows)), reference_cuboid_array(rows)
+        assert got.shape == want.shape == (len(rows), 6)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lengths", [[5], [7], [5, 7], [6, 5, 7], [12], [0]])
+    def test_row_not_six_long_raises(self, lengths):
+        rows = [tuple(float(i) for i in range(n)) for n in lengths]
+        with pytest.raises(ValueError):
+            reference_cuboid_array(rows)
+        with pytest.raises(ValueError):
+            cuboid_array(rows)

@@ -2,9 +2,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from actionpipe import ingest
 from actionpipe.geometry import Cuboid
 from actionpipe.ingest import (
     DEFAULT_ACTION_CLASSES,
@@ -13,6 +14,7 @@ from actionpipe.ingest import (
     ValidationError,
     VideoMeta,
     class_index,
+    indented_json,
     load_detections,
     load_ground_truth,
     load_scores,
@@ -369,3 +371,59 @@ def test_class_index():
     assert class_index("loading", DEFAULT_ACTION_CLASSES) == 6
     with pytest.raises(ValidationError):
         class_index("nope")
+
+
+# Numbers of every magnitude: -0.0, subnormals, 1e308, and ints beyond 64 bits, where a sum of pairs overflows.
+NUMBER = st.floats(allow_nan=False, allow_infinity=False) | st.integers() | st.sampled_from((-0.0, 5e-324, 1e308))
+PAIRS = st.lists(st.lists(NUMBER, min_size=2, max_size=2) | st.tuples(NUMBER, NUMBER), max_size=4)
+SUMMARY = st.lists(NUMBER, max_size=4)
+LABEL = st.text() | st.sampled_from(('q"uote', "back\\slash", "caf\u00e9", "\u2603", "tab\tnl\n\x00\x1f", ""))
+# the shape of a `score` report
+REPORTS = st.fixed_dictionaries({
+    "video_minutes": NUMBER,
+    "num_ground_truth": st.integers(0, 10**6),
+    "num_detections": st.integers(0, 10**6),
+    "rate_grid": SUMMARY,
+    "aggregate": st.fixed_dictionaries({"mean_p_miss": SUMMARY, "points": PAIRS}),
+    "classes": st.dictionaries(LABEL, st.fixed_dictionaries({"p_miss": SUMMARY, "points": PAIRS}), max_size=4),
+})
+# any JSON tree with string keys and finite numbers
+TREES = st.recursive(
+    st.none() | st.booleans() | NUMBER | LABEL,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(LABEL, inner, max_size=4) | PAIRS,
+    max_leaves=20,
+)
+
+
+class TestIndentedJson:
+    @settings(max_examples=300, deadline=None)
+    @given(REPORTS)
+    @example({"video_minutes": 1.5, "num_ground_truth": 0, "num_detections": 0, "rate_grid": [1, 0.1],
+              "aggregate": {"mean_p_miss": [], "points": [[0.0, 1.0]]}, "classes": {}})  # no classes, int rates
+    @example({"video_minutes": 1e-310, "num_ground_truth": 1, "num_detections": 2, "rate_grid": [-0.0],
+              "aggregate": {"mean_p_miss": [1.0], "points": [[1e308, 1e308], [2**70, 1.0]]},
+              "classes": {'a"\\\u00e9\x07': {"p_miss": [1.0], "points": [[5e-324, 0.5]]}}})
+    def test_report_equals_json_dumps(self, report):
+        assert indented_json(report) == json.dumps(report, indent=2, sort_keys=True)
+
+    def test_point_lists_skip_the_encoder(self, monkeypatch):
+        # a drifted guard would still write the same text, by the encoder, so only this test would see it
+        encode, encoded = ingest._encode, []
+        monkeypatch.setattr(ingest, "_encode", lambda value: encoded.append(value) or encode(value))
+        points = [(i / 7, 1 - i / 1000) for i in range(1000)]
+        report = {"aggregate": {"points": points}, "classes": {"a": {"points": [list(p) for p in points]}}}
+        assert indented_json(report) == json.dumps(report, indent=2, sort_keys=True)
+        assert encoded == ["aggregate", "points", "classes", "a", "points"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(TREES)
+    def test_tree_equals_json_dumps(self, tree):
+        assert indented_json(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [
+        float("inf"), [float("nan")], {"points": [[0.0, float("inf")]]}, {"points": [[1.0, 2.0], [float("-inf"), 0.0]]},
+        {"a": {"b": [1, float("nan")]}},
+    ])
+    def test_non_finite_number_raises(self, value):
+        with pytest.raises(ValidationError, match="non-finite"):
+            indented_json(value)

@@ -28,6 +28,7 @@ from oracles import (
     exhaustive_assignment,
     random_cuboid,
     random_match_instance,
+    reference_aggregate_det_curve,
     reference_det_curve,
     scipy_assignment,
 )
@@ -193,6 +194,46 @@ def test_matcher_equals_oracles(det_specs, gt_specs, params):
         assert got_sum == pytest.approx(want_sum, abs=1e-9)
     if gts:
         assert det_curve(dets, gts, 3.0, params) == reference_det_curve(dets, gts, 3.0, params)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    det_specs=st.lists(st.tuples(*PLACE, st.sampled_from((0.0, -0.0, 0.5, 1.0))), max_size=9),
+    gt_specs=st.lists(st.tuples(*PLACE), min_size=1, max_size=6),
+    minutes=st.sampled_from((3.0, 0.7, 1e-300, 5e-324)),  # at the last two, every false alarm rate is inf
+)
+@example(det_specs=[TIE + (0.0,), TIE + (-0.0,), TIE + (0.0,)], gt_specs=[TIE[:3] + ((0, 9),)], minutes=3.0)
+@example(det_specs=[TIE + (-0.0,), TIE + (0.5,)], gt_specs=[TIE[:3] + ((0, 9),)], minutes=5e-324)
+def test_sweep_equals_reference_on_confidence_ties(det_specs, gt_specs, minutes):
+    # equal confidences (0.0 and -0.0 compare equal) form one threshold; equal rates keep the lowest p_miss
+    dets, gts = instance_dets(det_specs), instance_gts(gt_specs)
+    got = det_curve(dets, gts, minutes)
+    assert repr(got) == repr(reference_det_curve(dets, gts, minutes))
+    assert all(type(value) is float for point in got.points for value in point)
+
+
+def _curve(pairs) -> DetCurve:
+    """A valid curve from drawn (rate, p_miss) pairs: rates ascending and distinct, p_miss non-increasing."""
+    rates = sorted({rate for rate, _ in pairs})
+    return DetCurve("c", tuple(zip(rates, sorted((p for _, p in pairs), reverse=True))))
+
+
+# rates from a small set, so grids share points; p_miss fractions whose sums round
+CURVES = st.lists(
+    st.lists(st.tuples(st.sampled_from((0.0, 0.1, 0.2, 1 / 3, 1.0, 2.5, 1e308)),
+                       st.sampled_from((0.0, 1 / 3, 0.1, 0.7, 1.0)) | st.floats(0.0, 1.0)), max_size=6).map(_curve),
+    min_size=1, max_size=7,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(curves=CURVES)
+@example(curves=[DetCurve("c", ())])  # no points at all: the grid is [0.0]
+@example(curves=[DetCurve("a", ((0.5, 0.2),)), DetCurve("b", ())])  # 1-point curves; below a curve, p_miss 1
+def test_aggregate_equals_per_rate_reference(curves):
+    got = aggregate_det_curve(curves)
+    assert repr(got) == repr(reference_aggregate_det_curve(curves))
+    assert all(type(value) is float for point in got.points for value in point)
 
 
 class TestDetCurve:

@@ -58,6 +58,8 @@ def _propose_one(args) -> list[Proposal]:
 
 
 def cmd_propose(cfg: PipelineConfig, jobs: int = 1) -> None:
+    if jobs < 1:
+        raise ValidationError(f"--jobs must be at least 1, got {jobs}")
     videos = load_video_meta(ensure_path(cfg.videos))
     detections = load_detections(ensure_path(cfg.detections), videos, cfg.min_confidence, cfg.object_classes)
     tasks = [(dets, videos[vid], cfg.cluster, cfg.jitter) for vid, dets in detections.items()]

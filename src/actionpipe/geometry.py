@@ -32,7 +32,8 @@ class Cuboid(namedtuple("Cuboid", "x_min y_min x_max y_max f_start f_end")):
     then rejects non-finite bounds, empty extents and inverted spans.  Being
     a tuple, it also equals a plain tuple of the same values, iterates over
     them, and `json` would encode it as a list; nothing in the package, its
-    tests or its benchmark relies on that.
+    tests or its benchmark relies on that.  `cuboids_from_columns` checks
+    the same rules over many cuboids at once.
     """
 
     __slots__ = ()
@@ -79,6 +80,21 @@ class Cuboid(namedtuple("Cuboid", "x_min y_min x_max y_max f_start f_end")):
     @property
     def mid_frame(self) -> float:
         return (self.f_start + self.f_end) / 2.0
+
+
+def cuboids_from_columns(x_min, y_min, x_max, y_max, f_start, f_end) -> list[Cuboid] | None:
+    """The `Cuboid`s of six equal-length columns of values, or None when `Cuboid` would refuse one.
+
+    The bounds must already be finite `float`s and the frames `int`s, as a
+    block reader's column check leaves them (`ingest._read_blocks`).  Then
+    `Cuboid`'s coercions change nothing, and its other rules (nonempty
+    extents, an uninverted span) are one comparison over each pair of
+    columns, so the tuples are built without checking each one again.
+    """
+    if not (all(map(operator.lt, x_min, x_max)) and all(map(operator.lt, y_min, y_max))
+            and all(map(operator.le, f_start, f_end))):
+        return None
+    return list(map(tuple.__new__, itertools.repeat(Cuboid), zip(x_min, y_min, x_max, y_max, f_start, f_end)))
 
 
 def spatial_iou(a: Cuboid, b: Cuboid) -> float:

@@ -2,19 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import Cuboid, cuboid_array, pairwise_iou
+from .geometry import Cuboid, cuboid_array, cuboids_from_columns, pairwise_iou
 from .ingest import (
     CUBOID_FIELDS,
     ValidationError,
     _get_number,
     _get_str,
-    _read_records,
+    _read_blocks,
     class_index,
     field_reader,
     line_encoder,
@@ -32,7 +33,8 @@ class ScoredDetection(namedtuple("ScoredDetection", "video_id proposal_id action
     below 1 and a confidence outside [0, 1].  Being a tuple, it also equals
     a plain tuple of the same values, iterates over them, and `json` would
     encode it as a list; nothing in the package, its tests or its benchmark
-    relies on that.
+    relies on that.  `load_final_detections` checks the same rules over a
+    block of records at once and then builds them with `tuple.__new__`.
     """
 
     __slots__ = ()
@@ -117,4 +119,15 @@ def load_final_detections(path, action_classes: Sequence[str]) -> list[ScoredDet
         cls = index_of.get(label) or class_index(label, action_classes)  # an unknown label raises there
         return ScoredDetection(video_id, proposal_id, cls, confidence, cuboid)
 
-    return list(_read_records(path, parse))
+    def check(objects: list[dict], rows: list[tuple], columns: list[tuple]) -> list[ScoredDetection] | None:
+        labels, confidences, video_ids, proposal_ids, *box = columns
+        if not index_of.keys() >= set(labels) or min(confidences) < 0.0 or max(confidences) > 1.0:
+            return None
+        cuboids = cuboids_from_columns(*box)
+        if cuboids is None:
+            return None
+        classes = map(index_of.__getitem__, labels)
+        return list(map(tuple.__new__, itertools.repeat(ScoredDetection),
+                        zip(video_ids, proposal_ids, classes, confidences, cuboids)))
+
+    return list(itertools.chain.from_iterable(_read_blocks(path, FINAL_DETECTION_FIELDS, check, parse)))

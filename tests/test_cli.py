@@ -161,6 +161,13 @@ class TestEndToEnd:
         assert main(["propose", "--config", str(cfg_path), "--output", str(tmp_path), "--jobs", str(jobs)]) == 0
         assert sizes == [workers]
 
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_propose_refuses_fewer_than_one_job(self, fixture_dir, tmp_path, capsys, jobs):
+        cfg_path = fixture_dir / "config.json"
+        assert main(["propose", "--config", str(cfg_path), "--output", str(tmp_path / "out"), "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_multi_label_emits_at_least_argmax(self, fixture_dir, tmp_path):
         cfg_path = fixture_dir / "config.json"
         run_pipeline(cfg_path)

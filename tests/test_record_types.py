@@ -5,11 +5,13 @@
 reads a record's fields through its table in one call
 (`ingest.field_reader`): the values in table order, or the error of the
 first field, in table order, that its reader rejects; then it applies its
-own rules.  `tests/oracles.py` keeps the frozen dataclasses and a
-field-by-field loader per record file, which reads every field with its
-getter before the same rules; for any arguments, and for any record file,
-both must give the same fields (types and float bits included) or the same
-error.
+own rules.  The four large loaders first check a block of lines as
+columns (`ingest._read_blocks`) and build its records without that
+per-record path, which reads only a block the column check refuses.
+`tests/oracles.py` keeps the frozen dataclasses and a field-by-field
+loader per record file, which reads every field with its getter before
+the same rules; for any arguments, and for any record file, both must give
+the same fields (types and float bits included) or the same error.
 """
 
 import dataclasses
@@ -17,12 +19,14 @@ import json
 import math
 import pickle
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from actionpipe import ingest
 from actionpipe.geometry import Cuboid
 from actionpipe.ingest import (
     DEFAULT_ACTION_CLASSES,
@@ -205,7 +209,9 @@ def read_each(fields):
     return lambda record: tuple(get(record, name) for name, get in fields.items())
 
 
-@pytest.mark.parametrize("record,accepted", [
+# (record, whether its values come back as they are): a block reader's column check
+# takes a record only then; any other goes through the field readers one by one.
+EXACT_TYPE_RECORDS = [
     ({"s": "a", "i": 3, "f": 0.5}, True),
     ({"s": "a", "i": -MAX_INT, "f": -0.0}, True),
     ({"s": "a", "i": 3}, False),
@@ -218,11 +224,24 @@ def read_each(fields):
     ({"s": "a", "i": 3, "f": -math.inf}, False),
     ({"s": "a", "i": 3, "f": 2.0**60}, True),
     ({"s": 7, "i": 3, "f": 0.5}, False),
-])
+]
+
+
+@pytest.mark.parametrize("record,accepted", EXACT_TYPE_RECORDS)
 def test_field_reader_accepts_only_exact_types(record, accepted):
     assert_same_outcome(READER, read_each(READER_FIELDS), record)
     got, _ = outcome(READER, record)
     assert (got is not None and tuple(map(type, got)) == tuple(map(type, record.values()))) == accepted
+
+
+@pytest.mark.parametrize("record,accepted", EXACT_TYPE_RECORDS)
+def test_block_check_takes_only_exact_types(tmp_path, record, accepted):
+    # NaN and the infinities are written as `json` writes them, which orjson rejects
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    blocks = list(ingest._read_blocks(path, READER_FIELDS, lambda objects, rows, columns: rows,
+                                      lambda obj: "read field by field"))
+    assert_identical(blocks, [[tuple(record.values()) if accepted else "read field by field"]])
 
 
 @pytest.mark.parametrize("fields,record", [
@@ -363,6 +382,79 @@ def test_loader_equals_field_by_field_reference(tmp_path_factory, kind, data):
     want, want_error = outcome(lambda: normalized(kind, reference(path)))
     assert got_error == want_error
     assert_identical(got, want)
+
+
+# The four large loaders read `ingest.RECORD_BLOCK` lines at a time and check
+# each block as columns; a block that fails goes line by line through the
+# loader's `parse`.  At two lines a block, a damaged record, a repeated id, a
+# blank line or the file's end falls in a first, a middle or a last block.
+
+BLOCK_LOADERS = ("detections", "final_detections", "proposals", "scores")
+
+
+@st.composite
+def block_files(draw, kind) -> bytes:
+    """1-9 records, up to two damaged fields in any of them, blank lines, LF or CRLF, a final newline or none.
+
+    A damage is one of `record_files`', or a float field given the int of
+    its value (valid: the loader converts it), or a `proposal_id` repeated
+    from any earlier record.
+    """
+    make = LOADERS[kind][2]
+    records = [make(i) for i in range(draw(st.integers(1, 9)))]
+    for _ in range(draw(st.integers(0, 2))):
+        target = draw(st.integers(0, len(records) - 1))
+        record = records[target]
+        if not record:
+            break
+        name = draw(st.sampled_from(sorted(record)))
+        how = draw(st.sampled_from(("drop", "value", "int", "repeat_id")))
+        if how == "drop":
+            del record[name]
+        elif how == "int":
+            if type(record[name]) is float and record[name].is_integer():
+                record[name] = int(record[name])
+        elif how == "repeat_id":
+            if target > 0 and "proposal_id" in record:
+                record["proposal_id"] = records[draw(st.integers(0, target - 1))]["proposal_id"]
+        elif type(record[name]) in DAMAGED:
+            record[name] = draw(DAMAGED[type(record[name])])
+    lines = [json.dumps(r).encode("ascii") for r in records]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from([b"", b" ", b"\t"])))
+    eol = draw(st.sampled_from([b"\n", b"\r\n"]))
+    return eol.join(lines) + eol * draw(st.booleans())
+
+
+@pytest.mark.parametrize("kind", BLOCK_LOADERS)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_block_reader_equals_field_by_field_reference(tmp_path_factory, kind, data):
+    # `record_fields` names each record's type, so a plain tuple in place of a `Cuboid` would differ
+    load, reference, _ = LOADERS[kind]
+    path = tmp_path_factory.mktemp(kind) / f"{kind}.jsonl"
+    path.write_bytes(data.draw(block_files(kind)))
+    with mock.patch.object(ingest, "RECORD_BLOCK", 2):
+        got, got_error = outcome(lambda: normalized(kind, load(path)))
+    want, want_error = outcome(lambda: normalized(kind, reference(path)))
+    assert got_error == want_error
+    assert_identical(got, want)
+
+
+@pytest.mark.parametrize("kind", BLOCK_LOADERS)
+def test_valid_blocks_are_not_read_line_by_line(tmp_path, monkeypatch, kind):
+    load, reference, make = LOADERS[kind]
+    path = tmp_path / f"{kind}.jsonl"
+    # CRLF line ends and no final newline are JSON whitespace to orjson, so they stay in the column check
+    path.write_bytes(b"\r\n".join(json.dumps(make(i)).encode("ascii") for i in range(5)))
+    want = normalized(kind, reference(path))
+
+    def line_by_line(*args):
+        raise AssertionError("a valid block was read line by line")
+
+    monkeypatch.setattr(ingest, "RECORD_BLOCK", 2)
+    monkeypatch.setattr(ingest, "_parse_lines", line_by_line)
+    assert_identical(normalized(kind, load(path)), want)
 
 
 DROPPED = object()  # a fault that removes the field

@@ -308,13 +308,13 @@ LOADERS = {
     ),
 }
 # What a damaged field may hold instead, by the type of its valid value.
-DAMAGED = {
-    type(None): st.sampled_from(["", 5, "v1_c0", False]),
-    str: st.sampled_from(["", "zz", True, 5, None, 0.5]),
-    int: st.sampled_from([True, False, 1.5, 10.0, -1, 10**6, 2**53, 2**53 + 1, -(2**53 + 1), None, "3"]),
-    float: st.sampled_from([True, 0, 1, 7, math.nan, math.inf, -math.inf, 2**53 + 1, 2.0**53 + 2, 1e300, -1e300,
-                            -0.0, 1.5, -0.5, 60.0, "0.5", None]),
-    list: st.sampled_from([
+DAMAGED_VALUES = {
+    type(None): ["", 5, "v1_c0", False],
+    str: ["", "zz", True, 5, None, 0.5],
+    int: [True, False, 1.5, 10.0, -1, 10**6, 2**53, 2**53 + 1, -(2**53 + 1), None, "3"],
+    float: [True, 0, 1, 7, math.nan, math.inf, -math.inf, 2**53 + 1, 2.0**53 + 2, 1e300, -1e300,
+            -0.0, 1.5, -0.5, 60.0, "0.5", None],
+    list: [
         [0.05, math.nan] + [0.95 / 11] * 11,  # NaN after a valid score
         [math.nan] + [1.0 / 12] * 12,
         [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],  # integers, a valid distribution
@@ -327,8 +327,9 @@ DAMAGED = {
         [math.inf, -math.inf] + [0.0] * 11,
         [1e308, 1e308] + [0.0] * 11,
         "0.5",
-    ]),
+    ],
 }
+DAMAGED = {kind: st.sampled_from(values) for kind, values in DAMAGED_VALUES.items()}
 
 
 @st.composite
@@ -439,6 +440,29 @@ def test_block_reader_equals_field_by_field_reference(tmp_path_factory, kind, da
     want, want_error = outcome(lambda: normalized(kind, reference(path)))
     assert got_error == want_error
     assert_identical(got, want)
+
+
+@pytest.mark.parametrize("kind", BLOCK_LOADERS)
+def test_every_damage_in_a_later_block_equals_reference(tmp_path, kind):
+    # each field of the fourth of five records, in turn dropped or given each `DAMAGED` value, and
+    # its id repeated from the first block and from its own
+    load, reference, make = LOADERS[kind]
+    path = tmp_path / f"{kind}.jsonl"
+    valid = make(3)
+    damages = [{name: value for name, value in valid.items() if name != dropped} for dropped in valid]
+    for name, value in valid.items():
+        for damaged in DAMAGED_VALUES[type(value)]:
+            damages.append({**valid, name: damaged})
+    if "proposal_id" in valid:
+        damages += [{**valid, "proposal_id": make(i)["proposal_id"]} for i in (0, 2)]
+    with mock.patch.object(ingest, "RECORD_BLOCK", 2):
+        for record in damages:
+            lines = [make(i) for i in range(3)] + [record, make(4)]
+            path.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+            got, got_error = outcome(lambda: normalized(kind, load(path)))
+            want, want_error = outcome(lambda: normalized(kind, reference(path)))
+            assert got_error == want_error, record
+            assert_identical(got, want)
 
 
 @pytest.mark.parametrize("kind", BLOCK_LOADERS)

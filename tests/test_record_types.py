@@ -416,8 +416,10 @@ def block_files(draw, kind) -> bytes:
             if type(record[name]) is float and record[name].is_integer():
                 record[name] = int(record[name])
         elif how == "repeat_id":
-            if target > 0 and "proposal_id" in record:
-                record["proposal_id"] = records[draw(st.integers(0, target - 1))]["proposal_id"]
+            # an earlier damage may have dropped an earlier record's id
+            earlier = [r["proposal_id"] for r in records[:target] if "proposal_id" in r]
+            if earlier and "proposal_id" in record:
+                record["proposal_id"] = draw(st.sampled_from(earlier))
         elif type(record[name]) in DAMAGED:
             record[name] = draw(DAMAGED[type(record[name])])
     lines = [json.dumps(r).encode("ascii") for r in records]

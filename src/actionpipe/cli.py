@@ -3,7 +3,9 @@
 Subcommands: propose, label, finalize, score, synth, loss-oracle.  Every
 threshold can be set in the JSON config and overridden per run; reruns with
 the same config and seed produce byte-identical outputs.  Exit codes:
-0 success, 1 validation error, 2 I/O error.
+0 success, 1 validation error, 2 I/O error.  `finalize` builds its NMS
+candidates (`_candidates`) without `ScoredDetection`'s checks, from class
+indices and scores that are already known to be valid.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .config import PipelineConfig, load_config  # noqa: E402
 from .ingest import (  # noqa: E402
     ScoreRecord,
     ValidationError,
+    VideoMeta,
     _get,
     _get_int,
     _is_finite,
@@ -102,15 +105,43 @@ def cmd_label(cfg: PipelineConfig) -> None:
     print(f"wrote training manifest to {out_path}")
 
 
-def _to_detection(prop: Proposal, record: ScoreRecord, cls: int, num_frames: int) -> ScoredDetection:
-    refined, _ = apply_refinement(prop.cuboid, record.refinement, num_frames)
-    return ScoredDetection(
-        video_id=prop.video_id,
-        proposal_id=prop.proposal_id,
-        action_class=cls,
-        confidence=record.class_scores[cls],
-        cuboid=refined,
-    )
+def _candidates(
+    proposals: list[Proposal],
+    scores: dict[str, ScoreRecord],
+    videos: dict[str, VideoMeta],
+    multi_label: bool,
+    min_class_score: float,
+) -> dict[str, list[ScoredDetection]]:
+    """Each video's NMS candidates: one refined detection per proposal and chosen action class.
+
+    The chosen classes are those scoring at least `min_class_score` with
+    `multi_label`, else the argmax when it is not the non-action class 0.
+    `apply_refinement` runs once per candidate.  Each `ScoredDetection` is
+    built with `tuple.__new__`, without its constructor's checks, which
+    hold already: the class is at least 1, and the confidence is a score
+    `load_scores` has checked to lie in [0, 1].
+    """
+    by_video: dict[str, list[ScoredDetection]] = {}
+    for prop in proposals:
+        meta = videos.get(prop.video_id)
+        if meta is None:
+            raise ValidationError(f"proposal {prop.proposal_id!r} has unknown video_id {prop.video_id!r}")
+        record = scores.get(prop.proposal_id)
+        if record is None:
+            raise ValidationError(f"no score record for proposal {prop.proposal_id!r}")
+        _, class_scores, refinement = record
+        if multi_label:
+            classes = [cls for cls in range(1, len(class_scores)) if class_scores[cls] >= min_class_score]
+        else:
+            cls = record.argmax_class
+            classes = [cls] if cls else []
+        if classes:
+            proposal_id, video_id, cuboid, _, _ = prop
+            append = by_video.setdefault(video_id, []).append
+            for cls in classes:
+                refined, _ = apply_refinement(cuboid, refinement, meta.num_frames)
+                append(tuple.__new__(ScoredDetection, (video_id, proposal_id, cls, class_scores[cls], refined)))
+    return by_video
 
 
 def cmd_finalize(cfg: PipelineConfig, multi_label: bool = False, min_class_score: float = 0.05) -> None:
@@ -121,23 +152,7 @@ def cmd_finalize(cfg: PipelineConfig, multi_label: bool = False, min_class_score
     videos = load_video_meta(ensure_path(cfg.videos))
     scores = load_scores(ensure_path(cfg.scores), num_classes=len(cfg.action_classes))
     proposals = load_proposals(ensure_path(cfg.output_dir / "proposals.jsonl"))
-    by_video: dict[str, list[ScoredDetection]] = {}
-    for prop in proposals:
-        meta = videos.get(prop.video_id)
-        if meta is None:
-            raise ValidationError(f"proposal {prop.proposal_id!r} has unknown video_id {prop.video_id!r}")
-        record = scores.get(prop.proposal_id)
-        if record is None:
-            raise ValidationError(f"no score record for proposal {prop.proposal_id!r}")
-        if multi_label:
-            for cls in range(1, len(record.class_scores)):
-                if record.class_scores[cls] >= min_class_score:
-                    by_video.setdefault(prop.video_id, []).append(_to_detection(prop, record, cls, meta.num_frames))
-        else:
-            cls = record.argmax_class
-            if cls == 0:
-                continue
-            by_video.setdefault(prop.video_id, []).append(_to_detection(prop, record, cls, meta.num_frames))
+    by_video = _candidates(proposals, scores, videos, multi_label, min_class_score)
     final: list[ScoredDetection] = []
     for vid in sorted(by_video):
         final.extend(nms_3d(by_video[vid], cfg.nms))
@@ -298,8 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nms-temporal-iou", dest="nms.temporal_iou", type=float)
     p.add_argument("--nms-spatial-iou", dest="nms.spatial_iou", type=float)
     p.add_argument("--multi-label", dest="multi_label", action="store_true",
-                   help="emit every action class above --min-class-score instead of the argmax")
-    p.add_argument("--min-class-score", dest="min_class_score", type=float, default=0.05)
+                   help="emit every action class scoring at least --min-class-score instead of the argmax")
+    p.add_argument("--min-class-score", dest="min_class_score", type=float, default=0.05,
+                   help="lowest class score --multi-label emits, in [0, 1] (default 0.05)")
 
     p = sub.add_parser("score", help="DET curves and mean p_miss report")
     add_config(p)

@@ -25,7 +25,10 @@ stricter than `parse`, and gives the records `parse` would.  Every output
 file goes through `write_lines`.  Proposals, training labels and final
 detections are encoded from their table by one generated line function
 each (`line_encoder`): a `%` template behind an exact-type guard, with the
-JSON encoder as fallback, the same bytes either way.  An indented JSON
+JSON encoder as fallback, the same bytes either way.  Proposals and final
+detections also keep each box's text for one write call, looked up only
+once the guard has passed and never kept for a box holding a zero, since
+`-0.0 == 0.0` but the two are written differently.  An indented JSON
 document (the `score` report, a saved config) is written by
 `indented_json`, which gives `json.dumps(value, indent=2, sort_keys=True)`
 without the standard library's pure-Python encoder.
@@ -317,6 +320,7 @@ CUBOID_FIELDS = {
     "x_min": _get_number, "y_min": _get_number, "x_max": _get_number, "y_max": _get_number,
     "f_start": _get_int, "f_end": _get_int,
 }
+BOX_FIELDS = ("x_min", "y_min", "x_max", "y_max")  # the spatial box, which jittered windows share with their parent
 
 
 # A detection record's fields with their readers.  A record is the tuple of
@@ -580,7 +584,9 @@ def indented_json(value, indent: str = "") -> str:
     return _encode(value)
 
 
-def line_encoder(fields: dict[str, Callable], nullable: Iterable[str] = ()) -> Callable[..., str]:
+def line_encoder(
+    fields: dict[str, Callable], nullable: Iterable[str] = (), memo: Iterable[str] = (),
+) -> Callable[..., str]:
     """A function `line(*values)` giving `_encode(dict(zip(fields, values)))`, the output line of one record.
 
     `fields` is a `{name: _get_*}` table, as for `field_reader`; a name in
@@ -592,6 +598,17 @@ def line_encoder(fields: dict[str, Callable], nullable: Iterable[str] = ()) -> C
     `repr` (what the encoder writes for those exact types), None as
     `null`.  Any other record is encoded as a dict, so the line is the same
     bytes either way.
+
+    `memo` names float fields, not nullable, whose keys sort after every
+    other key (a cuboid's box: `x_max`, `x_min`, `y_max`, `y_min`).  Their
+    text is then a suffix of the line, which `line` keeps in a dict keyed by
+    their values, so a box that many records share has its `repr`s built
+    once.  The dict is read only after the guard above has passed, so it
+    holds exact, finite floats only, whose equal values have equal
+    `repr`s, with one exception: `-0.0 == 0.0`, so a box holding a zero of
+    either sign is never stored.  Each `line` has a memo of its own, and
+    `line.fresh()` gives a new `line` with an empty one; each writer takes
+    one per call, so no memo outlives the file it writes.
 
     `line` is generated as straight-line code, as `dataclasses` generates
     `__init__`.  A closure looping over the fields gave the same lines but
@@ -620,16 +637,41 @@ def line_encoder(fields: dict[str, Callable], nullable: Iterable[str] = ()) -> C
     if finite:  # a NaN or an infinity makes the sum non-finite
         guard.append(f"_isfinite({' + '.join(finite)})")
     keys = (_encode(name).replace("%", "%%") for name in sorted(fields))
-    template = "{" + ", ".join(f"{key}: {slot}" for key, slot in zip(keys, slots)) + "}"
-    source = (
-        f"def line({', '.join(params)}):\n"
-        f"    if {' and '.join(guard)}:\n"
-        f"        return TEMPLATE % ({', '.join(args)},)\n"
-        f"    return _encode(dict(zip(NAMES, ({', '.join(params)},))))\n"
+    items = [f"{key}: {slot}" for key, slot in zip(keys, slots)]
+    memo = sorted(memo)
+    head = len(fields) - len(memo)  # the sorted keys before the memoized suffix
+    if memo != sorted(fields)[head:] or not head or nullable.intersection(memo) \
+            or any(fields[name] is not _get_number for name in memo):
+        raise ValueError(f"memo fields {memo} must be non-nullable float fields whose keys sort last")
+    box = ", ".join(params[list(fields).index(name)] for name in memo)
+    fill = (
+        f"            return TEMPLATE % ({', '.join(args)},)\n" if not memo else
+        f"            key = ({box},)\n"
+        f"            text = memo_get(key)\n"
+        f"            if text is None:\n"
+        f"                text = SUFFIX % key\n"
+        f"                if {box.replace(', ', ' and ')}:  # no zero of either sign\n"
+        f"                    memo[key] = text\n"
+        f"            return TEMPLATE % ({', '.join(args[:head])},) + text\n"
     )
-    namespace = {"TEMPLATE": template, "NAMES": tuple(fields), "_encode": _encode, "_isfinite": math.isfinite}
-    exec(source, namespace)  # the source holds only the names above, `v0`, `v1`, ... and the three types
-    return namespace["line"]
+    source = (
+        f"def fresh():\n"
+        f"    memo = {{}}\n"
+        f"    memo_get = memo.get\n"
+        f"    def line({', '.join(params)}):\n"
+        f"        if {' and '.join(guard)}:\n"
+        f"{fill}"
+        f"        return _encode(dict(zip(NAMES, ({', '.join(params)},))))\n"
+        f"    line.fresh = fresh\n"
+        f"    return line\n"
+    )
+    namespace = {
+        "TEMPLATE": "{" + ", ".join(items[:head]) + ("" if memo else "}"),
+        "SUFFIX": "".join(f", {item}" for item in items[head:]) + "}",
+        "NAMES": tuple(fields), "_encode": _encode, "_isfinite": math.isfinite,
+    }
+    exec(source, namespace)  # the source holds only the names above, `v0`, `v1`, ... and `memo`, `key`, `text`
+    return namespace["fresh"]()
 
 
 def write_video_meta(path, videos: Iterable[VideoMeta]) -> None:

@@ -3,11 +3,14 @@
 Anchor frames are taken at a fixed stride along each parent proposal; every
 anchor spawns one window per configured half-extent, keeping the parent's
 spatial box.  The originals are always retained, so the jittered set is a
-superset of its input and recall can only go up.
+superset of its input and recall can only go up.  Windows are built
+without their record types' checks, which the parent's checked box and
+integer-only `JitterParams` already guarantee.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .geometry import Cuboid
@@ -25,6 +28,12 @@ class JitterParams:
 
     def __post_init__(self):
         object.__setattr__(self, "half_windows", tuple(self.half_windows))
+        # `jitter_proposals` builds windows unchecked, so their frames must come out as ints
+        named = [("stride", self.stride), *(("half_windows entry", w) for w in self.half_windows),
+                 ("min_span", self.min_span)]
+        for name, value in named:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.stride < 1:
             raise ValidationError("stride must be >= 1")
         if not self.half_windows:
@@ -63,28 +72,32 @@ def jitter_proposals(
     Windows are clamped to the video span when clamp_to_video is set; spans
     shorter than min_span after clamping are dropped, and generated windows
     duplicating earlier bounds (originals included) are deduplicated.
+
+    Each window's `Cuboid` and `Proposal` are built with `tuple.__new__`,
+    without their constructors' checks, which hold already: the box is the
+    parent's valid box, the frames are ints (`JitterParams` takes integers
+    only) and `f_hi - f_lo + 1 >= min_span >= 1` orders them, and the
+    provenance is a known one.
     """
     out = list(proposals)
     seen = {p.cuboid for p in proposals}
-    last_frame = video_meta.num_frames - 1
+    last_frame = operator.index(video_meta.num_frames) - 1  # an int, as the windows' frames must be
+    clamp, min_span = params.clamp_to_video, params.min_span
     for parent in proposals:
         c = parent.cuboid
+        box, pid = c[:4], parent.proposal_id
         for f_a in anchors(c.f_start, c.f_end, params.stride, params.include_end):
             for w in params.half_windows:
                 f_lo, f_hi = f_a - w, f_a + w
-                if params.clamp_to_video:
+                if clamp:
                     f_lo, f_hi = max(0, f_lo), min(last_frame, f_hi)
-                if f_hi - f_lo + 1 < params.min_span:
+                if f_hi - f_lo + 1 < min_span:
                     continue
-                window = Cuboid(c.x_min, c.y_min, c.x_max, c.y_max, f_lo, f_hi)
+                window = tuple.__new__(Cuboid, (*box, f_lo, f_hi))
                 if window in seen:
                     continue
                 seen.add(window)
-                out.append(Proposal(
-                    proposal_id=f"{parent.proposal_id}_a{f_a}w{w}",
-                    video_id=parent.video_id,
-                    cuboid=window,
-                    provenance=PROVENANCE_JITTERING,
-                    parent_id=parent.proposal_id,
-                ))
+                out.append(tuple.__new__(Proposal, (
+                    f"{pid}_a{f_a}w{w}", parent.video_id, window, PROVENANCE_JITTERING, pid,
+                )))
     return out

@@ -11,6 +11,7 @@ import numpy as np
 
 from .geometry import Cuboid, cuboid_array, cuboids_from_columns, pairwise_iou
 from .ingest import (
+    BOX_FIELDS,
     CUBOID_FIELDS,
     ValidationError,
     _get_number,
@@ -99,13 +100,14 @@ FINAL_DETECTION_FIELDS = {
     **CUBOID_FIELDS,
 }
 _read_final_fields = field_reader(FINAL_DETECTION_FIELDS)
-_final_line = line_encoder(FINAL_DETECTION_FIELDS)
+_final_line = line_encoder(FINAL_DETECTION_FIELDS, memo=BOX_FIELDS)
 
 
 def write_final_detections(path, dets: Iterable[ScoredDetection], action_classes: Sequence[str]) -> None:
     """Final-detections file: the system's deliverable and scoring input."""
+    line = _final_line.fresh()  # a detection keeps its proposal's box, whose text this call builds once
     write_lines(path, (
-        _final_line(action_classes[det.action_class - 1], det.confidence, det.video_id, det.proposal_id, *det.cuboid)
+        line(action_classes[det.action_class - 1], det.confidence, det.video_id, det.proposal_id, *det.cuboid)
         for det in dets
     ))
 

@@ -8,6 +8,7 @@ from typing import Iterable
 
 from .geometry import Cuboid, cuboids_from_columns
 from .ingest import (
+    BOX_FIELDS,
     CUBOID_FIELDS,
     ValidationError,
     _get_str,
@@ -50,12 +51,13 @@ PROPOSAL_FIELDS = {"proposal_id": _get_str, "video_id": _get_str, "provenance": 
 _read_proposal_fields = field_reader(PROPOSAL_FIELDS)
 _PROVENANCE_SET = frozenset(PROVENANCES)
 _PARENT_TYPES = frozenset((str, type(None)))
-_proposal_line = line_encoder({**PROPOSAL_FIELDS, "parent_id": _get_str}, nullable=("parent_id",))
+_proposal_line = line_encoder({**PROPOSAL_FIELDS, "parent_id": _get_str}, nullable=("parent_id",), memo=BOX_FIELDS)
 
 
 def write_proposals(path, proposals: Iterable[Proposal]) -> None:
+    line = _proposal_line.fresh()  # jittered windows share their parent's box, whose text this call builds once
     write_lines(path, (
-        _proposal_line(prop.proposal_id, prop.video_id, prop.provenance, *prop.cuboid, prop.parent_id)
+        line(prop.proposal_id, prop.video_id, prop.provenance, *prop.cuboid, prop.parent_id)
         for prop in proposals
     ))
 

@@ -4,6 +4,8 @@ Covers the multi-class cross-entropy, the smooth-L1 temporal localization
 loss and their weighted combination, and the application of predicted
 temporal refinements back onto cuboids.  External trainers can validate
 their implementations against these via the CLI's loss-oracle subcommand.
+A refined cuboid is built without `Cuboid`'s checks, which its parent's box
+and the span check before it already guarantee.
 """
 
 from __future__ import annotations
@@ -77,12 +79,25 @@ def apply_refinement(c: Cuboid, refinement: tuple[float, float], num_frames: int
     exceeds 2**53 in magnitude, or rounding or clamping inverts or collapses
     the span, the cuboid is returned unrefined; the second element reports
     whether refinement was applied.
+
+    The refined `Cuboid` is built with `tuple.__new__`, without its
+    constructor's checks, when both new bounds are ints: the box is `c`'s
+    valid box and `new_start < new_end` has just been checked.  `round`
+    of a float gives an int, so only an unusual `num_frames` (not an int)
+    or refinement value goes through the constructor.
     """
-    mid, half = c.mid_frame, c.num_frames / 2.0
+    x_min, y_min, x_max, y_max, f_start, f_end = c
+    mid, half = (f_start + f_end) / 2.0, (f_end - f_start + 1) / 2.0  # `c.mid_frame`, `c.num_frames / 2.0`
     start, end = mid + refinement[0] * half, mid + refinement[1] * half
     if not (abs(start) <= MAX_INT and abs(end) <= MAX_INT):  # false for inf too
         return c, False
-    new_start, new_end = max(round(start), 0), min(round(end), num_frames - 1)
+    new_start, new_end = round(start), round(end)
+    if new_start < 0:  # `max(new_start, 0)` and `min(new_end, num_frames - 1)`, without two calls
+        new_start = 0
+    if new_end > num_frames - 1:
+        new_end = num_frames - 1
     if new_start >= new_end:
         return c, False
-    return Cuboid(c.x_min, c.y_min, c.x_max, c.y_max, new_start, new_end), True
+    if type(new_start) is int and type(new_end) is int:
+        return tuple.__new__(Cuboid, (x_min, y_min, x_max, y_max, new_start, new_end)), True
+    return Cuboid(x_min, y_min, x_max, y_max, new_start, new_end), True

@@ -11,10 +11,14 @@ detection record for the detection loader, the standard library's
 `json` alone for the record reader, the record types as the frozen
 dataclasses they were before they became validated tuples, and a
 field-by-field loader for each record file: every field read by its getter
-in table order, then the loader's rules.  None of it reuses the code
-paths under test beyond the plain spatial/temporal IoU predicates, the
-record types, the stepwise `pmiss_at` lookup, and the located line reader
-and field getters of `ingest`.
+in table order, then the loader's rules, and the jittered windows and
+`finalize`'s candidates built one by one through the validating record
+constructors.  `typed` turns a record into its values and their types, so
+that an equality also checks what `tuple.__new__` built.  None of it
+reuses the code paths under test beyond the plain spatial/temporal IoU
+predicates, the record types, the stepwise `pmiss_at` lookup, jitter's
+`anchors` frame list, and the located line reader and field getters of
+`ingest`.
 `run_python` runs a check in a fresh interpreter, for tests of what a
 stage imports or leaves behind.
 """
@@ -39,6 +43,7 @@ from actionpipe.geometry import Cuboid, spatial_iou, temporal_iou
 from actionpipe.ingest import (
     DEFAULT_ACTION_CLASSES,
     DEFAULT_OBJECT_CLASSES,
+    MAX_INT,
     PROB_SUM_TOL,
     GroundTruthAction,
     ValidationError,
@@ -60,8 +65,9 @@ from actionpipe.labeling import (
     LabelingThresholds,
     regression_target,
 )
+from actionpipe.jitter import JitterParams, anchors
 from actionpipe.nms import NmsParams, ScoredDetection
-from actionpipe.proposals import PROVENANCES
+from actionpipe.proposals import PROVENANCE_JITTERING, PROVENANCES, Proposal
 from actionpipe.scoring import DetCurve, MatchParams, pmiss_at
 
 
@@ -608,6 +614,97 @@ def reference_load_final_detections(path, action_classes) -> list[ReferenceScore
         )
 
     return list(_read_records(path, parse))
+
+
+def reference_jitter_proposals(proposals, params: JitterParams, video_meta: VideoMeta) -> list[Proposal]:
+    """`jitter.jitter_proposals` with every window built through the validating constructors."""
+    out = list(proposals)
+    seen = {p.cuboid for p in proposals}
+    last_frame = video_meta.num_frames - 1
+    for parent in proposals:
+        c = parent.cuboid
+        for f_a in anchors(c.f_start, c.f_end, params.stride, params.include_end):
+            for w in params.half_windows:
+                f_lo, f_hi = f_a - w, f_a + w
+                if params.clamp_to_video:
+                    f_lo, f_hi = max(0, f_lo), min(last_frame, f_hi)
+                if f_hi - f_lo + 1 < params.min_span:
+                    continue
+                window = Cuboid(c.x_min, c.y_min, c.x_max, c.y_max, f_lo, f_hi)
+                if window in seen:
+                    continue
+                seen.add(window)
+                out.append(Proposal(
+                    proposal_id=f"{parent.proposal_id}_a{f_a}w{w}",
+                    video_id=parent.video_id,
+                    cuboid=window,
+                    provenance=PROVENANCE_JITTERING,
+                    parent_id=parent.proposal_id,
+                ))
+    return out
+
+
+def reference_apply_refinement(c: Cuboid, refinement: tuple[float, float], num_frames: int) -> tuple[Cuboid, bool]:
+    """`refine.apply_refinement` through `Cuboid`'s properties, `max`/`min` and its validating constructor."""
+    mid, half = c.mid_frame, c.num_frames / 2.0
+    start, end = mid + refinement[0] * half, mid + refinement[1] * half
+    if not (abs(start) <= MAX_INT and abs(end) <= MAX_INT):  # false for inf too
+        return c, False
+    new_start, new_end = max(round(start), 0), min(round(end), num_frames - 1)
+    if new_start >= new_end:
+        return c, False
+    return Cuboid(c.x_min, c.y_min, c.x_max, c.y_max, new_start, new_end), True
+
+
+def reference_finalize_candidates(proposals, scores, videos, multi_label: bool, min_class_score: float) -> dict:
+    """`finalize`'s NMS candidates per video, by the per-class loop with validated constructors.
+
+    One `reference_apply_refinement` and one validating `ScoredDetection`
+    per candidate, as `cli.cmd_finalize` built them through `_to_detection`.
+    """
+
+    def to_detection(prop, record, cls: int, num_frames: int) -> ScoredDetection:
+        refined, _ = reference_apply_refinement(prop.cuboid, record.refinement, num_frames)
+        return ScoredDetection(
+            video_id=prop.video_id,
+            proposal_id=prop.proposal_id,
+            action_class=cls,
+            confidence=record.class_scores[cls],
+            cuboid=refined,
+        )
+
+    by_video: dict[str, list[ScoredDetection]] = {}
+    for prop in proposals:
+        meta = videos.get(prop.video_id)
+        if meta is None:
+            raise ValidationError(f"proposal {prop.proposal_id!r} has unknown video_id {prop.video_id!r}")
+        record = scores.get(prop.proposal_id)
+        if record is None:
+            raise ValidationError(f"no score record for proposal {prop.proposal_id!r}")
+        if multi_label:
+            for cls in range(1, len(record.class_scores)):
+                if record.class_scores[cls] >= min_class_score:
+                    by_video.setdefault(prop.video_id, []).append(to_detection(prop, record, cls, meta.num_frames))
+        else:
+            cls = record.argmax_class
+            if cls == 0:
+                continue
+            by_video.setdefault(prop.video_id, []).append(to_detection(prop, record, cls, meta.num_frames))
+    return by_video
+
+
+def typed(value):
+    """`value` with the type of every leaf and of every tuple beside it, for an equality that also checks types.
+
+    Floats compare by `repr`, so -0.0 and 0.0 differ.
+    """
+    if isinstance(value, tuple):
+        return type(value), tuple(map(typed, value))
+    if isinstance(value, list):
+        return list, [typed(item) for item in value]
+    if isinstance(value, dict):
+        return dict, {key: typed(item) for key, item in value.items()}
+    return type(value), repr(value)
 
 
 def run_python(code: str, *args: str, env: dict[str, str | None] | None = None) -> str:

@@ -1,10 +1,15 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actionpipe.geometry import Cuboid
 from actionpipe.ingest import ValidationError, VideoMeta
 from actionpipe.jitter import JitterParams, anchors, jitter_proposals
 from actionpipe.proposals import PROVENANCE_CLUSTERING, PROVENANCE_JITTERING, Proposal
+from oracles import reference_jitter_proposals, typed
 
 LONG_META = VideoMeta("v1", 100000, 30.0, 640, 480)
 
@@ -46,6 +51,20 @@ class TestParams:
             JitterParams(half_windows=(32, 16))
         with pytest.raises(ValidationError):
             JitterParams(min_span=0)
+
+    # windows are built without `Cuboid`'s checks, so their frames must come out as ints
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"stride": 2.5}, "stride must be an integer, got 2.5"),
+        ({"stride": True}, "stride must be an integer, got True"),
+        ({"half_windows": (16.5,)}, "half_windows entry must be an integer, got 16.5"),
+        ({"half_windows": (True,)}, "half_windows entry must be an integer, got True"),
+        ({"half_windows": (16, np.int64(32))}, "half_windows entry must be an integer, got np.int64(32)"),
+        ({"min_span": 1.5}, "min_span must be an integer, got 1.5"),
+        ({"min_span": True}, "min_span must be an integer, got True"),
+    ])
+    def test_non_integers_rejected(self, kwargs, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            JitterParams(**kwargs)
 
 
 class TestJitterProposals:
@@ -117,3 +136,32 @@ class TestJitterProposals:
         for p in out[1:]:
             w = int(p.proposal_id.rsplit("w", 1)[1])
             assert p.cuboid.num_frames == 2 * w + 1
+
+
+# Parents in a short video, so windows clamp at both ends and fall below
+# `min_span`; two boxes only, so parents repeat each other's windows.
+PARENT = st.tuples(st.integers(0, 10**4), st.integers(0, 200), st.sampled_from([(0.0, 10.0), (2.5, 640.0)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    num_frames=st.integers(1, 400),
+    parents=st.lists(PARENT, max_size=6),
+    stride=st.integers(1, 60),
+    half_windows=st.lists(st.integers(1, 300), min_size=1, max_size=4, unique=True).map(sorted),
+    clamp_to_video=st.booleans(),
+    min_span=st.integers(1, 80),
+    include_end=st.booleans(),
+)
+def test_windows_equal_validated_reference(num_frames, parents, stride, half_windows, clamp_to_video, min_span,
+                                           include_end):
+    proposals = []
+    for i, (start, length, (lo, hi)) in enumerate(parents):
+        start %= num_frames
+        cuboid = Cuboid(lo, lo, hi, hi, start, min(start + length, num_frames - 1))
+        proposals.append(Proposal(f"p{i}", "v1", cuboid, PROVENANCE_CLUSTERING))
+    params = JitterParams(stride, tuple(half_windows), clamp_to_video, min_span, include_end)
+    meta = VideoMeta("v1", num_frames, 30.0, 640, 480)
+    out = jitter_proposals(proposals, params, meta)
+    assert typed(out) == typed(reference_jitter_proposals(proposals, params, meta))
+    assert all(type(p) is Proposal and type(p.cuboid) is Cuboid for p in out)

@@ -20,6 +20,7 @@ from actionpipe.ingest import (
     VideoMeta,
     _get_int,
     _get_number,
+    _encode,
     _get_str,
     _read_records,
     load_detections,
@@ -412,3 +413,61 @@ def test_lone_surrogate_id_byte_round_trip(tmp_path):
     proposals = [Proposal("v\ud800_c0000", "v\ud800", Cuboid(0, 0, 5, 5, 0, 9), "clustering")]
     assert_byte_round_trip(tmp_path, write_proposals, load_proposals, proposals)
     assert b'"video_id": "v\\ud800"' in (tmp_path / "first.jsonl").read_bytes()
+
+
+# `write_proposals` and `write_final_detections` keep each box's text for the
+# rest of one call.  A kept box must never stand in for one that only equals
+# it: a zero of the other sign, or a value of another type.
+Real = type("Real", (float,), {})
+BOX_VALUE = st.sampled_from([0.0, -0.0, 1.0, 2.5, 640.0, 1e16, 5e-324]) | st.floats(allow_nan=False,
+                                                                                     allow_infinity=False)
+
+
+def equal_values(x: float) -> list:
+    """`x`, values equal to it that the template must not write (its other sign, other types), NaN and ±inf."""
+    values = [x, -x, np.float64(x), Real(x), math.nan, math.inf, -math.inf]
+    if x.is_integer():
+        values.append(int(x))
+    if x in (0.0, 1.0):
+        values.append(bool(x))
+    return values
+
+
+@st.composite
+def shared_boxes(draw, count: int) -> list[tuple]:
+    """`count` boxes, each one of at most three drawn boxes, any slot perhaps another form of its value."""
+    bases = draw(st.lists(st.tuples(*[BOX_VALUE] * 4), min_size=1, max_size=3))
+    boxes = []
+    for _ in range(count):
+        box = draw(st.sampled_from(bases))
+        boxes.append(tuple(draw(st.just(x) | st.sampled_from(equal_values(x))) for x in box))
+    return boxes
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), count=st.integers(1, 12))
+def test_proposal_file_equals_encoder_lines(tmp_path_factory, data, count):
+    path = tmp_path_factory.mktemp("memo") / "proposals.jsonl"
+    rows = [
+        (f"p{i}", "v1", data.draw(st.sampled_from(PROVENANCES)), *box, *sorted(data.draw(st.tuples(FRAME, FRAME))),
+         data.draw(st.none() | st.just("p0")))
+        for i, box in enumerate(data.draw(shared_boxes(count)))
+    ]
+    write_proposals(path, [Proposal(pid, video, tuple(box), prov, parent) for pid, video, prov, *box, parent in rows])
+    names = list({**PROPOSAL_FIELDS, "parent_id": None})
+    assert path.read_text("utf-8") == "".join(_encode(dict(zip(names, row))) + "\n" for row in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), count=st.integers(1, 12))
+def test_final_detection_file_equals_encoder_lines(tmp_path_factory, data, count):
+    path = tmp_path_factory.mktemp("memo") / "detections_final.jsonl"
+    dets = [
+        ScoredDetection("v1", f"p{i}", data.draw(st.integers(1, 12)), data.draw(st.floats(0.0, 1.0)),
+                        (*box, *sorted(data.draw(st.tuples(FRAME, FRAME)))))
+        for i, box in enumerate(data.draw(shared_boxes(count)))
+    ]
+    write_final_detections(path, dets, DEFAULT_ACTION_CLASSES)
+    rows = [(DEFAULT_ACTION_CLASSES[d.action_class - 1], d.confidence, d.video_id, d.proposal_id, *d.cuboid)
+            for d in dets]
+    assert path.read_text("utf-8") == "".join(_encode(dict(zip(FINAL_DETECTION_FIELDS, row))) + "\n" for row in rows)

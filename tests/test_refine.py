@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from actionpipe.cli import _candidates
 from actionpipe.geometry import Cuboid
-from actionpipe.ingest import MAX_INT, ValidationError
+from actionpipe.ingest import MAX_INT, ScoreRecord, ValidationError, VideoMeta
 from actionpipe.nms import ScoredDetection, nms_3d
+from actionpipe.proposals import PROVENANCE_JITTERING, Proposal
 from actionpipe.refine import (
     LossParams,
     apply_refinement,
@@ -16,6 +18,7 @@ from actionpipe.refine import (
     localization_loss,
     smooth_l1,
 )
+from oracles import reference_apply_refinement, reference_finalize_candidates, typed
 
 UNIFORM = [1.0 / 13] * 13
 
@@ -185,3 +188,56 @@ def test_any_finite_refinement_gives_a_valid_cuboid(num_frames, windows):
     kept = nms_3d(dets)
     assert kept and all(d in dets for d in kept)
     assert len({d.proposal_id for d in kept}) == len(kept)
+
+
+# Refinement pairs for the unchecked builds: spans of 1-16 frames with pairs in
+# steps of 1/8, so that mid + r * half often lands on .5 (round half to even),
+# pairs past 2**53 or infinite, collapsed pairs, and any float.
+SPAN = st.sampled_from([1, 2, 3, 4, 8, 16])
+EIGHTHS = st.integers(-200, 200).map(lambda k: k / 8)
+PAIR = st.one_of(
+    st.tuples(EIGHTHS, EIGHTHS),
+    st.tuples(st.sampled_from([1e17, -1e17, 1e308, math.inf, -math.inf, math.nan]), EIGHTHS),
+    st.tuples(EIGHTHS, st.sampled_from([1e17, -1e17, 1e308, math.inf, -math.inf, math.nan])),
+    EIGHTHS.map(lambda r: (r, r)),
+    st.tuples(st.floats(), st.floats()),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(num_frames=st.integers(1, 300), start=st.integers(0, 10**4), length=SPAN, refinement=PAIR)
+def test_refinement_equals_validated_reference(num_frames, start, length, refinement):
+    start %= num_frames
+    c = Cuboid(1.5, 2.0, 30.0, 40.0, start, min(start + length - 1, num_frames - 1))
+    got = apply_refinement(c, refinement, num_frames)
+    assert typed(got) == typed(reference_apply_refinement(c, refinement, num_frames))
+    assert type(got[0]) is Cuboid
+
+
+# One NMS candidate source per proposal: two videos of 1-300 frames, class
+# scores with ties and values at the `min_class_score` floors drawn below.
+SCORE = st.sampled_from([0.0, 0.05, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+CANDIDATE = st.tuples(st.sampled_from(["a", "b"]), st.integers(0, 10**4), SPAN,
+                      st.tuples(*[SCORE] * 13), PAIR)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    frames=st.tuples(st.integers(1, 300), st.integers(1, 300)),
+    rows=st.lists(CANDIDATE, max_size=12),
+    multi_label=st.booleans(),
+    min_class_score=st.sampled_from([0.0, 0.05, 0.5, 1.0]) | st.floats(0.0, 1.0),
+)
+def test_candidates_equal_validated_reference(frames, rows, multi_label, min_class_score):
+    videos = {vid: VideoMeta(vid, n, 30.0, 640, 480) for vid, n in zip("ab", frames)}
+    proposals, scores = [], {}
+    for i, (vid, start, length, class_scores, refinement) in enumerate(rows):
+        start %= videos[vid].num_frames
+        end = min(start + length - 1, videos[vid].num_frames - 1)
+        proposals.append(Proposal(f"p{i}", vid, Cuboid(0.0, 0.0, 8.0 + i, 8.0, start, end), PROVENANCE_JITTERING))
+        scores[f"p{i}"] = ScoreRecord(f"p{i}", class_scores, refinement)
+    got = _candidates(proposals, scores, videos, multi_label, min_class_score)
+    want = reference_finalize_candidates(proposals, scores, videos, multi_label, min_class_score)
+    assert list(got) == list(want)
+    assert typed(got) == typed(want)
+    assert all(type(d) is ScoredDetection and type(d.cuboid) is Cuboid for group in got.values() for d in group)

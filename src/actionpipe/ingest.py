@@ -132,6 +132,11 @@ class VideoMeta:
     width: float
     height: float
 
+    def __post_init__(self):
+        # `jitter_proposals` builds windows unchecked, so frames clamped to the video must come out as ints
+        if isinstance(self.num_frames, bool) or not isinstance(self.num_frames, int):
+            raise ValidationError(f"num_frames must be an integer, got {self.num_frames!r}")
+
     @property
     def minutes(self) -> float:
         return self.num_frames / self.frame_rate / 60.0

@@ -4,13 +4,12 @@ Anchor frames are taken at a fixed stride along each parent proposal; every
 anchor spawns one window per configured half-extent, keeping the parent's
 spatial box.  The originals are always retained, so the jittered set is a
 superset of its input and recall can only go up.  Windows are built
-without their record types' checks, which the parent's checked box and
-integer-only `JitterParams` already guarantee.
+without their record types' checks, which the parent's checked box,
+integer-only `JitterParams` and `VideoMeta` already guarantee.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .geometry import Cuboid
@@ -81,7 +80,7 @@ def jitter_proposals(
     """
     out = list(proposals)
     seen = {p.cuboid for p in proposals}
-    last_frame = operator.index(video_meta.num_frames) - 1  # an int, as the windows' frames must be
+    last_frame = video_meta.num_frames - 1  # an int: `VideoMeta` takes integer frame counts only
     clamp, min_span = params.clamp_to_video, params.min_span
     for parent in proposals:
         c = parent.cuboid

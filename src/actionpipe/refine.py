@@ -11,6 +11,7 @@ and the span check before it already guarantee.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -81,23 +82,22 @@ def apply_refinement(c: Cuboid, refinement: tuple[float, float], num_frames: int
     whether refinement was applied.
 
     The refined `Cuboid` is built with `tuple.__new__`, without its
-    constructor's checks, when both new bounds are ints: the box is `c`'s
-    valid box and `new_start < new_end` has just been checked.  `round`
-    of a float gives an int, so only an unusual `num_frames` (not an int)
-    or refinement value goes through the constructor.
+    constructor's checks: the box is `c`'s valid box, both bounds are ints
+    (`round` of a float gives an int, and `num_frames` goes through
+    `operator.index`, so a float one raises `TypeError`) and
+    `new_start < new_end` has just been checked.
     """
+    last = operator.index(num_frames) - 1  # an int, as the refined frames must be
     x_min, y_min, x_max, y_max, f_start, f_end = c
     mid, half = (f_start + f_end) / 2.0, (f_end - f_start + 1) / 2.0  # `c.mid_frame`, `c.num_frames / 2.0`
     start, end = mid + refinement[0] * half, mid + refinement[1] * half
     if not (abs(start) <= MAX_INT and abs(end) <= MAX_INT):  # false for inf too
         return c, False
     new_start, new_end = round(start), round(end)
-    if new_start < 0:  # `max(new_start, 0)` and `min(new_end, num_frames - 1)`, without two calls
+    if new_start < 0:  # `max(new_start, 0)` and `min(new_end, last)`, without two calls
         new_start = 0
-    if new_end > num_frames - 1:
-        new_end = num_frames - 1
+    if new_end > last:
+        new_end = last
     if new_start >= new_end:
         return c, False
-    if type(new_start) is int and type(new_end) is int:
-        return tuple.__new__(Cuboid, (x_min, y_min, x_max, y_max, new_start, new_end)), True
-    return Cuboid(x_min, y_min, x_max, y_max, new_start, new_end), True
+    return tuple.__new__(Cuboid, (x_min, y_min, x_max, y_max, new_start, new_end)), True

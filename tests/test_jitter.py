@@ -94,6 +94,12 @@ class TestJitterProposals:
         out = jitter_proposals([prop("p", 0, 0)], JitterParams(half_windows=(16,), clamp_to_video=False), LONG_META)
         assert (out[1].cuboid.f_start, out[1].cuboid.f_end) == (-16, 16)
 
+    # clamped windows are built without `Cuboid`'s checks, so the frame count must be an int, clamped or not
+    @pytest.mark.parametrize("num_frames", [1000.0, 12.0, True, np.int64(50)])
+    def test_video_meta_takes_integer_frame_counts_only(self, num_frames):
+        with pytest.raises(ValidationError, match=f"^num_frames must be an integer, got {re.escape(repr(num_frames))}$"):
+            VideoMeta("v1", num_frames, 30.0, 640, 480)
+
     def test_min_span_drops_short_windows(self):
         # anchor 0 in a 1-frame video: clamped window [0, 0] is below min_span
         meta = VideoMeta("v1", 1, 30.0, 640, 480)

@@ -150,6 +150,18 @@ class TestApplyRefinement:
         c = Cuboid(0, 0, 10, 10, 0, 10)  # mid 5, half 5.5: (-5, 0.2) gives [-22, 6]
         assert apply_refinement(c, (-5.0, 0.2), 900) == (Cuboid(0, 0, 10, 10, 0, 6), True)
 
+    # the refined cuboid is built without `Cuboid`'s checks, so a float frame count
+    # raises whether or not the end clamps
+    @pytest.mark.parametrize("refinement", [(-0.5, 0.5), (0.0, 9.0), (1e308, 1e308)])
+    def test_float_frame_count_raises(self, refinement):
+        with pytest.raises(TypeError):
+            apply_refinement(Cuboid(0, 0, 5, 5, 0, 10), refinement, 20.0)
+
+    def test_integer_types_give_int_frames(self):
+        c = Cuboid(0, 0, 10, 10, 880, 899)
+        refined, applied = apply_refinement(c, (0.0, 9.0), np.int64(900))
+        assert applied and type(refined) is Cuboid and type(refined.f_end) is int and refined.f_end == 899
+
     @pytest.mark.parametrize("refinement", [(2.0, 3.0), (-3.0, -2.0), (0.99, 2.0)])
     def test_span_clamped_away_falls_back(self, refinement):
         c = Cuboid(0, 0, 10, 10, 0, 99)  # refined past one end of the video, or onto its last frame alone

@@ -97,7 +97,8 @@ class TestJitterProposals:
     # clamped windows are built without `Cuboid`'s checks, so the frame count must be an int, clamped or not
     @pytest.mark.parametrize("num_frames", [1000.0, 12.0, True, np.int64(50)])
     def test_video_meta_takes_integer_frame_counts_only(self, num_frames):
-        with pytest.raises(ValidationError, match=f"^num_frames must be an integer, got {re.escape(repr(num_frames))}$"):
+        message = f"num_frames must be an integer, got {num_frames!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             VideoMeta("v1", num_frames, 30.0, 640, 480)
 
     def test_min_span_drops_short_windows(self):

@@ -84,10 +84,24 @@ def cmd_propose(cfg: PipelineConfig, jobs: int = 1) -> None:
     print(f"wrote {len(merged)} proposals to {out_path}")
 
 
+def _refuse_unknown_videos(records, videos: dict[str, VideoMeta], path: Path, what: str) -> None:
+    """Raise for the first upstream record whose video `videos.jsonl` does not list.
+
+    One set difference over all records; only a failing input is searched
+    for the record to name.
+    """
+    unknown = {record.video_id for record in records}.difference(videos)
+    if unknown:
+        bad = next(record for record in records if record.video_id in unknown)
+        raise ValidationError(f"{path}: {what} {bad.proposal_id!r} has unknown video_id {bad.video_id!r}")
+
+
 def cmd_label(cfg: PipelineConfig) -> None:
     videos = load_video_meta(ensure_path(cfg.videos))
     gts = load_ground_truth(ensure_path(cfg.ground_truth), videos, cfg.action_classes)
-    proposals = load_proposals(ensure_path(cfg.output_dir / "proposals.jsonl"))
+    proposals_path = ensure_path(cfg.output_dir / "proposals.jsonl")
+    proposals = load_proposals(proposals_path)
+    _refuse_unknown_videos(proposals, videos, proposals_path, "proposal")
     labeled = labeling.designate_all(proposals, gts, cfg.labeling)
     counts = labeling.designation_counts(labeled)
     training = labeling.select_training_set(labeled)
@@ -166,7 +180,9 @@ def cmd_score(cfg: PipelineConfig) -> None:
     videos = load_video_meta(ensure_path(cfg.videos))
     gts_by_video = load_ground_truth(ensure_path(cfg.ground_truth), videos, cfg.action_classes)
     gts = [gt for group in gts_by_video.values() for gt in group]
-    dets = load_final_detections(ensure_path(cfg.output_dir / "detections_final.jsonl"), cfg.action_classes)
+    dets_path = ensure_path(cfg.output_dir / "detections_final.jsonl")
+    dets = load_final_detections(dets_path, cfg.action_classes)
+    _refuse_unknown_videos(dets, videos, dets_path, "detection of proposal")
     minutes = sum(meta.minutes for meta in videos.values())
     curves = per_class_det_curves(dets, gts, minutes, cfg.match, cfg.action_classes)
     if not curves:

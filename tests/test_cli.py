@@ -334,6 +334,24 @@ class TestExitCodes:
         assert f"has unknown video_id {json.loads(lines[0])['video_id']!r}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "detections_final.jsonl").exists()
 
+    @pytest.mark.parametrize("stage,upstream,written,what", [
+        ("label", "proposals.jsonl", ["labels.jsonl"], "proposal"),
+        ("score", "detections_final.jsonl", ["report.json", "curves"], "detection of proposal"),
+    ], ids=["label", "score"])
+    def test_upstream_record_of_unknown_video(self, fixture_dir, tmp_path, capsys, stage, upstream, written, what):
+        run_pipeline(fixture_dir / "config.json")
+        out = tmp_path / "out"
+        shutil.copytree(fixture_dir / "out", out)
+        for name in written:
+            shutil.rmtree(out / name) if (out / name).is_dir() else (out / name).unlink()
+        lines = (out / upstream).read_text(encoding="utf-8").splitlines()
+        first = {**json.loads(lines[0]), "video_id": "ghost"}
+        write_jsonl(out / upstream, [first] + [json.loads(line) for line in lines[1:]])
+        assert main([stage, "--config", str(fixture_dir / "config.json"), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{out / upstream}: {what} {first['proposal_id']!r} has unknown video_id 'ghost'" in err
+        assert not any((out / name).exists() for name in written)
+
     @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--videos", "0"], ["--videos", "-2"]])
     def test_synth_rejects_bad_counts(self, tmp_path, capsys, flags):
         out = tmp_path / "fixture"

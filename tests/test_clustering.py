@@ -57,6 +57,11 @@ class TestParams:
             with pytest.raises(ValidationError, match="finite"):
                 ClusterParams(clusters_per_frame=value)
 
+    @pytest.mark.parametrize("value", [math.nan, 2.5, 2.0, True])
+    def test_min_cluster_size_must_be_an_integer(self, value):
+        with pytest.raises(ValidationError, match="min_cluster_size must be an integer"):
+            ClusterParams(min_cluster_size=value)
+
 
 class TestBuildLinkage:
     def test_empty_rejected(self):
@@ -121,18 +126,35 @@ def clean_video(tmp_path):
     return detection_features(dets)
 
 
+# Every round through the k-d tree, from k = 2 for points and clusters alike, in
+# small blocks.  Small inputs otherwise score most rounds against every active
+# cluster, which never grows k.
+FORCED_TREE = {"WARD_ALL_PAIRS": 0, "WARD_K": 2, "WARD_K_POINT": 2, "WARD_BLOCK": 64}
+
+
 @pytest.fixture(params=["default", "tree"])
 def ward_path(request, monkeypatch):
-    """Ward with its constants, or forced through the k-d tree from k = 2 in small blocks.
-
-    Small inputs otherwise score most rounds against every active cluster,
-    which never grows k.
-    """
+    """Ward with its constants, or forced through the k-d tree (`FORCED_TREE`)."""
     if request.param == "tree":
-        monkeypatch.setattr(clustering, "WARD_ALL_PAIRS", 0)
-        monkeypatch.setattr(clustering, "WARD_K", 2)
-        monkeypatch.setattr(clustering, "WARD_BLOCK", 64)
+        for name, value in FORCED_TREE.items():
+            monkeypatch.setattr(clustering, name, value)
     return request.param
+
+
+def tree_and_all_pairs(points):
+    """Merge matrices of the forced tree path and of the path that scores every pair in every round."""
+    out = []
+    for constants in (FORCED_TREE, {"WARD_ALL_PAIRS": 1 << 62}):
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in constants.items():
+                patch.setattr(clustering, name, value)
+            out.append(build_linkage(points, ClusterParams()))
+    return out
+
+
+def decimal_grid():
+    # tenths are inexact in binary, and the lattice is dense in duplicates and ties
+    return np.random.default_rng(12).integers(0, 4, (300, 3)) * 0.1
 
 
 class TestWardExactness:
@@ -165,6 +187,15 @@ class TestWardExactness:
         for _ in range(200):
             points = rng.integers(0, 3, (int(rng.integers(10, 60)), 3)) * 0.1
             assert is_ward_hierarchy(points, build_linkage(points, ClusterParams()))
+
+    @pytest.mark.parametrize("make", [static_track, integer_grid, duplicates, decimal_grid])
+    def test_tree_path_equals_all_pairs_bit_for_bit(self, make):
+        tree, all_pairs = tree_and_all_pairs(make())
+        assert np.array_equal(tree, all_pairs)
+
+    def test_clean_fixture_tree_path_equals_all_pairs_bit_for_bit(self, tmp_path):
+        tree, all_pairs = tree_and_all_pairs(clean_video(tmp_path))
+        assert np.array_equal(tree, all_pairs)
 
     @pytest.mark.usefixtures("ward_path")
     def test_ties_go_to_the_least_hashed_priority(self):
@@ -268,12 +299,15 @@ class TestWardGuards:
         walk = np.cumsum(rng.normal(0.0, 0.5, (tracks, frames, 2)), axis=1) + rng.normal(0.0, 2.0, (tracks, frames, 2))
         xy = (start[:, None, :] + walk).reshape(-1, 2)
         points = np.column_stack([xy, np.tile(np.arange(frames, dtype=np.float64), tracks)])
+        start = time.monotonic()
         tracemalloc.start()
         try:
             merges = build_linkage(points, ClusterParams())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        # loose: about a second on a 2-core VM; a slide back to many rounds of O(n) work shows here
+        assert time.monotonic() - start < 10.0
         assert peak < 256 * 2**20
         assert merges.shape == (tracks * frames - 1, 4) and merges[-1, 3] == tracks * frames
 
@@ -321,6 +355,13 @@ class TestCutTree:
 def chain_track(n):
     """A noise-free accelerating track: each Ward round finds few reciprocal pairs, so the tree is deep."""
     return np.column_stack([np.full(n, 320.0), np.full(n, 240.0), np.cumsum(np.arange(n, dtype=np.float64))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 5)] * 3), min_size=2, max_size=150))
+def test_tree_path_equals_all_pairs_on_integer_lattices(rows):
+    tree, all_pairs = tree_and_all_pairs(np.array(rows, dtype=np.float64))
+    assert np.array_equal(tree, all_pairs)
 
 
 @settings(max_examples=60, deadline=None)

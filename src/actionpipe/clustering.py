@@ -45,7 +45,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import Cuboid
-from .ingest import ValidationError, VideoMeta
+from .ingest import ValidationError, VideoMeta, check_numbers
 from .proposals import PROVENANCE_CLUSTERING, Proposal
 
 LINKAGE_METHODS = ("ward",)  # the field stays so that every saved config loads
@@ -66,6 +66,7 @@ class ClusterParams:
     def __post_init__(self):
         if self.linkage not in LINKAGE_METHODS:
             raise ValidationError(f"linkage must be one of {LINKAGE_METHODS}, got {self.linkage!r}")
+        check_numbers(self, "temporal_scale", "clusters_per_frame")
         if not 0 < self.temporal_scale < math.inf:
             raise ValidationError(f"temporal_scale must be positive and finite, got {self.temporal_scale}")
         if not 0 < self.clusters_per_frame < math.inf:

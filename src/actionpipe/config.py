@@ -15,6 +15,7 @@ from .ingest import (
     DEFAULT_OBJECT_CLASSES,
     ValidationError,
     _is_finite,
+    check_numbers,
     indented_json,
     write_lines,
 )
@@ -59,6 +60,7 @@ class PipelineConfig:
                     f"action class label {label!r} cannot name a curve file: it must be nonempty, not '.', "
                     "'..' or 'aggregate', and hold no '/' or NUL"
                 )
+        check_numbers(self, "min_confidence")
         if not 0.0 <= self.min_confidence <= 1.0:
             raise ValidationError("min_confidence must be in [0, 1]")
         if self.recall_iou_mode not in IOU_MODES:

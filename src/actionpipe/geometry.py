@@ -5,12 +5,18 @@ interval.  Spatial coordinates are continuous pixels; frame indices are
 integers and both endpoints belong to the span, so [f, f] is one frame long.
 All functions here are pure and safe for parallel use.
 
-`pairwise_iou` and `pairwise_iou_3d` are the one overlap kernel that
-labeling, NMS, matching and recall share.  They repeat the scalar
-functions' float64 operations in the same order, so every entry equals the
-scalar IoU of that pair bit for bit.  Their input, `cuboid_array`, reads
-the cuboids' values as one flat run and reshapes it; labeling's
-designation, NMS and scoring build their boxes through it.
+`box_iou` and `box_iou_3d` are the one overlap kernel that labeling, NMS,
+matching and recall share.  They take broadcastable (..., 6) box arrays and
+repeat the scalar functions' float64 operations in the same order, so every
+entry equals the scalar IoU of its pair bit for bit.  `pairwise_iou` is the
+kernel on `a[:, None]` and `b[None]`, a dense (len(a), len(b)) matrix; on
+`a[rows]` and `b[cols]` it gives the same values for chosen pairs only.
+`span_pairs` chooses the pairs whose frame spans intersect, by a sort-based
+interval join; every other pair has temporal and 3-D IoU 0.0.  Labeling
+and recall read only those pairs, so their work grows with the overlapping
+pairs of a video, not with its proposals times its GTs.  The kernel's input,
+`cuboid_array`, reads the cuboids' values as one flat run and reshapes it;
+labeling's designation, NMS and scoring build their boxes through it.
 """
 
 from __future__ import annotations
@@ -146,9 +152,8 @@ def cuboid_array(cuboids: Iterable[Cuboid]) -> np.ndarray:
     return flat.reshape(len(rows), 6)
 
 
-def _pairwise_extents(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signed x, y and inclusive-frame intersection extents, shape (len(a), len(b))."""
-    a, b = a[:, None, :], b[None, :, :]
+def _extents(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signed x, y and inclusive-frame intersection extents of broadcast box arrays."""
     ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     it = np.minimum(a[..., 5], b[..., 5]) - np.maximum(a[..., 4], b[..., 4]) + 1.0
@@ -156,33 +161,63 @@ def _pairwise_extents(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _areas(c: np.ndarray) -> np.ndarray:
-    return (c[:, 2] - c[:, 0]) * (c[:, 3] - c[:, 1])
+    return (c[..., 2] - c[..., 0]) * (c[..., 3] - c[..., 1])
 
 
 def _frame_counts(c: np.ndarray) -> np.ndarray:
-    return c[:, 5] - c[:, 4] + 1.0
+    return c[..., 5] - c[..., 4] + 1.0
 
 
-def pairwise_iou(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(spatial, temporal) IoU of every row of `a` against every row of `b`.
+def box_iou(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(spatial, temporal) IoU of broadcastable (..., 6) box arrays, element by element.
 
-    Inputs are `cuboid_array` outputs; each result has shape (len(a), len(b))
-    and entry [i, j] equals spatial_iou / temporal_iou of that pair exactly.
+    Each entry equals spatial_iou / temporal_iou of its pair of rows exactly.
     """
-    ix, iy, it = _pairwise_extents(a, b)
+    ix, iy, it = _extents(a, b)
     # Disjoint pairs get a zero intersection, hence a 0.0 ratio over a
     # positive union; overlapping pairs divide exactly as the scalar code.
     inter = np.where((ix > 0.0) & (iy > 0.0), ix * iy, 0.0)
-    spatial = inter / (_areas(a)[:, None] + _areas(b)[None, :] - inter)
+    spatial = inter / (_areas(a) + _areas(b) - inter)
     inter_t = np.where(it > 0.0, it, 0.0)
-    temporal = inter_t / (_frame_counts(a)[:, None] + _frame_counts(b)[None, :] - inter_t)
+    temporal = inter_t / (_frame_counts(a) + _frame_counts(b) - inter_t)
     return spatial, temporal
 
 
-def pairwise_iou_3d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Volume IoU of every row of `a` against every row of `b`; entry [i, j] equals iou_3d exactly."""
-    ix, iy, it = _pairwise_extents(a, b)
+def box_iou_3d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Volume IoU of broadcastable (..., 6) box arrays; each entry equals iou_3d of its pair exactly."""
+    ix, iy, it = _extents(a, b)
     inter = np.where((ix > 0.0) & (iy > 0.0) & (it > 0.0), ix * iy * it, 0.0)
-    volumes_a = _areas(a) * _frame_counts(a)
-    volumes_b = _areas(b) * _frame_counts(b)
-    return inter / (volumes_a[:, None] + volumes_b[None, :] - inter)
+    return inter / (_areas(a) * _frame_counts(a) + _areas(b) * _frame_counts(b) - inter)
+
+
+def pairwise_iou(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(spatial, temporal) IoU of every row of `a` against every row of `b`, shape (len(a), len(b))."""
+    return box_iou(a[:, None], b[None])
+
+
+def span_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols): each pair of an `a` row and a `b` row whose inclusive frame spans intersect, once.
+
+    A sort-based interval join: a pair intersects exactly when the `b` span
+    starts inside the `a` span, or the `a` span starts strictly inside the
+    `b` span, and one `searchsorted` over each side's sorted starts finds
+    each kind as a range.  Work and memory grow with len(a) + len(b) plus
+    the pairs found, whatever the spans' lengths.  The pairs come in an
+    order fixed by the inputs, not sorted.
+    """
+    a_order, b_order = np.argsort(a[:, 4], kind="stable"), np.argsort(b[:, 4], kind="stable")
+    a_starts, b_starts = a[a_order, 4], b[b_order, 4]
+    b_lo = np.searchsorted(b_starts, a[:, 4], "left")  # b starts in [a start, a end]
+    b_hi = np.searchsorted(b_starts, a[:, 5], "right")
+    a_lo = np.searchsorted(a_starts, b[:, 4], "right")  # a starts in (b start, b end]
+    a_hi = np.searchsorted(a_starts, b[:, 5], "right")
+    rows_b, cols_b = _expand(b_lo, b_hi)
+    cols_a, rows_a = _expand(a_lo, a_hi)
+    return np.concatenate([rows_b, a_order[rows_a]]), np.concatenate([b_order[cols_b], cols_a])
+
+
+def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, position) for every position in each half-open range [lo[i], hi[i])."""
+    counts = hi - lo
+    owners = np.repeat(np.arange(len(lo)), counts)
+    return owners, np.arange(len(owners)) - np.repeat(np.cumsum(counts) - counts - lo, counts)

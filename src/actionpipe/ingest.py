@@ -263,12 +263,28 @@ def _block_records(lines: list[bytes], rows_of: Callable, kinds: list[type], che
     return check(objects, rows, columns)
 
 
+def _is_number(value) -> bool:
+    """True for an int or a float, never a bool: what a JSON number parses to."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _is_finite(value) -> bool:
     """True for a JSON number (not a bool) with a finite float value."""
     try:
-        return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+        return _is_number(value) and math.isfinite(value)
     except OverflowError:  # an integer too large for a float
         return False
+
+
+def check_numbers(params, *names: str) -> None:
+    """Raise ValidationError naming the first of `params`' fields `names` that is not an int or a float.
+
+    A bool or a string is refused here, before any range check compares it.
+    """
+    for name in names:
+        value = getattr(params, name)
+        if not _is_number(value):
+            raise ValidationError(f"{name} must be a number, got {value!r}")
 
 
 def _get(obj: dict, name: str):

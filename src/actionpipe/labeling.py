@@ -4,18 +4,38 @@ A proposal is positive when it overlaps a ground-truth action well enough
 in both space and time, negative when it barely overlaps anything in time
 (hard if it still sits on an action spatially), and discarded when it falls
 in the ambiguous band between those regimes.
+
+`designate_all` compares each proposal only with the GTs of its video whose
+frame spans it shares (`geometry.span_pairs`), so a long video costs the
+overlapping pairs, not proposals x GTs.  Every other pair has temporal IoU
+0.0, which only the negative rule can see: such a pair passes it exactly
+when `temporal_negative` > 0.  The best match of each proposal comes from
+one `np.lexsort` over its gated pairs, and the records are built with
+`tuple.__new__`, because the rule gives each a valid designation and a
+target exactly when it is positive.  `designate` goes through the same code
+for one proposal.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import Cuboid, cuboid_array, pairwise_iou
-from .ingest import GroundTruthAction, ValidationError, _get_number, _get_str, line_encoder, write_lines
+from .geometry import Cuboid, box_iou, cuboid_array, span_pairs
+from .ingest import (
+    GroundTruthAction,
+    ValidationError,
+    _get_number,
+    _get_str,
+    check_numbers,
+    line_encoder,
+    write_lines,
+)
 from .proposals import PROVENANCE_CLUSTERING, Proposal
 
 POSITIVE = "positive"
@@ -33,7 +53,9 @@ class LabelingThresholds:
     hard_temporal_low: float = 0.01  # hard band is (low, temporal_negative), open ends
 
     def __post_init__(self):
-        for name in ("spatial_positive", "temporal_positive", "temporal_negative", "hard_temporal_low"):
+        names = ("spatial_positive", "temporal_positive", "temporal_negative", "hard_temporal_low")
+        check_numbers(self, *names)
+        for name in names:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"{name} must be in [0, 1], got {v}")
@@ -83,7 +105,7 @@ def designate(
     it passes the spatial gate inside the hard band); everything else is
     discarded and excluded from training.
     """
-    return _designate_rows([p], gts, thresholds)[0]
+    return designate_all([p], {p.video_id: list(gts)}, thresholds)[0]
 
 
 def designate_all(
@@ -91,51 +113,64 @@ def designate_all(
     gts_by_video: dict[str, list[GroundTruthAction]],
     thresholds: LabelingThresholds = LabelingThresholds(),
 ) -> list[LabeledProposal]:
-    """`designate` for every proposal, one proposals x GT overlap matrix per video; input order kept."""
+    """`designate` for every proposal, one video at a time; input order kept.
+
+    The records are built with `tuple.__new__`: each designation is a known
+    one, and only a positive gets a target.
+    """
     proposals = list(proposals)
-    rows_by_video: dict[str, list[int]] = {}
-    for i, p in enumerate(proposals):
-        rows_by_video.setdefault(p.video_id, []).append(i)
-    out: list[LabeledProposal] = [None] * len(proposals)
-    for vid, rows in rows_by_video.items():
-        labeled = _designate_rows([proposals[i] for i in rows], gts_by_video.get(vid, []), thresholds)
-        for i, lp in zip(rows, labeled):
-            out[i] = lp
+    boxes = cuboid_array(map(operator.attrgetter("cuboid"), proposals))
+    video_ids = list(map(operator.attrgetter("video_id"), proposals))
+    videos = {vid: k for k, vid in enumerate(dict.fromkeys(video_ids))}
+    codes = np.fromiter(map(videos.__getitem__, video_ids), dtype=np.intp, count=len(video_ids))
+    by_video = np.split(np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1])
+    designations = np.empty(len(proposals), dtype=np.intp)
+    matches = []  # (proposal index, matched GT) of each positive
+    for vid, rows in zip(videos, by_video):
+        gts = gts_by_video.get(vid, [])
+        designations[rows], matched, cols = _designate_rows(boxes[rows], gts, thresholds)
+        matches.extend(zip(rows[matched].tolist(), map(gts.__getitem__, cols.tolist())))
+    new, none = tuple.__new__, itertools.repeat(None)
+    out = list(map(new, itertools.repeat(LabeledProposal),
+                   zip(proposals, map(DESIGNATIONS.__getitem__, designations.tolist()), none, none, none)))
+    for i, gt in matches:
+        p = proposals[i]
+        out[i] = new(LabeledProposal, (p, POSITIVE, gt.action_class, gt, regression_target(p.cuboid, gt.cuboid)))
     return out
 
 
 def _designate_rows(
-    props: Sequence[Proposal],
+    boxes: np.ndarray,
     gts: Sequence[GroundTruthAction],
     thresholds: LabelingThresholds,
-) -> list[LabeledProposal]:
-    """The designation rule of `designate`, applied to each row of the proposals x GT overlaps."""
-    spatial, temporal = pairwise_iou(cuboid_array(p.cuboid for p in props), cuboid_array(g.cuboid for g in gts))
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(DESIGNATIONS index of each box row, positive rows, their matched GT indices).
+
+    The rule reads only the pairs that share a frame (`span_pairs`).  An
+    unlisted pair has temporal IoU 0.0: it can be neither a positive's match
+    (that needs temporal IoU above temporal_positive >= 0) nor hard (the band
+    is open above hard_temporal_low >= 0), and it passes the negative rule
+    `temporal < temporal_negative` exactly when temporal_negative > 0.
+    """
+    gt_boxes = cuboid_array(g.cuboid for g in gts)
+    rows, cols = span_pairs(boxes, gt_boxes)
+    spatial, temporal = box_iou(boxes[rows], gt_boxes[cols])
     gated = spatial > thresholds.spatial_positive
-    # best gated match: highest temporal IoU, then highest spatial IoU, then lowest GT index
-    best_t = np.where(gated, temporal, -1.0).max(axis=1, initial=-1.0)
-    ties = gated & (temporal == best_t[:, None])
-    best_s = np.where(ties, spatial, -1.0).max(axis=1, initial=-1.0)
-    best = np.argmax(ties & (spatial == best_s[:, None]), axis=1) if gts else np.zeros(len(props), dtype=int)
-    positive = best_t > thresholds.temporal_positive
-    negative = (temporal < thresholds.temporal_negative).all(axis=1)
-    hard = (gated & (temporal > thresholds.hard_temporal_low) & (temporal < thresholds.temporal_negative)).any(axis=1)
-    out = []
-    for p, is_pos, j, is_neg, is_hard in zip(props, positive.tolist(), best.tolist(), negative.tolist(), hard.tolist()):
-        if is_pos:
-            gt = gts[j]
-            out.append(LabeledProposal(
-                proposal=p,
-                designation=POSITIVE,
-                action_class=gt.action_class,
-                matched_gt=gt,
-                regression_target=regression_target(p.cuboid, gt.cuboid),
-            ))
-        elif is_neg:
-            out.append(LabeledProposal(p, HARD_NEGATIVE if is_hard else EASY_NEGATIVE))
-        else:
-            out.append(LabeledProposal(p, DISCARDED))
-    return out
+    # A positive's match is its best gated pair: highest temporal IoU, then
+    # highest spatial IoU, then lowest GT index; it must clear temporal_positive.
+    matches = np.flatnonzero(gated & (temporal > thresholds.temporal_positive))
+    matches = matches[np.lexsort((cols[matches], -spatial[matches], -temporal[matches], rows[matches]))]
+    first = np.ones(len(matches), dtype=bool)
+    first[1:] = rows[matches[1:]] != rows[matches[:-1]]
+    matches = matches[first]
+    # Without ground truth a proposal has no pair, so it is negative whatever temporal_negative is.
+    unlisted_pass = thresholds.temporal_negative > 0.0 or not gts
+    blocked = np.bincount(rows[temporal >= thresholds.temporal_negative], minlength=len(boxes)) > 0
+    in_band = gated & (temporal > thresholds.hard_temporal_low) & (temporal < thresholds.temporal_negative)
+    hard = np.bincount(rows[in_band], minlength=len(boxes)) > 0
+    designations = np.where(unlisted_pass & ~blocked, np.where(hard, 2, 1), 3)  # easy, hard or discarded
+    designations[rows[matches]] = 0  # positive
+    return designations, rows[matches], cols[matches]
 
 
 def select_training_set(labeled: Iterable[LabeledProposal]) -> list[LabeledProposal]:

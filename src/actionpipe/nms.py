@@ -17,6 +17,7 @@ from .ingest import (
     _get_number,
     _get_str,
     _read_blocks,
+    check_numbers,
     class_index,
     field_reader,
     line_encoder,
@@ -58,6 +59,7 @@ class NmsParams:
     spatial_iou: float = 0.05
 
     def __post_init__(self):
+        check_numbers(self, "temporal_iou", "spatial_iou")
         for name in ("temporal_iou", "spatial_iou"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

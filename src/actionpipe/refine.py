@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .geometry import Cuboid
-from .ingest import MAX_INT, ValidationError
+from .ingest import MAX_INT, ValidationError, check_numbers
 
 LOG_EPS = 1e-12  # clamp for log of a zero probability
 
@@ -27,6 +27,7 @@ class LossParams:
     num_classes: int = 12  # read by nothing; kept because every saved config carries it
 
     def __post_init__(self):
+        check_numbers(self, "loc_weight")
         if not 0 <= self.loc_weight < math.inf:
             raise ValidationError(f"loc_weight must be non-negative and finite, got {self.loc_weight}")
         if self.num_classes < 1:

@@ -17,7 +17,8 @@ per threshold; only the path searches run in Python, and the order, the
 threshold groups, the rates and the lower envelope are NumPy arrays.
 `aggregate_det_curve` looks every class curve up on the union rate grid
 with one `np.searchsorted` each.  Matching, the sweep and recall read their
-overlaps from the shared `geometry.pairwise_iou` kernel.
+overlaps from the shared `geometry.box_iou` kernel; recall reads them only on
+the pairs that share a frame (`geometry.span_pairs`).
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import cuboid_array, pairwise_iou, pairwise_iou_3d
-from .ingest import DEFAULT_ACTION_CLASSES, GroundTruthAction, ValidationError, class_index
+from .geometry import box_iou, box_iou_3d, cuboid_array, pairwise_iou, span_pairs
+from .ingest import DEFAULT_ACTION_CLASSES, GroundTruthAction, ValidationError, check_numbers, class_index
 from .nms import ScoredDetection
 from .proposals import Proposal
 
@@ -52,6 +53,7 @@ class MatchParams:
     spatial_iou: float = 0.0  # 0 disables the spatial gate
 
     def __post_init__(self):
+        check_numbers(self, "temporal_iou", "spatial_iou")
         for name in ("temporal_iou", "spatial_iou"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -360,11 +362,14 @@ def recall_curve(
     for vid, rows in gts_by_video.items():
         candidates = cuboid_array(p.cuboid for p in by_video.get(vid, []))
         targets = cuboid_array(gts[i].cuboid for i in rows)
+        gt_rows, cols = span_pairs(targets, candidates)  # an unlisted pair has IoU 0.0 in either mode
         if iou_mode == "volume":
-            ious = pairwise_iou_3d(targets, candidates)
+            ious = box_iou_3d(targets[gt_rows], candidates[cols])
         else:
-            spatial, temporal = pairwise_iou(targets, candidates)
+            spatial, temporal = box_iou(targets[gt_rows], candidates[cols])
             ious = spatial * temporal
-        for i, b in zip(rows, ious.max(axis=1, initial=0.0).tolist()):
+        best_of_video = np.zeros(len(rows))
+        np.maximum.at(best_of_video, gt_rows, ious)
+        for i, b in zip(rows, best_of_video.tolist()):
             best[i] = b
     return [sum(b >= t for b in best) / len(best) for t in thresholds]

@@ -172,10 +172,10 @@ class TestEndToEnd:
         cfg_path = fixture_dir / "config.json"
         run_pipeline(cfg_path)
         out = fixture_dir / "out"
-        argmax_count = sum(1 for _ in (out / "detections_final.jsonl").open())
+        argmax_count = len((out / "detections_final.jsonl").read_text().splitlines())
         assert main(["finalize", "--config", str(cfg_path), "--multi-label",
                      "--min-class-score", "0.001"]) == 0
-        multi_count = sum(1 for _ in (out / "detections_final.jsonl").open())
+        multi_count = len((out / "detections_final.jsonl").read_text().splitlines())
         assert multi_count >= argmax_count
         # restore the argmax output for the determinism checks that follow
         assert main(["finalize", "--config", str(cfg_path)]) == 0
@@ -185,8 +185,8 @@ class TestEndToEnd:
         sparse = tmp_path / "sparse"
         assert main(["propose", "--config", str(cfg_path), "--output", str(sparse),
                      "--half-windows", "16", "--stride", "30"]) == 0
-        default_count = sum(1 for _ in (fixture_dir / "out" / "proposals.jsonl").open())
-        sparse_count = sum(1 for _ in (sparse / "proposals.jsonl").open())
+        default_count = len((fixture_dir / "out" / "proposals.jsonl").read_text().splitlines())
+        sparse_count = len((sparse / "proposals.jsonl").read_text().splitlines())
         assert 0 < sparse_count < default_count
 
 
@@ -546,7 +546,8 @@ class TestEdgeInputs:
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["finalize", "--config", str(cfg_path)]) == 0
-        frames = {v["video_id"]: v["num_frames"] for v in map(json.loads, open(cfg["videos"], encoding="utf-8"))}
+        videos = Path(cfg["videos"]).read_text(encoding="utf-8").splitlines()
+        frames = {v["video_id"]: v["num_frames"] for v in map(json.loads, videos)}
         dets = [json.loads(line) for line in (tmp_path / "out" / "detections_final.jsonl").read_text().splitlines()]
         assert dets and all(0 <= d["f_start"] <= d["f_end"] <= frames[d["video_id"]] - 1 for d in dets)
         assert any(d["f_start"] == 0 or d["f_end"] == frames[d["video_id"]] - 1 for d in dets)
@@ -648,6 +649,11 @@ class TestConfigRoundTrip:
         assert cfg == PipelineConfig(Path("d"), Path("g"), Path("v"), Path("o"), object_classes=None)
         with pytest.raises(ValidationError, match="missing required path 'videos'"):
             config_from_dict({**required, "videos": None})
+
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_min_confidence_takes_numbers_only(self, value):
+        with pytest.raises(ValidationError, match="^min_confidence must be a number"):
+            PipelineConfig(Path("d"), Path("g"), Path("v"), Path("o"), min_confidence=value)
 
     def test_missing_path_rejected(self):
         with pytest.raises(ValidationError):

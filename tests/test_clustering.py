@@ -57,6 +57,12 @@ class TestParams:
             with pytest.raises(ValidationError, match="finite"):
                 ClusterParams(clusters_per_frame=value)
 
+    @pytest.mark.parametrize("field", ["temporal_scale", "clusters_per_frame"])
+    @pytest.mark.parametrize("value", [True, False, "0.5", None])
+    def test_float_fields_take_numbers_only(self, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be a number"):
+            ClusterParams(**{field: value})
+
     @pytest.mark.parametrize("value", [math.nan, 2.5, 2.0, True])
     def test_min_cluster_size_must_be_an_integer(self, value):
         with pytest.raises(ValidationError, match="min_cluster_size must be an integer"):

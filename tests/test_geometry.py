@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from actionpipe.geometry import (
     Cuboid,
+    box_iou,
+    box_iou_3d,
     cuboid_array,
     iou_3d,
     pairwise_iou,
-    pairwise_iou_3d,
+    span_pairs,
     spatial_iou,
     temporal_iou,
 )
@@ -152,7 +154,7 @@ class TestPairwiseKernel:
     def test_equals_scalar_bit_for_bit(self, left, right):
         right = right + left[:2]  # identical boxes on both sides
         spatial, temporal = pairwise_iou(cuboid_array(left), cuboid_array(right))
-        volume = pairwise_iou_3d(cuboid_array(left), cuboid_array(right))
+        volume = box_iou_3d(cuboid_array(left)[:, None], cuboid_array(right)[None])
         assert spatial.shape == temporal.shape == volume.shape == (len(left), len(right))
         for i, a in enumerate(left):
             for j, b in enumerate(right):
@@ -168,12 +170,50 @@ class TestPairwiseKernel:
         spatial, temporal = pairwise_iou(cuboid_array(cuboids), cuboid_array(cuboids))
         assert spatial[0].tolist() == [1.0, 0.0, 1.0, 1.0]
         assert temporal[0].tolist() == [1.0, 1.0, 0.0, 1.0]
-        assert pairwise_iou_3d(cuboid_array(cuboids), cuboid_array(cuboids))[0].tolist() == [1.0, 0.0, 0.0, 1.0]
+        assert box_iou_3d(cuboid_array(cuboids)[:1], cuboid_array(cuboids)).tolist() == [1.0, 0.0, 0.0, 1.0]
 
     def test_empty_sides(self):
         assert cuboid_array([]).shape == (0, 6)
         spatial, temporal = pairwise_iou(cuboid_array([cub(0, 0, 1, 1)]), cuboid_array([]))
         assert spatial.shape == temporal.shape == (1, 0)
+
+
+# Spans in a 30-frame video: single frames, equal starts, nested spans and
+# the whole video are all common.
+_span = st.one_of(
+    st.tuples(st.integers(0, 29), st.integers(0, 29)).map(sorted),
+    st.integers(0, 29).map(lambda f: (f, f)),
+    st.just((0, 29)),
+)
+_span_boxes = st.lists(st.tuples(_lattice, _span), max_size=8).map(
+    lambda drawn: cuboid_array(Cuboid(x0, 0, x0 + 2, 2, f0, f1) for x0, (f0, f1) in drawn)
+)
+
+
+class TestSpanPairs:
+    @settings(max_examples=300, deadline=None)
+    @given(_span_boxes, _span_boxes)
+    @example(cuboid_array([]), cuboid_array([]))
+    @example(cuboid_array([cub(0, 0, 1, 1, 0, 29)]), cuboid_array([]))
+    def test_equals_brute_force_pair_set(self, a, b):
+        rows, cols = span_pairs(a, b)
+        got = list(zip(rows.tolist(), cols.tolist()))
+        want = {(i, j) for i in range(len(a)) for j in range(len(b)) if a[i, 4] <= b[j, 5] and b[j, 4] <= a[i, 5]}
+        assert len(got) == len(set(got)) and set(got) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_cuboids(), max_size=6), st.lists(_cuboids(), max_size=6))
+    def test_values_on_pairs_equal_dense_entries(self, left, right):
+        a, b = cuboid_array(left), cuboid_array(right + left[:2])
+        rows, cols = span_pairs(a, b)
+        spatial, temporal = box_iou(a[rows], b[cols])
+        dense_s, dense_t = pairwise_iou(a, b)
+        assert spatial.tolist() == dense_s[rows, cols].tolist()
+        assert temporal.tolist() == dense_t[rows, cols].tolist()
+        assert box_iou_3d(a[rows], b[cols]).tolist() == box_iou_3d(a[:, None], b[None])[rows, cols].tolist()
+        listed = np.zeros(dense_t.shape, dtype=bool)
+        listed[rows, cols] = True
+        assert (dense_t[~listed] == 0.0).all()  # an unlisted pair shares no frame
 
 
 # floats of every magnitude (-0.0 included) and ints, some past 2**53, where float64 rounds

@@ -1,5 +1,10 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from actionpipe.geometry import Cuboid
 from actionpipe.ingest import GroundTruthAction, ValidationError
@@ -167,6 +172,92 @@ class TestDesignateAll:
         assert got == want
         assert [designate(p, gts_by_video.get(p.video_id, []), thresholds) for p in proposals] == want
         assert {lp.designation for lp in got} == set(DESIGNATIONS)
+
+
+# Thresholds at the edges of [0, 1] and at common values, with the hard band
+# often empty (hard_temporal_low == temporal_negative).
+_unit = st.sampled_from([0.0, 0.01, 0.2, 0.25, 0.35, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _thresholds(draw):
+    spatial, temporal_pos, temporal_neg, low = (draw(_unit) for _ in range(4))
+    return LabelingThresholds(spatial, temporal_pos, temporal_neg, temporal_neg if draw(st.booleans()) else low)
+
+
+# Boxes on a small integer lattice in 27 frames: equal IoUs, identical
+# boxes, touching edges and disjoint spans are all common.
+_lattice_cuboid = st.builds(
+    lambda x, y, w, h, f, n: Cuboid(x, y, x + w, y + h, f, f + n),
+    st.integers(0, 4), st.integers(0, 4), st.integers(1, 4), st.integers(1, 4), st.integers(0, 20), st.integers(0, 6),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    gt_specs=st.lists(st.tuples(st.sampled_from(["va", "vb"]), st.sampled_from(["enter", "exit"]), _lattice_cuboid),
+                      max_size=8),
+    proposal_specs=st.lists(st.tuples(st.sampled_from(["va", "vb", "vc"]), _lattice_cuboid), max_size=16),
+    thresholds=_thresholds(),
+)
+@example(  # temporal IoU 1/5 on the hard band's open lower edge: easy, not hard
+    gt_specs=[("va", "enter", Cuboid(0, 0, 2, 2, 0, 4))],
+    proposal_specs=[("va", Cuboid(0, 0, 2, 2, 4, 4))],
+    thresholds=LabelingThresholds(0.35, 0.5, 0.35, 0.2),
+)
+@example(  # temporal_negative 0: a proposal sharing no frame with a GT is discarded
+    gt_specs=[("va", "enter", Cuboid(0, 0, 2, 2, 0, 4))],
+    proposal_specs=[("va", Cuboid(0, 0, 2, 2, 10, 12)), ("vc", Cuboid(0, 0, 2, 2, 10, 12))],
+    thresholds=LabelingThresholds(0.35, 0.5, 0.0, 0.0),
+)
+def test_designate_all_equals_scalar_reference(gt_specs, proposal_specs, thresholds):
+    # repeated GTs tie in every key but the index; proposals on GT boxes are positive
+    gt_specs = gt_specs + gt_specs[:2]
+    proposal_specs = proposal_specs + [(vid, cuboid) for vid, _, cuboid in gt_specs[:3]]
+    gts_by_video = {}  # "vc" has no ground truth
+    for vid, label, cuboid in gt_specs:
+        gts_by_video.setdefault(vid, []).append(GroundTruthAction(vid, label, cuboid))
+    proposals = [Proposal(f"p{i}", vid, cuboid, PROVENANCE_CLUSTERING) for i, (vid, cuboid) in enumerate(proposal_specs)]
+    got = designate_all(proposals, gts_by_video, thresholds)
+    assert got == [reference_designate(p, gts_by_video.get(p.video_id, []), thresholds) for p in proposals]
+    assert all(type(lp) is LabeledProposal and lp == LabeledProposal(*lp) for lp in got)  # valid as built
+
+
+def test_designate_all_scales_with_overlapping_pairs():
+    # one 9,000-frame video with 20,000 proposals and 500 GTs; a dense
+    # proposals x GT overlap would take ~600 MB here
+    rng = np.random.default_rng(7)
+
+    def cuboids(n, shortest, longest):
+        x0, y0 = rng.uniform(0, 560, n).tolist(), rng.uniform(0, 400, n).tolist()
+        w, h = rng.uniform(20, 80, n).tolist(), rng.uniform(20, 80, n).tolist()
+        f0 = rng.integers(0, 9000 - longest, n).tolist()
+        length = rng.integers(shortest, longest, n).tolist()
+        return [Cuboid(*c) for c in zip(x0, y0, map(sum, zip(x0, w)), map(sum, zip(y0, h)), f0,
+                                        map(sum, zip(f0, length)))]
+
+    proposals = [Proposal(f"p{i}", "v", c, PROVENANCE_JITTERING) for i, c in enumerate(cuboids(20_000, 32, 257))]
+    gts = {"v": [GroundTruthAction("v", "loading", c) for c in cuboids(500, 30, 300)]}
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        got = designate_all(proposals, gts)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20, f"tracemalloc peak {peak / 2**20:.0f} MiB"
+    assert elapsed < 10.0
+    assert {lp.designation for lp in got} >= {POSITIVE, EASY_NEGATIVE, DISCARDED}
+    for i in range(0, 20_000, 97):  # a sample against the scalar rule
+        assert got[i] == reference_designate(proposals[i], gts["v"])
+
+
+@pytest.mark.parametrize("field", ["spatial_positive", "temporal_positive", "temporal_negative", "hard_temporal_low"])
+@pytest.mark.parametrize("value", [True, False, "0.5", None])
+def test_thresholds_take_numbers_only(field, value):
+    with pytest.raises(ValidationError, match=f"^{field} must be a number"):
+        LabelingThresholds(**{field: value})
 
 
 class TestSelectTrainingSet:

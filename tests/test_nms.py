@@ -40,6 +40,12 @@ class TestNmsParams:
         with pytest.raises(ValidationError):
             NmsParams(spatial_iou=1.2)
 
+    @pytest.mark.parametrize("field", ["temporal_iou", "spatial_iou"])
+    @pytest.mark.parametrize("value", [True, False, "0.5", None])
+    def test_fields_take_numbers_only(self, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be a number"):
+            NmsParams(**{field: value})
+
 
 class TestNms3d:
     def test_empty(self):

@@ -93,6 +93,11 @@ class TestFullLoss:
         assert got == pytest.approx(math.log(13) + 0.25 * 1.625, abs=1e-4)
         assert got == pytest.approx(2.9712, abs=1e-4)
 
+    @pytest.mark.parametrize("value", [True, False, "0.5", None])
+    def test_loc_weight_takes_numbers_only(self, value):
+        with pytest.raises(ValidationError, match="^loc_weight must be a number"):
+            LossParams(loc_weight=value)
+
     def test_action_class_requires_refinement(self):
         with pytest.raises(ValidationError):
             full_loss(UNIFORM, 2, None, None)

@@ -49,6 +49,13 @@ def frames(f0, f1, x0=0.0):
     return Cuboid(x0, 0.0, x0 + 10.0, 10.0, f0, f1)
 
 
+@pytest.mark.parametrize("field", ["temporal_iou", "spatial_iou"])
+@pytest.mark.parametrize("value", [True, False, "0.5", None])
+def test_match_params_take_numbers_only(field, value):
+    with pytest.raises(ValidationError, match=f"^{field} must be a number"):
+        MatchParams(**{field: value})
+
+
 class TestHungarianMatch:
     def test_full_overlap_matches(self):
         pairs = hungarian_match([sdet("d", frames(0, 99))], [gt(frames(0, 99))])
@@ -450,6 +457,30 @@ class TestRecallCurve:
         best = [max((overlap(p.cuboid, g.cuboid) for p in props if p.video_id == g.video_id), default=0.0)
                 for g in gts]
         grid = sorted(set(best)) + self.GRID  # the best overlaps themselves make exactness matter
+        assert recall_curve(props, gts, grid, mode) == [sum(b >= t for b in best) / len(best) for t in grid]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gt_specs=st.lists(st.tuples(st.sampled_from(["va", "vb", "vc"]), st.integers(0, 3), st.integers(0, 30),
+                                    st.integers(0, 8)), min_size=1, max_size=8),
+        prop_specs=st.lists(st.tuples(st.sampled_from(["va", "vb"]), st.integers(0, 3), st.integers(0, 30),
+                                      st.integers(0, 8)), max_size=16),
+        mode=st.sampled_from(IOU_MODES),
+    )
+    def test_equals_scalar_best_overlap_on_lattices(self, gt_specs, prop_specs, mode):
+        # lattice boxes in 39 frames: shared spans, nested spans and GTs no proposal overlaps ("vc")
+        def box(x0, f0, n):
+            return Cuboid(x0, 0.0, x0 + 4.0, 4.0, f0, f0 + n)
+
+        gts = [gt(box(x0, f0, n), video=vid) for vid, x0, f0, n in gt_specs]
+        props = [self.prop(box(x0, f0, n), pid=f"p{i}", video=vid) for i, (vid, x0, f0, n) in enumerate(prop_specs)]
+
+        def overlap(a, b):
+            return iou_3d(a, b) if mode == "volume" else spatial_iou(a, b) * temporal_iou(a, b)
+
+        best = [max((overlap(g.cuboid, p.cuboid) for p in props if p.video_id == g.video_id), default=0.0)
+                for g in gts]
+        grid = sorted(set(best))
         assert recall_curve(props, gts, grid, mode) == [sum(b >= t for b in best) / len(best) for t in grid]
 
     def test_bad_mode_and_empty_gt(self):

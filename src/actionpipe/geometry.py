@@ -12,11 +12,15 @@ entry equals the scalar IoU of its pair bit for bit.  `pairwise_iou` is the
 kernel on `a[:, None]` and `b[None]`, a dense (len(a), len(b)) matrix; on
 `a[rows]` and `b[cols]` it gives the same values for chosen pairs only.
 `span_pairs` chooses the pairs whose frame spans intersect, by a sort-based
-interval join; every other pair has temporal and 3-D IoU 0.0.  Labeling
-and recall read only those pairs, so their work grows with the overlapping
-pairs of a video, not with its proposals times its GTs.  The kernel's input,
-`cuboid_array`, reads the cuboids' values as one flat run and reshapes it;
-labeling's designation, NMS and scoring build their boxes through it.
+interval join, between two arrays or within one; every other pair has
+temporal and 3-D IoU 0.0.  Labeling, recall and NMS read only those pairs,
+so their work grows with the overlapping pairs of a video, not with its
+proposals times its GTs or the square of a class.  `box_iou` is composed
+of `box_spatial_iou` and `span_iou`, which NMS takes one at a time: the
+temporal part first, the spatial part only where it passes.  The kernel's
+input, `cuboid_array`, reads the cuboids' values as one flat run and
+reshapes it; labeling's designation, NMS and scoring build their boxes
+through it.
 """
 
 from __future__ import annotations
@@ -152,42 +156,59 @@ def cuboid_array(cuboids: Iterable[Cuboid]) -> np.ndarray:
     return flat.reshape(len(rows), 6)
 
 
-def _extents(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signed x, y and inclusive-frame intersection extents of broadcast box arrays."""
+def _box_extents(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed x and y intersection extents of broadcast box arrays."""
     ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    it = np.minimum(a[..., 5], b[..., 5]) - np.maximum(a[..., 4], b[..., 4]) + 1.0
-    return ix, iy, it
+    return ix, iy
+
+
+def _span_extent(a_start, a_end, b_start, b_end) -> np.ndarray:
+    """Signed inclusive-frame intersection extent of broadcast span columns."""
+    return np.minimum(a_end, b_end) - np.maximum(a_start, b_start) + 1.0
 
 
 def _areas(c: np.ndarray) -> np.ndarray:
     return (c[..., 2] - c[..., 0]) * (c[..., 3] - c[..., 1])
 
 
-def _frame_counts(c: np.ndarray) -> np.ndarray:
-    return c[..., 5] - c[..., 4] + 1.0
+def _frame_counts(start, end) -> np.ndarray:
+    return end - start + 1.0
+
+
+def box_spatial_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Spatial IoU of broadcastable box arrays; only the columns x_min, y_min, x_max, y_max (0-3) are read."""
+    ix, iy = _box_extents(a, b)
+    # Disjoint pairs get a zero intersection, hence a 0.0 ratio over a
+    # positive union; overlapping pairs divide exactly as the scalar code.
+    inter = np.where((ix > 0.0) & (iy > 0.0), ix * iy, 0.0)
+    return inter / (_areas(a) + _areas(b) - inter)
+
+
+def span_iou(a_start, a_end, b_start, b_end) -> np.ndarray:
+    """Temporal IoU of inclusive frame spans given as broadcastable start and end columns."""
+    inter = _span_extent(a_start, a_end, b_start, b_end)
+    inter = np.where(inter > 0.0, inter, 0.0)
+    return inter / (_frame_counts(a_start, a_end) + _frame_counts(b_start, b_end) - inter)
 
 
 def box_iou(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(spatial, temporal) IoU of broadcastable (..., 6) box arrays, element by element.
 
     Each entry equals spatial_iou / temporal_iou of its pair of rows exactly.
+    It is `box_spatial_iou` and `span_iou` on the frame columns, which a
+    caller may also take one at a time.
     """
-    ix, iy, it = _extents(a, b)
-    # Disjoint pairs get a zero intersection, hence a 0.0 ratio over a
-    # positive union; overlapping pairs divide exactly as the scalar code.
-    inter = np.where((ix > 0.0) & (iy > 0.0), ix * iy, 0.0)
-    spatial = inter / (_areas(a) + _areas(b) - inter)
-    inter_t = np.where(it > 0.0, it, 0.0)
-    temporal = inter_t / (_frame_counts(a) + _frame_counts(b) - inter_t)
-    return spatial, temporal
+    return box_spatial_iou(a, b), span_iou(a[..., 4], a[..., 5], b[..., 4], b[..., 5])
 
 
 def box_iou_3d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Volume IoU of broadcastable (..., 6) box arrays; each entry equals iou_3d of its pair exactly."""
-    ix, iy, it = _extents(a, b)
+    ix, iy = _box_extents(a, b)
+    it = _span_extent(a[..., 4], a[..., 5], b[..., 4], b[..., 5])
     inter = np.where((ix > 0.0) & (iy > 0.0) & (it > 0.0), ix * iy * it, 0.0)
-    return inter / (_areas(a) * _frame_counts(a) + _areas(b) * _frame_counts(b) - inter)
+    return inter / (_areas(a) * _frame_counts(a[..., 4], a[..., 5])
+                    + _areas(b) * _frame_counts(b[..., 4], b[..., 5]) - inter)
 
 
 def pairwise_iou(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,7 +216,7 @@ def pairwise_iou(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return box_iou(a[:, None], b[None])
 
 
-def span_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def span_pairs(a: np.ndarray, b: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(rows, cols): each pair of an `a` row and a `b` row whose inclusive frame spans intersect, once.
 
     A sort-based interval join: a pair intersects exactly when the `b` span
@@ -204,9 +225,20 @@ def span_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     each kind as a range.  Work and memory grow with len(a) + len(b) plus
     the pairs found, whatever the spans' lengths.  The pairs come in an
     order fixed by the inputs, not sorted.
+
+    With `b` omitted it is the self-join: each unordered pair of distinct
+    `a` rows whose spans intersect, once, as (row, col) in an order fixed
+    by the input.  In start order, a row meets exactly the later rows that
+    start no later than it ends, one `searchsorted` of each end.
     """
-    a_order, b_order = np.argsort(a[:, 4], kind="stable"), np.argsort(b[:, 4], kind="stable")
-    a_starts, b_starts = a[a_order, 4], b[b_order, 4]
+    a_order = np.argsort(a[:, 4], kind="stable")
+    a_starts = a[a_order, 4]
+    if b is None:
+        hi = np.searchsorted(a_starts, a[a_order, 5], "right")  # later rows start in [start, end]
+        rows, cols = _expand(np.arange(1, len(a) + 1), hi)
+        return a_order[rows], a_order[cols]
+    b_order = np.argsort(b[:, 4], kind="stable")
+    b_starts = b[b_order, 4]
     b_lo = np.searchsorted(b_starts, a[:, 4], "left")  # b starts in [a start, a end]
     b_hi = np.searchsorted(b_starts, a[:, 5], "right")
     a_lo = np.searchsorted(a_starts, b[:, 4], "right")  # a starts in (b start, b end]

@@ -1,15 +1,31 @@
-"""Class-wise greedy 3D non-maximum suppression over scored detections."""
+"""Class-wise greedy 3D non-maximum suppression over scored detections.
+
+A detection can suppress another only when their temporal IoU is above
+`temporal_iou`, a threshold in [0, 1], so only pairs that share a frame
+can matter: a pair whose spans do not meet has temporal IoU 0.0, which is
+never above any such threshold.  `nms_3d` therefore reads IoUs only on
+the pairs of a class group that `geometry.span_pairs` lists, in blocks of
+consecutive rows whose summed overlap counts (the rows each shares a
+frame with, itself included) stay within `NMS_PAIRS`; a row over the
+budget is a block alone.  Memory is O(NMS_PAIRS + class size), and work
+grows with the pairs that share a frame.  The worst case is a class whose
+detections all share every frame and none suppresses: the join then lists
+every pair, as many as a dense matrix holds, at a few times the cost of
+each dense entry (4,000 such rows take ~1 s).
+"""
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import Cuboid, cuboid_array, cuboids_from_columns, pairwise_iou
+from .geometry import Cuboid, box_spatial_iou, cuboid_array, cuboids_from_columns, span_iou, span_pairs
 from .ingest import (
     BOX_FIELDS,
     CUBOID_FIELDS,
@@ -24,7 +40,7 @@ from .ingest import (
     write_lines,
 )
 
-NMS_BLOCK = 64  # rows per overlap block in nms_3d
+NMS_PAIRS = 2**18  # pair budget of one nms_3d block: the summed overlap counts of its rows
 
 
 class ScoredDetection(namedtuple("ScoredDetection", "video_id proposal_id action_class confidence cuboid")):
@@ -73,27 +89,81 @@ def nms_3d(dets: Sequence[ScoredDetection], params: NmsParams = NmsParams()) -> 
     IoU with an already-kept same-class detection exceed their thresholds.
     Output is ordered by class, then confidence descending (ties by
     proposal_id).  Detections from different videos never interact; run
-    per video.  Overlaps come NMS_BLOCK rows at a time against the rest of
-    the class, so memory stays O(NMS_BLOCK x class size).
+    per video.  Only pairs that share a frame are read (see the module).
     """
-    by_class: dict[int, list[ScoredDetection]] = {}
-    for det in dets:
-        by_class.setdefault(det.action_class, []).append(det)
+    # one priority order: class, then confidence descending, then proposal_id (stable sorts, last key first)
+    pending = sorted(dets, key=operator.attrgetter("proposal_id"))
+    pending.sort(key=operator.attrgetter("confidence"), reverse=True)
+    pending.sort(key=operator.attrgetter("action_class"))
+    classes = [d.action_class for d in pending]
+    # (6, n) columns: a gather over pairs reads each coordinate in one run
+    columns = cuboid_array(d.cuboid for d in pending).T.copy()
     survivors: list[ScoredDetection] = []
-    for cls in sorted(by_class):
-        pending = sorted(by_class[cls], key=lambda d: (-d.confidence, d.proposal_id))
-        boxes = cuboid_array(d.cuboid for d in pending)
-        suppressed = np.zeros(len(pending), dtype=bool)
-        for start in range(0, len(pending), NMS_BLOCK):
-            # rows an earlier block already suppressed need no overlaps
-            rows = start + np.flatnonzero(~suppressed[start:start + NMS_BLOCK])
-            spatial, temporal = pairwise_iou(boxes[rows], boxes[start:])
-            overlaps = (temporal > params.temporal_iou) & (spatial > params.spatial_iou)
-            for row, det_overlaps in zip(rows.tolist(), overlaps):
-                if not suppressed[row]:
-                    survivors.append(pending[row])
-                    suppressed[start:] |= det_overlaps
+    start = 0
+    while start < len(pending):
+        end = bisect.bisect_right(classes, classes[start], start)
+        group = pending[start:end]
+        survivors.extend(map(group.__getitem__, _kept_rows(columns[:, start:end], params)))
+        start = end
     return survivors
+
+
+def _kept_rows(columns: np.ndarray, params: NmsParams) -> list[int]:
+    """The rows of one class group, boxes given as (6, n) columns in priority order, that greedy suppression keeps."""
+    suppressed = bytearray(columns.shape[1])
+    live = np.frombuffer(suppressed, dtype=np.uint8)  # a view: the walk's marks show through
+    kept: list[int] = []
+    for lo, hi in _blocks(columns[4], columns[5]):
+        rows = lo + np.flatnonzero(live[lo:hi] == 0)  # rows an earlier block suppressed are skipped
+        if not len(rows):
+            continue
+        block = columns.take(rows, axis=1)
+        hits = [_hits(rows, block, rows, block, *span_pairs(block.T), params)]
+        later = hi + np.flatnonzero(live[hi:] == 0)
+        if len(later):
+            after = columns.take(later, axis=1)
+            hits.append(_hits(rows, block, later, after, *span_pairs(block.T, after.T), params))
+        first, second = np.concatenate([h[0] for h in hits]), np.concatenate([h[1] for h in hits])
+        order = np.argsort(first, kind="stable")  # each row's hits, by its higher-priority row
+        first, second = first[order], second[order].tolist()
+        bounds = np.searchsorted(first, rows).tolist() + [len(second)]
+        for row, a, b in zip(rows.tolist(), bounds, bounds[1:]):
+            if not suppressed[row]:
+                kept.append(row)
+                for other in second[a:b]:
+                    suppressed[other] = 1
+    return kept
+
+
+def _blocks(starts: np.ndarray, ends: np.ndarray):
+    """(lo, hi) of each block: consecutive rows whose summed overlap counts stay within NMS_PAIRS."""
+    size = len(starts)
+    if size * size <= NMS_PAIRS:  # no row meets more than all `size` rows: one block, counts unread
+        yield 0, size
+        return
+    # a row's overlap count: rows that start by its end, less rows that end before its start
+    counts = np.searchsorted(np.sort(starts), ends, "right") - np.searchsorted(np.sort(ends), starts, "left")
+    reach = np.cumsum(counts)
+    lo = 0
+    while lo < size:
+        hi = max(lo + 1, int(np.searchsorted(reach, (reach[lo - 1] if lo else 0) + NMS_PAIRS, "right")))
+        yield lo, hi
+        lo = hi
+
+
+def _hits(a_rows, a, b_rows, b, i, j, params: NmsParams) -> tuple[np.ndarray, np.ndarray]:
+    """(higher, lower) priority rows of the pairs (a_rows[i], b_rows[j]) whose IoUs both exceed their thresholds.
+
+    `a` and `b` hold the rows' boxes as (6, n) columns; the temporal gate
+    runs first, so spatial IoU is read only on the pairs that pass it.
+    """
+    temporal = span_iou(a[4].take(i), a[5].take(i), b[4].take(j), b[5].take(j))
+    near = temporal > params.temporal_iou
+    i, j = i[near], j[near]
+    spatial = box_spatial_iou(a[:4].take(i, axis=1).T, b[:4].take(j, axis=1).T)
+    near = spatial > params.spatial_iou
+    i, j = a_rows.take(i[near]), b_rows.take(j[near])
+    return np.minimum(i, j), np.maximum(i, j)
 
 
 # A final detection record's fields with their readers; `action_class` holds the label.

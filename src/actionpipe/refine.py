@@ -30,6 +30,8 @@ class LossParams:
         check_numbers(self, "loc_weight")
         if not 0 <= self.loc_weight < math.inf:
             raise ValidationError(f"loc_weight must be non-negative and finite, got {self.loc_weight}")
+        if isinstance(self.num_classes, bool) or not isinstance(self.num_classes, int):
+            raise ValidationError(f"num_classes must be an integer, got {self.num_classes!r}")
         if self.num_classes < 1:
             raise ValidationError("num_classes must be >= 1")
 

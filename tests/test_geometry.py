@@ -9,9 +9,11 @@ from actionpipe.geometry import (
     Cuboid,
     box_iou,
     box_iou_3d,
+    box_spatial_iou,
     cuboid_array,
     iou_3d,
     pairwise_iou,
+    span_iou,
     span_pairs,
     spatial_iou,
     temporal_iou,
@@ -162,6 +164,19 @@ class TestPairwiseKernel:
                 assert temporal[i, j] == temporal_iou(a, b)
                 assert volume[i, j] == iou_3d(a, b)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_cuboids(), min_size=1, max_size=6), st.data())
+    def test_parts_on_gathered_columns_equal_scalar(self, cuboids, data):
+        # NMS reads the parts one at a time, from (6, n) columns gathered per pair
+        columns = cuboid_array(cuboids).T.copy()
+        i = np.array(data.draw(st.lists(st.integers(0, len(cuboids) - 1), max_size=10)), dtype=np.intp)
+        j = np.array(data.draw(st.lists(st.integers(0, len(cuboids) - 1), min_size=len(i), max_size=len(i))),
+                     dtype=np.intp)
+        spatial = box_spatial_iou(columns[:4].take(i, axis=1).T, columns[:4].take(j, axis=1).T)
+        temporal = span_iou(columns[4].take(i), columns[5].take(i), columns[4].take(j), columns[5].take(j))
+        assert spatial.tolist() == [spatial_iou(cuboids[p], cuboids[q]) for p, q in zip(i.tolist(), j.tolist())]
+        assert temporal.tolist() == [temporal_iou(cuboids[p], cuboids[q]) for p, q in zip(i.tolist(), j.tolist())]
+
     def test_edge_cases(self):
         box = cub(0, 0, 10, 10, 5, 5)  # single frame
         touching_x = cub(10, 0, 20, 10, 5, 5)  # ix == 0
@@ -199,6 +214,21 @@ class TestSpanPairs:
         rows, cols = span_pairs(a, b)
         got = list(zip(rows.tolist(), cols.tolist()))
         want = {(i, j) for i in range(len(a)) for j in range(len(b)) if a[i, 4] <= b[j, 5] and b[j, 4] <= a[i, 5]}
+        assert len(got) == len(set(got)) and set(got) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(_span_boxes | st.lists(_span, max_size=12).map(
+        lambda spans: cuboid_array(Cuboid(0, 0, 1, 1, f0, f1) for f0, f1 in spans)))
+    @example(cuboid_array([]))
+    @example(cuboid_array([cub(0, 0, 1, 1, 3, 3)]))
+    @example(cuboid_array([cub(0, 0, 1, 1, 4, 9), cub(0, 0, 1, 1, 4, 4), cub(0, 0, 1, 1, 4, 29)]))  # equal starts
+    @example(cuboid_array([cub(0, 0, 1, 1, 0, 29), cub(0, 0, 1, 1, 5, 6), cub(0, 0, 1, 1, 2, 20)]))  # nested
+    def test_self_join_equals_brute_force_unordered_pairs(self, a):
+        rows, cols = span_pairs(a)
+        got = [frozenset(pair) for pair in zip(rows.tolist(), cols.tolist())]
+        want = {frozenset((i, j)) for i in range(len(a)) for j in range(i + 1, len(a))
+                if a[i, 4] <= a[j, 5] and a[j, 4] <= a[i, 5]}
+        assert all(len(pair) == 2 for pair in got)  # never a row with itself
         assert len(got) == len(set(got)) and set(got) == want
 
     @settings(max_examples=200, deadline=None)

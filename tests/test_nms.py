@@ -1,12 +1,15 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from actionpipe import nms
 from actionpipe.geometry import Cuboid
 from actionpipe.ingest import DEFAULT_ACTION_CLASSES, ValidationError
 from actionpipe.nms import (
-    NMS_BLOCK,
     NmsParams,
     ScoredDetection,
     load_final_detections,
@@ -123,10 +126,11 @@ class TestNms3d:
             ]
             assert nms_3d(dets, params) == reference_nms(dets, params)
 
-    def test_matches_reference_across_blocks(self):
+    def test_matches_reference_across_blocks(self, monkeypatch):
         # one class group spanning several overlap blocks, plus a second class
+        monkeypatch.setattr(nms, "NMS_PAIRS", 256)  # ~40 overlap counts a row: blocks of a few rows
         rng = np.random.default_rng(29)
-        size = 3 * NMS_BLOCK + 17
+        size = 3 * 64 + 17
         dets = [
             sdet(f"p{i:04d}", random_cuboid(rng, max_frame=400), cls=1 if i < size else 2,
                  conf=float(rng.choice([0.2, 0.4, 0.6, 0.8, 0.9])))
@@ -135,7 +139,7 @@ class TestNms3d:
         params = NmsParams()
         got = nms_3d(dets, params)
         assert got == reference_nms(dets, params)
-        assert NMS_BLOCK < len(got) < size  # survivors land in several blocks and some rows are suppressed
+        assert 64 < len(got) < size  # survivors land in several blocks and some rows are suppressed
 
     def test_scales(self):
         rng = np.random.default_rng(31)
@@ -144,6 +148,79 @@ class TestNms3d:
         started = time.perf_counter()
         nms_3d(dets)
         assert time.perf_counter() - started < 2.0
+
+
+# Few classes, tie-heavy confidences, ids that repeat across classes or differ
+# only by a trailing NUL, cuboids on a small lattice (identical ones are
+# common) and spans that often meet at exactly one frame.
+_nms_dets = st.lists(
+    st.builds(
+        lambda pid, cls, conf, x0, y0, w, h, f0, length: sdet(pid, Cuboid(x0, y0, x0 + w, y0 + h, f0, f0 + length),
+                                                              cls=cls, conf=conf),
+        st.sampled_from(["a", "a\x00", "a\x00\x00", "b", "", "\x00"]),
+        st.integers(1, 3),
+        st.sampled_from([0.0, 0.5, 0.5, 0.75, 1.0]),
+        st.sampled_from([0.0, 1.0, 2.0]), st.sampled_from([0.0, 1.0]),
+        st.sampled_from([1.0, 2.0, 3.0]), st.sampled_from([1.0, 2.0]),
+        st.integers(0, 8), st.sampled_from([0, 1, 2, 4]),
+    ),
+    max_size=40,
+)
+# 1/3 and 1/2 are IoUs of lattice pairs (frames [0, 1] and [1, 2]; boxes 2 wide, offset 1)
+_thresholds = st.sampled_from([0.0, 1 / 3, 0.5, 1.0])
+
+
+class TestNmsMatchesOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(_nms_dets, _thresholds, _thresholds, st.sampled_from([1, 2, 3, 5, 8, 30, 2**18]))
+    @example([sdet("a", BOX), sdet("a", BOX)], 0.0, 0.0, 1)
+    @example([sdet("a", Cuboid(0, 0, 2, 1, 0, 1), conf=0.5), sdet("a\x00", Cuboid(1, 0, 3, 1, 1, 2), conf=0.5)],
+             0.0, 0.0, 1)
+    def test_equals_reference_nms(self, dets, temporal, spatial, budget):
+        params = NmsParams(temporal_iou=temporal, spatial_iou=spatial)
+        with pytest.MonkeyPatch.context() as patch:  # one-row, multi-row and cross-block pairs by budget
+            patch.setattr(nms, "NMS_PAIRS", budget)
+            got = nms_3d(dets, params)
+        want = reference_nms(dets, params)
+        assert list(map(id, got)) == list(map(id, want))  # the same input objects, in the same order
+
+
+def _one_class_scaling(dets):
+    """(seconds, tracemalloc peak in MiB, survivors) of one nms_3d call over `dets`."""
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        kept = nms_3d(dets)
+        seconds = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    return seconds, peak, kept
+
+
+class TestNmsScalingGuards:
+    """One class in one 9,000-frame video; a dense class x class overlap would take ~100 MiB and ~5 s."""
+
+    def test_random_windows(self):
+        rng = np.random.default_rng(41)
+        dets = []
+        for i in range(20_000):
+            length, w, h = int(rng.integers(32, 257)), float(rng.uniform(16, 64)), float(rng.uniform(16, 64))
+            f0 = int(rng.integers(0, 9_000 - length + 1))
+            x0, y0 = float(rng.uniform(0, 1280 - w)), float(rng.uniform(0, 720 - h))
+            dets.append(sdet(f"p{i:05d}", Cuboid(x0, y0, x0 + w, y0 + h, f0, f0 + length - 1),
+                             conf=float(rng.uniform(0, 1))))
+        seconds, peak, kept = _one_class_scaling(dets)
+        assert 0 < len(kept) < len(dets)
+        assert peak < 64 and seconds < 3.0
+
+    def test_every_pair_shares_every_frame_and_none_suppresses(self):
+        # the worst case: the join lists every pair, yet no box meets another
+        dets = [sdet(f"p{i:04d}", Cuboid(3.0 * i, 0, 3.0 * i + 2, 2, 0, 8_999), conf=(i % 97) / 97)
+                for i in range(4_000)]
+        seconds, peak, kept = _one_class_scaling(dets)
+        assert len(kept) == len(dets)
+        assert peak < 64 and seconds < 3.0
 
 
 class TestFinalDetectionsFile:

@@ -98,6 +98,20 @@ class TestFullLoss:
         with pytest.raises(ValidationError, match="^loc_weight must be a number"):
             LossParams(loc_weight=value)
 
+    @pytest.mark.parametrize("value", [2.5, True, False, "3", None, 3.0])
+    def test_num_classes_takes_integers_only(self, value):
+        with pytest.raises(ValidationError, match="^num_classes must be an integer"):
+            LossParams(num_classes=value)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_num_classes_at_least_one(self, value):
+        with pytest.raises(ValidationError, match="^num_classes must be >= 1"):
+            LossParams(num_classes=value)
+
+    def test_num_classes_keeps_saved_value(self):
+        assert LossParams(num_classes=12).num_classes == 12
+        assert LossParams(num_classes=1).num_classes == 1
+
     def test_action_class_requires_refinement(self):
         with pytest.raises(ValidationError):
             full_loss(UNIFORM, 2, None, None)

@@ -130,6 +130,7 @@ def _candidates(
 
     The chosen classes are those scoring at least `min_class_score` with
     `multi_label`, else the argmax when it is not the non-action class 0.
+    Every proposal's video must be in `videos` (`_refuse_unknown_videos`).
     `apply_refinement` runs once per candidate.  Each `ScoredDetection` is
     built with `tuple.__new__`, without its constructor's checks, which
     hold already: the class is at least 1, and the confidence is a score
@@ -137,9 +138,6 @@ def _candidates(
     """
     by_video: dict[str, list[ScoredDetection]] = {}
     for prop in proposals:
-        meta = videos.get(prop.video_id)
-        if meta is None:
-            raise ValidationError(f"proposal {prop.proposal_id!r} has unknown video_id {prop.video_id!r}")
         record = scores.get(prop.proposal_id)
         if record is None:
             raise ValidationError(f"no score record for proposal {prop.proposal_id!r}")
@@ -151,9 +149,9 @@ def _candidates(
             classes = [cls] if cls else []
         if classes:
             proposal_id, video_id, cuboid, _, _ = prop
-            append = by_video.setdefault(video_id, []).append
+            append, num_frames = by_video.setdefault(video_id, []).append, videos[video_id].num_frames
             for cls in classes:
-                refined, _ = apply_refinement(cuboid, refinement, meta.num_frames)
+                refined, _ = apply_refinement(cuboid, refinement, num_frames)
                 append(tuple.__new__(ScoredDetection, (video_id, proposal_id, cls, class_scores[cls], refined)))
     return by_video
 
@@ -165,7 +163,9 @@ def cmd_finalize(cfg: PipelineConfig, multi_label: bool = False, min_class_score
         raise ValidationError(f"min_class_score must be in [0, 1], got {min_class_score}")
     videos = load_video_meta(ensure_path(cfg.videos))
     scores = load_scores(ensure_path(cfg.scores), num_classes=len(cfg.action_classes))
-    proposals = load_proposals(ensure_path(cfg.output_dir / "proposals.jsonl"))
+    proposals_path = ensure_path(cfg.output_dir / "proposals.jsonl")
+    proposals = load_proposals(proposals_path)
+    _refuse_unknown_videos(proposals, videos, proposals_path, "proposal")
     by_video = _candidates(proposals, scores, videos, multi_label, min_class_score)
     final: list[ScoredDetection] = []
     for vid in sorted(by_video):

@@ -34,34 +34,39 @@ from typing import Iterable
 import numpy as np
 
 
+# An input rule: `holds(columns)`, a predicate over `{field name: column}`, and `message(record)` for a record
+# `{field name: value}` that breaks it.  Given the rules before it, `holds` must hold over a loader's block
+# exactly when it holds over each record alone, as one-element columns (a duplicate-id rule also reads the
+# ids already accepted); there a typed field holds exactly its reader's type, floats finite.
+Rule = namedtuple("Rule", "holds message")
+
+
+def check_record(rules: Iterable[Rule], columns: dict, error: type[Exception] = ValueError) -> None:
+    """Raise `error` with the message of the first of `rules` broken by one record, given as one-element `columns`."""
+    for rule in rules:
+        if not rule.holds(columns):
+            raise error(rule.message({name: column[0] for name, column in columns.items()}))
+
+
 class Cuboid(namedtuple("Cuboid", "x_min y_min x_max y_max f_start f_end")):
     """Axis-aligned spatio-temporal box (x_min, y_min, x_max, y_max, f_start, f_end).
 
     A validated tuple: construction coerces the four bounds with `float` and
     the two frames with `operator.index` (any integer type, never a float),
-    then rejects non-finite bounds, empty extents and inverted spans.  Being
-    a tuple, it also equals a plain tuple of the same values, iterates over
-    them, and `json` would encode it as a list; nothing in the package, its
-    tests or its benchmark relies on that.  `cuboids_from_columns` checks
-    the same rules over many cuboids at once.
+    then checks them against `CUBOID_RULES`: finite bounds, nonempty
+    extents, an uninverted span.  Being a tuple, it also equals a plain
+    tuple of the same values, iterates over them, and `json` would encode
+    it as a list; nothing in the package, its tests or its benchmark relies
+    on that.
     """
 
     __slots__ = ()
 
     def __new__(cls, x_min, y_min, x_max, y_max, f_start, f_end):
-        x_min, y_min, x_max, y_max = float(x_min), float(y_min), float(x_max), float(y_max)
-        f_start, f_end = operator.index(f_start), operator.index(f_end)
-        if not math.isfinite(x_min + y_min + x_max + y_max):  # some bound is not finite, or the sum overflowed
-            for name, value in zip(cls._fields, (x_min, y_min, x_max, y_max)):
-                if not math.isfinite(value):
-                    raise ValueError(f"non-finite coordinate {name}={value!r}")
-        if not x_min < x_max:
-            raise ValueError(f"empty x extent [{x_min}, {x_max}]")
-        if not y_min < y_max:
-            raise ValueError(f"empty y extent [{y_min}, {y_max}]")
-        if f_start > f_end:
-            raise ValueError(f"inverted frame span [{f_start}, {f_end}]")
-        return tuple.__new__(cls, (x_min, y_min, x_max, y_max, f_start, f_end))
+        values = (float(x_min), float(y_min), float(x_max), float(y_max),
+                  operator.index(f_start), operator.index(f_end))
+        check_record(CUBOID_RULES, dict(zip(cls._fields, zip(values))))
+        return tuple.__new__(cls, values)
 
     @classmethod
     def _make(cls, iterable):  # `_replace` builds through here; keep it validated
@@ -92,19 +97,21 @@ class Cuboid(namedtuple("Cuboid", "x_min y_min x_max y_max f_start f_end")):
         return (self.f_start + self.f_end) / 2.0
 
 
-def cuboids_from_columns(x_min, y_min, x_max, y_max, f_start, f_end) -> list[Cuboid] | None:
-    """The `Cuboid`s of six equal-length columns of values, or None when `Cuboid` would refuse one.
+BOX_FIELDS = ("x_min", "y_min", "x_max", "y_max")  # the spatial box, which jittered windows share with their parent
 
-    The bounds must already be finite `float`s and the frames `int`s, as a
-    block reader's column check leaves them (`ingest._read_blocks`).  Then
-    `Cuboid`'s coercions change nothing, and its other rules (nonempty
-    extents, an uninverted span) are one comparison over each pair of
-    columns, so the tuples are built without checking each one again.
-    """
-    if not (all(map(operator.lt, x_min, x_max)) and all(map(operator.lt, y_min, y_max))
-            and all(map(operator.le, f_start, f_end))):
-        return None
-    return list(map(tuple.__new__, itertools.repeat(Cuboid), zip(x_min, y_min, x_max, y_max, f_start, f_end)))
+
+CUBOID_RULES = [
+    # a column's floats are all finite when their sum is; when it is not, one is not or the sum overflowed
+    Rule(lambda c: all(math.isfinite(sum(c[name])) or all(map(math.isfinite, c[name])) for name in BOX_FIELDS),
+         lambda r: next(f"non-finite coordinate {name}={r[name]!r}"
+                        for name in BOX_FIELDS if not math.isfinite(r[name]))),
+    Rule(lambda c: all(map(operator.lt, c["x_min"], c["x_max"])),
+         lambda r: f"empty x extent [{r['x_min']}, {r['x_max']}]"),
+    Rule(lambda c: all(map(operator.lt, c["y_min"], c["y_max"])),
+         lambda r: f"empty y extent [{r['y_min']}, {r['y_max']}]"),
+    Rule(lambda c: all(map(operator.le, c["f_start"], c["f_end"])),
+         lambda r: f"inverted frame span [{r['f_start']}, {r['f_end']}]"),
+]
 
 
 def spatial_iou(a: Cuboid, b: Cuboid) -> float:

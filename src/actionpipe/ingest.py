@@ -3,33 +3,31 @@
 All inputs and outputs are JSON Lines: one object per line, UTF-8, numbers
 as decimal text.  Loading is order-independent (collections come back
 canonically sorted).  Field names are fixed and documented in the README.
-Each record type states its fields once, as a `{name: _get_*}` table; the
-six cuboid fields are one such table (`CUBOID_FIELDS`), which every record
-type with a cuboid includes.
 
-Every loader has one `parse` function, which reads one record: all of
-its table fields in one call (`field_reader`), which returns their values
-in table order or raises the error of the first field its reader rejects,
-then the loader's own rules.  So of several faults in one record, a
-field's comes first, then the rules' in the loader's order.  `parse` run
-line by line, with its errors located as `path:line:` (`_read_records`),
-defines what a valid file is.  The four large files (detections,
-proposals, scores, final detections) are read by `_read_blocks`,
-`RECORD_BLOCK` lines at a time: a block is checked as columns, each
-field's type once and then the loader's rules over whole columns, and its
-records are built without checking each one again.  A block that fails
-any check is read again line by line through `parse`, which accepts and
-converts what the column check refuses (an int where a float goes, a
-blank line) or words the first error.  A block check may only be
-stricter than `parse`, and gives the records `parse` would.  Every output
-file goes through `write_lines`.  Proposals, training labels and final
-detections are encoded from their table by one generated line function
-each (`line_encoder`): a `%` template behind an exact-type guard, with the
-JSON encoder as fallback, the same bytes either way.  Proposals and final
-detections also keep each box's text for one write call, looked up only
-once the guard has passed and never kept for a box holding a zero, since
-`-0.0 == 0.0` but the two are written differently.  An indented JSON
-document (the `score` report, a saved config) is written by
+Each of the six loaders reads its file through one rule table (`Table`):
+its fields with their readers (`{name: _get_*}`; the six cuboid fields
+are one such table, `CUBOID_FIELDS`), its ordered rules (`geometry.Rule`:
+a predicate over `{field name: column}` plus the message for a record
+that breaks it; the cuboid rules are `geometry.CUBOID_RULES`) and a build
+step.  `_read_table` reads `RECORD_BLOCK` lines at a time.  A block whose
+lines are all JSON objects holding every typed field with exactly its
+reader's type has each rule applied once to its columns, and its records
+are built with `tuple.__new__`.  Any other block, or one a rule refuses,
+is read again record by record: the field readers (which convert an int
+where a float goes), then the same rules on one-element columns in table
+order, raising the first broken rule's message as `path:line:`.  So a
+record's fault order is its field order, then its table's rule order.  A
+field only rules check (`class_scores`, `parent_id`) is read as parsed,
+except that a score's int 0 or 1 becomes a float.
+
+Every output file goes through `write_lines`.  Proposals, training labels
+and final detections are encoded from their table by one generated line
+function each (`line_encoder`): a `%` template behind an exact-type guard,
+with the JSON encoder as fallback, the same bytes either way.  Proposals
+and final detections also keep each box's text for one write call, looked
+up only once the guard has passed and never kept for a box holding a
+zero, since `-0.0 == 0.0` but the two are written differently.  An
+indented JSON document (the `score` report, a saved config) is written by
 `indented_json`, which gives `json.dumps(value, indent=2, sort_keys=True)`
 without the standard library's pure-Python encoder.
 """
@@ -44,12 +42,13 @@ import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from collections import namedtuple
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 import orjson
 
-from .geometry import Cuboid
+from .geometry import CUBOID_RULES, Cuboid, Rule, check_record
 
 # The 12 action labels of the target label set, index 1..12 in this order;
 # index 0 is reserved for the non-action class.
@@ -192,50 +191,36 @@ def _parse_lines(path, numbered_lines: Iterable[tuple[int, bytes]], parse: Calla
         yield record
 
 
-def _read_blocks(
-    path,
-    fields: dict[str, Callable],
-    check: Callable[[list[dict], list[tuple], list[tuple]], list | None],
-    parse: Callable[[dict], object],
-) -> Iterator[list]:
+def _read_blocks(path, fields: dict[str, Callable], block: Callable, record: Callable) -> Iterator[list]:
     """Yield the records of `path` as one list per block of up to `RECORD_BLOCK` lines.
 
-    A block is first checked as columns (`_block_records`): each line must
-    be a JSON object that orjson parses under the `ORJSON_MAX_DEPTH` rule
-    and that holds every field of the `{name: _get_*}` table `fields`, each
-    of exactly its reader's type, with no empty string, every float finite
-    and every int at most 2**53 in magnitude.  Then `check(objects, rows,
-    columns)` applies the loader's own rules to the block's parsed objects,
-    their table values (one tuple per record, in table order) and the same
-    values transposed (one tuple per field).  It returns the block's
-    records, built without a second check, or None when a rule fails.
-
-    A block refused at any step is read again line by line through
-    `_read_records`' path with `parse`, which accepts and converts what the
-    column check refuses (an int where a float goes, a blank line, ...)
-    or raises the first error as `path:line:`.  So `parse` alone defines a
-    valid file: `check` must return the records `parse` would, and accept
-    no block that `parse` refuses.  Each record must come from `parse` or
-    `check` before the next block is read, so both may check a record
-    against the earlier ones (a repeated id).  Lines are split as file
-    iteration splits them, and only one block's parsed objects are held at
-    a time.
+    A block is first read as columns (`_block_columns`): each line a JSON
+    object that orjson parses (`ORJSON_MAX_DEPTH`), holding every typed
+    field of the `{name: _get_*}` table `fields` with exactly its reader's
+    type, no empty string, floats finite and ints at most 2**53 in
+    magnitude; an untyped field as parsed, None when absent.  Then
+    `block({name: column})` gives the records, or None.  A refused block is
+    read again line by line through `_parse_lines` with `record`.  A
+    block's records all come before the next block is read, so both may
+    check a record against earlier ones (a repeated id).
     """
-    rows_of = operator.itemgetter(*fields)  # every table has at least two fields, so this gives a tuple
-    kinds = [_READ_TYPES[read] for read in fields.values()]
+    typed = {name: _READ_TYPES[read] for name, read in fields.items() if read in _READ_TYPES}
+    raw = [name for name, read in fields.items() if read not in _READ_TYPES]
+    rows_of = operator.itemgetter(*typed)  # every table has at least two typed fields, so this gives a tuple
     with open(path, "rb") as fh:
         for start in itertools.count(1, RECORD_BLOCK):
             lines = list(itertools.islice(fh, RECORD_BLOCK))
             if not lines:
                 return
-            records = _block_records(lines, rows_of, kinds, check)
+            columns = _block_columns(lines, typed, rows_of, raw)
+            records = None if columns is None else block(columns)
             if records is None:
-                records = list(_parse_lines(path, zip(itertools.count(start), lines), parse))
+                records = list(_parse_lines(path, zip(itertools.count(start), lines), record))
             yield records
 
 
-def _block_records(lines: list[bytes], rows_of: Callable, kinds: list[type], check: Callable) -> list | None:
-    """`check`'s records for one block of lines, or None when the block must go line by line."""
+def _block_columns(lines: list[bytes], typed: dict[str, type], rows_of: Callable, raw: list[str]) -> dict | None:
+    """One block's `{name: column}`, or None when the block must go line by line."""
     if max(map(len, lines)) > 2 * ORJSON_MAX_DEPTH and not all(map(_orjson_may_parse, lines)):
         return None
     try:
@@ -245,11 +230,10 @@ def _block_records(lines: list[bytes], rows_of: Callable, kinds: list[type], che
     if set(map(type, objects)) != {dict}:
         return None
     try:
-        rows = list(map(rows_of, objects))
+        columns = dict(zip(typed, zip(*map(rows_of, objects))))
     except KeyError:
         return None
-    columns = list(zip(*rows))
-    for column, kind in zip(columns, kinds):
+    for column, kind in zip(columns.values(), typed.values()):
         if set(map(type, column)) != {kind}:
             return None
         if kind is str:
@@ -260,7 +244,28 @@ def _block_records(lines: list[bytes], rows_of: Callable, kinds: list[type], che
                 return None
         elif not math.isfinite(sum(column)):  # orjson reads no NaN or infinity; finite values may overflow
             return None
-    return check(objects, rows, columns)
+    columns.update({name: [obj.get(name) for obj in objects] for name in raw})
+    return columns
+
+
+# A loader's `{name: _get_*}` fields, its ordered rules, and `build(columns)`, which makes the records of
+# columns the rules hold over and adds their ids to the set that a duplicate-id rule reads.
+Table = namedtuple("Table", "fields rules build")
+
+
+def _read_table(path, table: Table) -> Iterator:
+    """The records of `path`: each rule once over a block's columns, or over a record's, raising the first broken."""
+    read, names = field_reader(table.fields), tuple(table.fields)
+
+    def block(columns: dict) -> list | None:
+        return table.build(columns) if all(rule.holds(columns) for rule in table.rules) else None
+
+    def record(obj: dict):
+        columns = dict(zip(names, zip(read(obj))))
+        check_record(table.rules, columns, ValidationError)
+        return table.build(columns)[0]
+
+    return itertools.chain.from_iterable(_read_blocks(path, table.fields, block, record))
 
 
 def _is_number(value) -> bool:
@@ -316,7 +321,17 @@ def _get_str(obj: dict, name: str) -> str:
     return value
 
 
-# What each field reader returns; `_read_blocks` and `line_encoder` take exactly these types.
+def _get_scores(obj: dict, name: str):
+    """Scores as parsed, or `_ABSENT`, for rules to check; an int 0 or 1 as a float, as `_get_number` would give it."""
+    value = obj.get(name, _ABSENT)
+    if type(value) is list:
+        return [float(v) if type(v) is int and v in (0, 1) else v for v in value]
+    return value
+
+
+_ABSENT = object()  # what `_get_scores` reads for an absent field
+
+# What each typed field reader returns; `_read_blocks` and `line_encoder` take exactly these types.
 _READ_TYPES = {_get_str: str, _get_int: int, _get_number: float}
 
 
@@ -341,7 +356,11 @@ CUBOID_FIELDS = {
     "x_min": _get_number, "y_min": _get_number, "x_max": _get_number, "y_max": _get_number,
     "f_start": _get_int, "f_end": _get_int,
 }
-BOX_FIELDS = ("x_min", "y_min", "x_max", "y_max")  # the spatial box, which jittered windows share with their parent
+
+
+def _cuboids(columns: dict) -> list[Cuboid]:
+    """The `Cuboid`s of cuboid columns that `CUBOID_RULES` hold over, built without checking them again."""
+    return list(map(tuple.__new__, itertools.repeat(Cuboid), zip(*map(columns.__getitem__, CUBOID_FIELDS))))
 
 
 # A detection record's fields with their readers.  A record is the tuple of
@@ -351,46 +370,92 @@ DETECTION_FIELDS = {
     "x_min": _get_number, "y_min": _get_number, "x_max": _get_number, "y_max": _get_number,
     "confidence": _get_number,
 }
-_read_detection_fields = field_reader(DETECTION_FIELDS)
 _DETECTION_ROW = operator.itemgetter(1, 3, 4, 5, 6)  # frame, x_min, y_min, x_max, y_max
 _VIDEO_ID = operator.itemgetter(0)
 
 # The other input record types' fields with their readers, in `VideoMeta`
 # and `GroundTruthAction` field order; a score record's `class_scores`, a
-# list, is read on its own.
-_read_video_fields = field_reader({
-    "video_id": _get_str, "num_frames": _get_int, "frame_rate": _get_number, "width": _get_number,
-    "height": _get_number,
-})
+# list, only rules check.
+VIDEO_FIELDS = {"video_id": _get_str, "num_frames": _get_int, "frame_rate": _get_number, "width": _get_number,
+                "height": _get_number}
 GROUND_TRUTH_FIELDS = {"video_id": _get_str, "action_class": _get_str, **CUBOID_FIELDS}
-_read_ground_truth_fields = field_reader(GROUND_TRUTH_FIELDS)
-SCORE_FIELDS = {"proposal_id": _get_str, "refine_start": _get_number, "refine_end": _get_number}
-_read_score_fields = field_reader(SCORE_FIELDS)
-_CLASS_SCORES = operator.itemgetter("class_scores")
-_PROPOSAL_ID = operator.itemgetter(0)
+SCORE_FIELDS = {"proposal_id": _get_str, "refine_start": _get_number, "refine_end": _get_number,
+                "class_scores": _get_scores}
+
+# Rules that several tables share.
+CONFIDENCE_RULE = Rule(lambda c: 0.0 <= min(c["confidence"]) and max(c["confidence"]) <= 1.0,
+                       lambda r: f"confidence {r['confidence']} outside [0, 1]")
+
+
+def _unique(name: str, seen: set) -> Rule:
+    """No value of field `name` repeats another of the block or one in `seen`, those already accepted."""
+    return Rule(lambda c: len(set(c[name])) == len(c[name]) and seen.isdisjoint(c[name]),
+                lambda r: f"duplicate {name} {r[name]!r}")
+
+
+def _known_class(classes: tuple[str, ...]) -> Rule:
+    known = frozenset(classes)
+    return Rule(lambda c: known.issuperset(c["action_class"]),
+                lambda r: f"unknown action_class {r['action_class']!r}; allowed: {', '.join(classes)}")
+
+
+def _known_video(videos: dict[str, VideoMeta]) -> Rule:
+    return Rule(lambda c: videos.keys() >= set(c["video_id"]), lambda r: f"unknown video_id {r['video_id']!r}")
+
+
+def _at_most(values, limit: dict[str, float], video_ids) -> bool:
+    """Each value is at most its video's `limit`: all at most the least of the block's videos', or each checked."""
+    return (max(values) <= min(map(limit.__getitem__, set(video_ids)))
+            or all(map(operator.le, values, map(limit.__getitem__, video_ids))))
+
+
+def _inside_video(videos: dict[str, VideoMeta]) -> Rule:
+    """Each box lies within its video's frame; its video must be known."""
+    width = {video_id: meta.width for video_id, meta in videos.items()}
+    height = {video_id: meta.height for video_id, meta in videos.items()}
+    return Rule(lambda c: min(c["x_min"]) >= 0 and min(c["y_min"]) >= 0
+                and _at_most(c["x_max"], width, c["video_id"]) and _at_most(c["y_max"], height, c["video_id"]),
+                lambda r: f"box outside video bounds of {r['video_id']!r}")
 
 
 def _ground_truth_key(g: GroundTruthAction) -> tuple:
     return (g.video_id, g.cuboid.f_start, g.cuboid.f_end, g.action_class, g.cuboid.x_min, g.cuboid.y_min)
 
 
+def _video_table() -> Table:
+    seen: set[str] = set()
+
+    def build(c: dict) -> list[VideoMeta]:
+        seen.update(c["video_id"])
+        return list(map(VideoMeta, *c.values()))
+
+    return Table(VIDEO_FIELDS, [
+        Rule(lambda c: all(min(c[name]) > 0 for name in ("num_frames", "frame_rate", "width", "height")),
+             lambda r: "video dimensions, frames and rate must be positive"),
+        Rule(lambda c: all(math.isfinite(VideoMeta(*row).minutes) for row in zip(*c.values())),  # a subnormal rate
+             lambda r: f"video length num_frames / frame_rate / 60 = {VideoMeta(**r).minutes!r} minutes is not finite"),
+        _unique("video_id", seen),
+    ], build)
+
+
 def load_video_meta(path) -> dict[str, VideoMeta]:
     """Load video metadata keyed by video_id."""
-    videos: dict[str, VideoMeta] = {}
+    return dict(sorted((meta.video_id, meta) for meta in _read_table(path, _video_table())))
 
-    def parse(obj: dict) -> VideoMeta:
-        meta = VideoMeta(*_read_video_fields(obj))
-        if meta.num_frames <= 0 or meta.frame_rate <= 0 or meta.width <= 0 or meta.height <= 0:
-            raise ValidationError("video dimensions, frames and rate must be positive")
-        if not math.isfinite(meta.minutes):  # a subnormal frame rate
-            raise ValidationError(f"video length num_frames / frame_rate / 60 = {meta.minutes!r} minutes is not finite")
-        if meta.video_id in videos:
-            raise ValidationError(f"duplicate video_id {meta.video_id!r}")
-        return meta
 
-    for meta in _read_records(path, parse):
-        videos[meta.video_id] = meta
-    return dict(sorted(videos.items()))
+def _detection_table(videos: dict[str, VideoMeta]) -> Table:
+    last_frames = {video_id: meta.num_frames - 1 for video_id, meta in videos.items()}
+    return Table(DETECTION_FIELDS, [
+        Rule(lambda c: all(map(operator.lt, c["x_min"], c["x_max"])) and all(map(operator.lt, c["y_min"], c["y_max"])),
+             lambda r: "box must have positive width and height"),
+        CONFIDENCE_RULE,
+        Rule(lambda c: min(c["frame"]) >= 0, lambda r: f"negative frame index {r['frame']}"),
+        _known_video(videos),
+        Rule(lambda c: _at_most(c["frame"], last_frames, c["video_id"]),
+             lambda r: f"frame {r['frame']} outside video {r['video_id']!r} "
+                       f"with {videos[r['video_id']].num_frames} frames"),
+        _inside_video(videos),
+    ], lambda c: list(zip(*c.values())))
 
 
 def load_detections(
@@ -408,47 +473,12 @@ def load_detections(
     keep the canonical order of their full records (`DETECTION_FIELDS`), so
     the result does not depend on input line order.
     """
-
-    def parse(obj: dict) -> tuple:
-        record = _read_detection_fields(obj)
-        video_id, frame, _, x_min, y_min, x_max, y_max, confidence = record
-        if x_min >= x_max or y_min >= y_max:
-            raise ValidationError("box must have positive width and height")
-        if not 0.0 <= confidence <= 1.0:
-            raise ValidationError(f"confidence {confidence} outside [0, 1]")
-        if frame < 0:
-            raise ValidationError(f"negative frame index {frame}")
-        if video_id not in videos:
-            raise ValidationError(f"unknown video_id {video_id!r}")
-        meta = videos[video_id]
-        if frame >= meta.num_frames:
-            raise ValidationError(f"frame {frame} outside video {video_id!r} with {meta.num_frames} frames")
-        if x_min < 0 or y_min < 0 or x_max > meta.width or y_max > meta.height:
-            raise ValidationError(f"box outside video bounds of {video_id!r}")
-        return record
-
-    limits = {video_id: (meta.num_frames, meta.width, meta.height) for video_id, meta in videos.items()}
-
-    def check(objects: list[dict], rows: list[tuple], columns: list[tuple]) -> list[tuple] | None:
-        video_ids, frames, _, x_min, y_min, x_max, y_max, confidence = columns
-        if not limits.keys() >= set(video_ids):
-            return None
-        num_frames, width, height = zip(*map(limits.__getitem__, video_ids))
-        valid = (
-            all(map(operator.lt, x_min, x_max)) and all(map(operator.lt, y_min, y_max))
-            and min(confidence) >= 0.0 and max(confidence) <= 1.0
-            and min(frames) >= 0 and all(map(operator.lt, frames, num_frames))
-            and min(x_min) >= 0 and min(y_min) >= 0
-            and all(map(operator.le, x_max, width)) and all(map(operator.le, y_max, height))
-        )
-        return rows if valid else None
-
     keep = None if object_classes is None else frozenset(object_classes)
+    kept = [r for r in _read_table(path, _detection_table(videos))
+            if r[7] >= min_confidence and (keep is None or r[2] in keep)]
     grouped: dict[str, list[tuple]] = {}
-    for block in _read_blocks(path, DETECTION_FIELDS, check, parse):
-        kept = [r for r in block if r[7] >= min_confidence and (keep is None or r[2] in keep)]
-        for video_id, records in itertools.groupby(kept, key=_VIDEO_ID):  # a run per video in a sorted file
-            grouped.setdefault(video_id, []).extend(records)
+    for video_id, records in itertools.groupby(kept, key=_VIDEO_ID):  # a run per video in a sorted file
+        grouped.setdefault(video_id, []).extend(records)
     arrays = {}
     for video_id, records in sorted(grouped.items()):
         records.sort()
@@ -457,33 +487,59 @@ def load_detections(
     return arrays
 
 
+def _ground_truth_table(videos: dict[str, VideoMeta], action_classes: tuple[str, ...]) -> Table:
+    last_frames = {video_id: meta.num_frames - 1 for video_id, meta in videos.items()}
+    return Table(GROUND_TRUTH_FIELDS, [
+        _known_class(action_classes),
+        *CUBOID_RULES,
+        _known_video(videos),
+        Rule(lambda c: min(c["f_start"]) >= 0 and _at_most(c["f_end"], last_frames, c["video_id"]),
+             lambda r: f"frame span outside video {r['video_id']!r}"),
+        _inside_video(videos),
+    ], lambda c: list(map(GroundTruthAction, c["video_id"], c["action_class"], _cuboids(c))))
+
+
 def load_ground_truth(
     path,
     videos: dict[str, VideoMeta],
     action_classes: Iterable[str] = DEFAULT_ACTION_CLASSES,
 ) -> dict[str, list[GroundTruthAction]]:
     """Load ground-truth action annotations grouped by video_id."""
-    allowed = tuple(action_classes)
-
-    def parse(obj: dict) -> GroundTruthAction:
-        video_id, label, *box = _read_ground_truth_fields(obj)
-        class_index(label, allowed)
-        cuboid = Cuboid(*box)
-        if video_id not in videos:
-            raise ValidationError(f"unknown video_id {video_id!r}")
-        meta = videos[video_id]
-        if cuboid.f_start < 0 or cuboid.f_end >= meta.num_frames:
-            raise ValidationError(f"frame span outside video {video_id!r}")
-        if cuboid.x_min < 0 or cuboid.y_min < 0 or cuboid.x_max > meta.width or cuboid.y_max > meta.height:
-            raise ValidationError(f"box outside video bounds of {video_id!r}")
-        return GroundTruthAction(video_id, label, cuboid)
-
     grouped: dict[str, list[GroundTruthAction]] = {}
-    for gt in _read_records(path, parse):
+    for gt in _read_table(path, _ground_truth_table(videos, tuple(action_classes))):
         grouped.setdefault(gt.video_id, []).append(gt)
     for gts in grouped.values():
         gts.sort(key=_ground_truth_key)
     return dict(sorted(grouped.items()))
+
+
+def _probabilities(lists: list[list]) -> bool:
+    """True when every value of `lists` is a float in [0, 1]; NumPy's min and max return a NaN they meet."""
+    values = list(itertools.chain.from_iterable(lists))
+    return set(map(type, values)) == {float} and 0.0 <= (v := np.fromiter(values, np.float64)).min() and v.max() <= 1.0
+
+
+def _score_table(num_classes: int) -> Table:
+    seen: set[str] = set()
+
+    def build(c: dict) -> list[ScoreRecord]:
+        seen.update(c["proposal_id"])
+        return list(map(tuple.__new__, itertools.repeat(ScoreRecord), zip(
+            c["proposal_id"], map(tuple, c["class_scores"]), zip(c["refine_start"], c["refine_end"]))))
+
+    return Table(SCORE_FIELDS, [
+        _unique("proposal_id", seen),
+        Rule(lambda c: _ABSENT not in c["class_scores"], lambda r: "missing field 'class_scores'"),
+        Rule(lambda c: set(map(type, c["class_scores"])) == {list}
+             and set(map(len, c["class_scores"])) == {num_classes + 1},
+             lambda r: f"class_scores must hold {num_classes + 1} values"),
+        Rule(lambda c: _probabilities(c["class_scores"]),
+             lambda r: next(f"class_scores[{i}] = {value!r} outside [0, 1]"
+                            for i, value in enumerate(r["class_scores"]) if not _probabilities([[value]]))),
+        # each row's own `sum`, so that the tolerance decides bit for bit
+        Rule(lambda c: bool((np.abs(np.fromiter(map(sum, c["class_scores"]), np.float64) - 1.0) <= PROB_SUM_TOL).all()),
+             lambda r: f"class_scores sum to {sum(r['class_scores'])}, expected 1"),
+    ], build)
 
 
 def load_scores(path, num_classes: int = 12) -> dict[str, ScoreRecord]:
@@ -492,51 +548,7 @@ def load_scores(path, num_classes: int = 12) -> dict[str, ScoreRecord]:
     Each record needs num_classes + 1 probabilities (index 0 = non-action)
     summing to 1 within 1e-6, plus the two refinement outputs.
     """
-    seen: set[str] = set()
-
-    def parse(obj: dict) -> ScoreRecord:
-        pid, refine_start, refine_end = _read_score_fields(obj)
-        if pid in seen:
-            raise ValidationError(f"duplicate proposal_id {pid!r}")
-        seen.add(pid)
-        raw = _get(obj, "class_scores")
-        if not isinstance(raw, list) or len(raw) != num_classes + 1:
-            raise ValidationError(f"class_scores must hold {num_classes + 1} values")
-        scores = []
-        for i, value in enumerate(raw):
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
-                raise ValidationError(f"class_scores[{i}] = {value!r} outside [0, 1]")
-            scores.append(float(value))
-        if abs(sum(scores) - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"class_scores sum to {sum(scores)}, expected 1")
-        return ScoreRecord(pid, tuple(scores), (refine_start, refine_end))
-
-    def check(objects: list[dict], rows: list[tuple], columns: list[tuple]) -> list[ScoreRecord] | None:
-        ids, refine_starts, refine_ends = columns
-        fresh = set(ids)
-        if len(fresh) < len(ids) or not seen.isdisjoint(fresh):
-            return None
-        try:
-            score_lists = list(map(_CLASS_SCORES, objects))
-        except KeyError:
-            return None
-        if set(map(type, score_lists)) != {list} or set(map(len, score_lists)) != {num_classes + 1}:
-            return None
-        for column in zip(*score_lists):
-            if set(map(type, column)) != {float} or min(column) < 0.0 or max(column) > 1.0:
-                return None
-        # `sum` of each row, as `parse` takes it, so the tolerance decides bit for bit; a NaN or an
-        # infinity makes a sum non-finite, which fails the tolerance, so min and max may step past it
-        if not (np.abs(np.array(list(map(sum, score_lists))) - 1.0) <= PROB_SUM_TOL).all():
-            return None
-        seen.update(fresh)
-        return list(map(tuple.__new__, itertools.repeat(ScoreRecord),
-                        zip(ids, map(tuple, score_lists), zip(refine_starts, refine_ends))))
-
-    records: dict[str, ScoreRecord] = {}
-    for block in _read_blocks(path, SCORE_FIELDS, check, parse):
-        records.update(zip(map(_PROPOSAL_ID, block), block))
-    return dict(sorted(records.items()))
+    return dict(sorted((record.proposal_id, record) for record in _read_table(path, _score_table(num_classes))))
 
 
 def write_lines(path, lines: Iterable[str]) -> None:
@@ -726,10 +738,8 @@ def write_scores(path, records: Iterable[ScoreRecord]) -> None:
 def class_index(label: str, action_classes: Iterable[str] = DEFAULT_ACTION_CLASSES) -> int:
     """1-based index of an action label; 0 is the non-action class."""
     classes = tuple(action_classes)
-    try:
-        return classes.index(label) + 1
-    except ValueError:
-        raise ValidationError(f"unknown action_class {label!r}; allowed: {', '.join(classes)}") from None
+    check_record([_known_class(classes)], {"action_class": (label,)}, ValidationError)
+    return classes.index(label) + 1
 
 
 def ensure_path(path) -> Path:

@@ -25,17 +25,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import Cuboid, box_spatial_iou, cuboid_array, cuboids_from_columns, span_iou, span_pairs
+from .geometry import BOX_FIELDS, CUBOID_RULES, box_spatial_iou, check_record, cuboid_array, span_iou, span_pairs
 from .ingest import (
-    BOX_FIELDS,
+    CONFIDENCE_RULE,
     CUBOID_FIELDS,
+    Table,
     ValidationError,
+    _cuboids,
     _get_number,
     _get_str,
-    _read_blocks,
+    _known_class,
+    _read_table,
     check_numbers,
-    class_index,
-    field_reader,
     line_encoder,
     write_lines,
 )
@@ -48,11 +49,11 @@ class ScoredDetection(namedtuple("ScoredDetection", "video_id proposal_id action
 
     `action_class` is the 1-based action index; non-action proposals never
     reach here.  A validated tuple: construction rejects an action class
-    below 1 and a confidence outside [0, 1].  Being a tuple, it also equals
+    below 1 and a confidence outside [0, 1] (`ingest.CONFIDENCE_RULE`,
+    which the detection loaders also apply).  Being a tuple, it also equals
     a plain tuple of the same values, iterates over them, and `json` would
     encode it as a list; nothing in the package, its tests or its benchmark
-    relies on that.  `load_final_detections` checks the same rules over a
-    block of records at once and then builds them with `tuple.__new__`.
+    relies on that.
     """
 
     __slots__ = ()
@@ -60,8 +61,7 @@ class ScoredDetection(namedtuple("ScoredDetection", "video_id proposal_id action
     def __new__(cls, video_id, proposal_id, action_class, confidence, cuboid):
         if action_class < 1:
             raise ValidationError("action_class must be >= 1")
-        if not 0.0 <= confidence <= 1.0:
-            raise ValidationError(f"confidence {confidence} outside [0, 1]")
+        check_record([CONFIDENCE_RULE], {"confidence": (confidence,)}, ValidationError)
         return tuple.__new__(cls, (video_id, proposal_id, action_class, confidence, cuboid))
 
     @classmethod
@@ -171,7 +171,6 @@ FINAL_DETECTION_FIELDS = {
     "action_class": _get_str, "confidence": _get_number, "video_id": _get_str, "proposal_id": _get_str,
     **CUBOID_FIELDS,
 }
-_read_final_fields = field_reader(FINAL_DETECTION_FIELDS)
 _final_line = line_encoder(FINAL_DETECTION_FIELDS, memo=BOX_FIELDS)
 
 
@@ -184,24 +183,13 @@ def write_final_detections(path, dets: Iterable[ScoredDetection], action_classes
     ))
 
 
-def load_final_detections(path, action_classes: Sequence[str]) -> list[ScoredDetection]:
+def _final_detection_table(action_classes: Sequence[str]) -> Table:
     index_of = {label: i for i, label in enumerate(action_classes, start=1)}  # class_index of each known label
+    return Table(FINAL_DETECTION_FIELDS, [*CUBOID_RULES, _known_class(tuple(action_classes)), CONFIDENCE_RULE],
+                 lambda c: list(map(tuple.__new__, itertools.repeat(ScoredDetection), zip(
+                     c["video_id"], c["proposal_id"], map(index_of.__getitem__, c["action_class"]), c["confidence"],
+                     _cuboids(c)))))
 
-    def parse(obj: dict) -> ScoredDetection:
-        label, confidence, video_id, proposal_id, *box = _read_final_fields(obj)
-        cuboid = Cuboid(*box)  # checked before the label
-        cls = index_of.get(label) or class_index(label, action_classes)  # an unknown label raises there
-        return ScoredDetection(video_id, proposal_id, cls, confidence, cuboid)
 
-    def check(objects: list[dict], rows: list[tuple], columns: list[tuple]) -> list[ScoredDetection] | None:
-        labels, confidences, video_ids, proposal_ids, *box = columns
-        if not index_of.keys() >= set(labels) or min(confidences) < 0.0 or max(confidences) > 1.0:
-            return None
-        cuboids = cuboids_from_columns(*box)
-        if cuboids is None:
-            return None
-        classes = map(index_of.__getitem__, labels)
-        return list(map(tuple.__new__, itertools.repeat(ScoredDetection),
-                        zip(video_ids, proposal_ids, classes, confidences, cuboids)))
-
-    return list(itertools.chain.from_iterable(_read_blocks(path, FINAL_DETECTION_FIELDS, check, parse)))
+def load_final_detections(path, action_classes: Sequence[str]) -> list[ScoredDetection]:
+    return list(_read_table(path, _final_detection_table(action_classes)))

@@ -6,14 +6,15 @@ import itertools
 from collections import namedtuple
 from typing import Iterable
 
-from .geometry import Cuboid, cuboids_from_columns
+from .geometry import BOX_FIELDS, CUBOID_RULES, Rule, check_record
 from .ingest import (
-    BOX_FIELDS,
     CUBOID_FIELDS,
+    Table,
     ValidationError,
+    _cuboids,
     _get_str,
-    _read_blocks,
-    field_reader,
+    _read_table,
+    _unique,
     line_encoder,
     write_lines,
 )
@@ -21,24 +22,24 @@ from .ingest import (
 PROVENANCE_CLUSTERING = "clustering"
 PROVENANCE_JITTERING = "jittering"
 PROVENANCES = (PROVENANCE_CLUSTERING, PROVENANCE_JITTERING)
+PROVENANCE_RULE = Rule(lambda c: all(map(PROVENANCES.__contains__, c["provenance"])),
+                       lambda r: f"unknown provenance {r['provenance']!r}")
 
 
 class Proposal(namedtuple("Proposal", "proposal_id video_id cuboid provenance parent_id")):
     """Class-agnostic cuboid hypothesized to contain an action.
 
-    A validated tuple: construction rejects an unknown provenance.  Being
-    a tuple, it also equals a plain tuple of the same values, iterates over
+    A validated tuple: construction rejects an unknown provenance
+    (`PROVENANCE_RULE`, which `load_proposals` also applies).  Being a
+    tuple, it also equals a plain tuple of the same values, iterates over
     them, and `json` would encode it as a list; nothing in the package, its
-    tests or its benchmark relies on that.  `load_proposals` checks the same
-    rules over a block of records at once and then builds them with
-    `tuple.__new__`.
+    tests or its benchmark relies on that.
     """
 
     __slots__ = ()
 
     def __new__(cls, proposal_id, video_id, cuboid, provenance, parent_id=None):
-        if provenance not in PROVENANCES:
-            raise ValidationError(f"unknown provenance {provenance!r}")
+        check_record([PROVENANCE_RULE], {"provenance": (provenance,)}, ValidationError)
         return tuple.__new__(cls, (proposal_id, video_id, cuboid, provenance, parent_id))
 
     @classmethod
@@ -46,10 +47,8 @@ class Proposal(namedtuple("Proposal", "proposal_id video_id cuboid provenance pa
         return cls(*iterable)
 
 
-# A proposal record's fields with their readers; `parent_id`, null or a string, is read on its own.
+# A proposal record's fields with their readers; `parent_id`, null or a string, only a rule checks.
 PROPOSAL_FIELDS = {"proposal_id": _get_str, "video_id": _get_str, "provenance": _get_str, **CUBOID_FIELDS}
-_read_proposal_fields = field_reader(PROPOSAL_FIELDS)
-_PROVENANCE_SET = frozenset(PROVENANCES)
 _PARENT_TYPES = frozenset((str, type(None)))
 _proposal_line = line_encoder({**PROPOSAL_FIELDS, "parent_id": _get_str}, nullable=("parent_id",), memo=BOX_FIELDS)
 
@@ -62,31 +61,23 @@ def write_proposals(path, proposals: Iterable[Proposal]) -> None:
     ))
 
 
-def load_proposals(path) -> list[Proposal]:
-    """Load a proposal file, preserving file order."""
+def _proposal_table() -> Table:
     seen: set[str] = set()
 
-    def parse(obj: dict) -> Proposal:
-        pid, video_id, provenance, *box = _read_proposal_fields(obj)
-        if pid in seen:
-            raise ValidationError(f"duplicate proposal_id {pid!r}")
-        seen.add(pid)
-        parent = obj.get("parent_id")
-        if parent is not None and (not isinstance(parent, str) or not parent):
-            raise ValidationError("parent_id must be null or a nonempty string")
-        return Proposal(pid, video_id, Cuboid(*box), provenance, parent)
+    def build(c: dict) -> list[Proposal]:
+        seen.update(c["proposal_id"])
+        return list(map(tuple.__new__, itertools.repeat(Proposal),
+                        zip(c["proposal_id"], c["video_id"], _cuboids(c), c["provenance"], c["parent_id"])))
 
-    def check(objects: list[dict], rows: list[tuple], columns: list[tuple]) -> list[Proposal] | None:
-        ids, video_ids, provenances, *box = columns
-        parents = [obj.get("parent_id") for obj in objects]
-        fresh = set(ids)
-        if (len(fresh) < len(ids) or not seen.isdisjoint(fresh) or not _PROVENANCE_SET.issuperset(provenances)
-                or not _PARENT_TYPES.issuperset(map(type, parents)) or "" in parents):
-            return None
-        cuboids = cuboids_from_columns(*box)
-        if cuboids is None:
-            return None
-        seen.update(fresh)
-        return list(map(tuple.__new__, itertools.repeat(Proposal), zip(ids, video_ids, cuboids, provenances, parents)))
+    return Table({**PROPOSAL_FIELDS, "parent_id": dict.get}, [  # null when absent
+        _unique("proposal_id", seen),
+        Rule(lambda c: _PARENT_TYPES.issuperset(map(type, c["parent_id"])) and "" not in c["parent_id"],
+             lambda r: "parent_id must be null or a nonempty string"),
+        *CUBOID_RULES,
+        PROVENANCE_RULE,
+    ], build)
 
-    return list(itertools.chain.from_iterable(_read_blocks(path, PROPOSAL_FIELDS, check, parse)))
+
+def load_proposals(path) -> list[Proposal]:
+    """Load a proposal file, preserving file order."""
+    return list(_read_table(path, _proposal_table()))

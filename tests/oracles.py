@@ -513,6 +513,9 @@ def reference_load_video_meta(path) -> dict[str, VideoMeta]:
         height = _get_number(obj, "height")
         if num_frames <= 0 or frame_rate <= 0 or width <= 0 or height <= 0:
             raise ValidationError("video dimensions, frames and rate must be positive")
+        minutes = num_frames / frame_rate / 60.0
+        if not math.isfinite(minutes):
+            raise ValidationError(f"video length num_frames / frame_rate / 60 = {minutes!r} minutes is not finite")
         if video_id in videos:
             raise ValidationError(f"duplicate video_id {video_id!r}")
         return VideoMeta(video_id, num_frames, frame_rate, width, height)

@@ -336,8 +336,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("stage,upstream,written,what", [
         ("label", "proposals.jsonl", ["labels.jsonl"], "proposal"),
+        ("finalize", "proposals.jsonl", ["detections_final.jsonl"], "proposal"),
         ("score", "detections_final.jsonl", ["report.json", "curves"], "detection of proposal"),
-    ], ids=["label", "score"])
+    ], ids=["label", "finalize", "score"])
     def test_upstream_record_of_unknown_video(self, fixture_dir, tmp_path, capsys, stage, upstream, written, what):
         run_pipeline(fixture_dir / "config.json")
         out = tmp_path / "out"

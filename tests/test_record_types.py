@@ -2,12 +2,12 @@
 
 `Cuboid`, `Proposal`, `LabeledProposal`, `ScoreRecord` and
 `ScoredDetection` are validated named tuples, and each of the six loaders
-reads a record's fields through its table in one call
-(`ingest.field_reader`): the values in table order, or the error of the
-first field, in table order, that its reader rejects; then it applies its
-own rules.  The four large loaders first check a block of lines as
-columns (`ingest._read_blocks`) and build its records without that
-per-record path, which reads only a block the column check refuses.
+reads its file through its rule table (`ingest.Table`): a block of lines
+is checked as columns (`ingest._read_blocks`), each rule once, and its
+records are built without a per-record path, which reads only a block the
+column check refuses: a record's fields through the table in one call
+(`ingest.field_reader`), giving the values in table order or the error of
+the first field its reader rejects, then the same rules in table order.
 `tests/oracles.py` keeps the frozen dataclasses and a field-by-field
 loader per record file, which reads every field with its getter before
 the same rules; for any arguments, and for any record file, both must give
@@ -27,6 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actionpipe import ingest
+from actionpipe import nms as nms_module
+from actionpipe import proposals as proposals_module
 from actionpipe.geometry import Cuboid
 from actionpipe.ingest import (
     DEFAULT_ACTION_CLASSES,
@@ -239,7 +241,7 @@ def test_block_check_takes_only_exact_types(tmp_path, record, accepted):
     # NaN and the infinities are written as `json` writes them, which orjson rejects
     path = tmp_path / "records.jsonl"
     path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-    blocks = list(ingest._read_blocks(path, READER_FIELDS, lambda objects, rows, columns: rows,
+    blocks = list(ingest._read_blocks(path, READER_FIELDS, lambda columns: list(zip(*columns.values())),
                                       lambda obj: "read field by field"))
     assert_identical(blocks, [[tuple(record.values()) if accepted else "read field by field"]])
 
@@ -313,7 +315,7 @@ DAMAGED_VALUES = {
     str: ["", "zz", True, 5, None, 0.5],
     int: [True, False, 1.5, 10.0, -1, 10**6, 2**53, 2**53 + 1, -(2**53 + 1), None, "3"],
     float: [True, 0, 1, 7, math.nan, math.inf, -math.inf, 2**53 + 1, 2.0**53 + 2, 1e300, -1e300,
-            -0.0, 1.5, -0.5, 60.0, "0.5", None],
+            -0.0, 1.5, -0.5, 60.0, 5e-324, "0.5", None],
     list: [
         [0.05, math.nan] + [0.95 / 11] * 11,  # NaN after a valid score
         [math.nan] + [1.0 / 12] * 12,
@@ -481,6 +483,81 @@ def test_valid_blocks_are_not_read_line_by_line(tmp_path, monkeypatch, kind):
     monkeypatch.setattr(ingest, "RECORD_BLOCK", 2)
     monkeypatch.setattr(ingest, "_parse_lines", line_by_line)
     assert_identical(normalized(kind, load(path)), want)
+
+
+# Each loader's rule table (`ingest.Table`) against one record at a time: among
+# the records that every earlier rule holds for, a rule holds over a block's
+# columns exactly when it holds over each record alone, as one-element columns.
+# A typed field holds a value of exactly its reader's type, as the column read
+# leaves it; a field only rules check holds whatever JSON may give, or nothing
+# (`_get_scores`' `_ABSENT`).  The ids a duplicate-id rule reads are distinct
+# within a block here: a repeated id sends the block line by line.
+
+RULE_TABLES = {
+    "videos": (ingest._video_table, "video_id"),
+    "detections": (lambda: ingest._detection_table(VIDEOS), None),
+    "ground_truth": (lambda: ingest._ground_truth_table(VIDEOS, DEFAULT_ACTION_CLASSES), None),
+    "scores": (lambda: ingest._score_table(12), "proposal_id"),
+    "proposals": (proposals_module._proposal_table, "proposal_id"),
+    "final_detections": (lambda: nms_module._final_detection_table(DEFAULT_ACTION_CLASSES), None),
+}
+# Each field's values, mostly valid so that records reach the later rules, with
+# the edges of the fields and of `VIDEOS` (v1: 100 frames, v2: 50; 640 x 480).
+BOUNDS = [-1.0, -0.0, 0.0, 5.0, 49.5, 480.0, 480.5, 640.0, 700.0, 1e308]
+RULE_VALUES = {
+    "video_id": ["v1", "v2", "v1", "v2", "ghost"],
+    "object_class": ["person", "car"],
+    "action_class": [*DEFAULT_ACTION_CLASSES[:3], "Parkour"],
+    "provenance": [*PROVENANCES, "x"],
+    "proposal_id": [f"p{i}" for i in range(8)],
+    "parent_id": [None, None, "p0", "", 5, False, 0.5, ["p0"]],
+    "frame": [-1, 0, 10, 49, 50, 99, 100, MAX_INT, -MAX_INT],
+    "f_start": [-1, 0, 10, 45, 60],
+    "f_end": [0, 40, 49, 50, 99, 100],
+    "num_frames": [-1, 0, 1, 100, MAX_INT],
+    "frame_rate": [-1.0, 0.0, 5e-324, 1e-300, 29.97, 30.0],
+    "confidence": [-0.5, -0.0, 0.0, 0.5, 1.0, 1.5],
+    "x_min": BOUNDS[:5], "y_min": BOUNDS[:5], "x_max": BOUNDS[2:], "y_max": BOUNDS[2:],
+    "width": BOUNDS, "height": BOUNDS, "refine_start": [-0.5, 0.25], "refine_end": [-0.5, 0.25],
+}
+SCORE_DAMAGE = [0, 1, True, False, -0.0, -0.5, 1.5, math.nan, math.inf, -math.inf, 2**1000, 10**400, "0.5", None]
+
+
+@st.composite
+def raw_class_scores(draw):
+    """A valid distribution, maybe with up to two values replaced; or a list of other length; or no list."""
+    kind = draw(st.sampled_from(["valid", "valid", "damaged", "length", "other"]))
+    if kind == "other":
+        return draw(st.sampled_from([ingest._ABSENT, None, "x", 0.5, {"a": 1}]))
+    if kind == "length":
+        return draw(st.lists(st.sampled_from([0.0, 1.0, 1 / 12]), min_size=0, max_size=14))
+    scores = draw(st.sampled_from([SCORES, [1.0] + [0.0] * 12, [1] + [0] * 12, [0.0] * 12 + [1], [1 / 13] * 13]))
+    scores = list(scores)
+    for _ in range(2 if kind == "damaged" else 0):
+        scores[draw(st.integers(0, 12))] = draw(st.sampled_from(SCORE_DAMAGE))
+    return scores
+
+
+def rule_record(draw, fields):
+    return {name: draw(raw_class_scores() if name == "class_scores" else st.sampled_from(RULE_VALUES[name]))
+            for name in fields}
+
+
+@pytest.mark.parametrize("kind", sorted(RULE_TABLES))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_rule_holds_over_a_block_as_over_each_record(kind, data):
+    make, unique = RULE_TABLES[kind]
+    table = make()
+    records = [rule_record(data.draw, table.fields) for _ in range(data.draw(st.integers(1, 5)))]
+    if unique:
+        records = list({record[unique]: record for record in records}.values())
+    singles = [{name: (value,) for name, value in record.items()} for record in records]
+    for k, rule in enumerate(table.rules):
+        passing = [one for one in singles if all(earlier.holds(one) for earlier in table.rules[:k])]
+        if passing:
+            block = {name: tuple(one[name][0] for one in passing) for name in table.fields}
+            assert rule.holds(block) == all(map(rule.holds, passing)), (k, passing)
 
 
 DROPPED = object()  # a fault that removes the field

@@ -9,16 +9,18 @@ its fields with their readers (`{name: _get_*}`; the six cuboid fields
 are one such table, `CUBOID_FIELDS`), its ordered rules (`geometry.Rule`:
 a predicate over `{field name: column}` plus the message for a record
 that breaks it; the cuboid rules are `geometry.CUBOID_RULES`) and a build
-step.  `_read_table` reads `RECORD_BLOCK` lines at a time.  A block whose
-lines are all JSON objects holding every typed field with exactly its
-reader's type has each rule applied once to its columns, and its records
-are built with `tuple.__new__`.  Any other block, or one a rule refuses,
-is read again record by record: the field readers (which convert an int
-where a float goes), then the same rules on one-element columns in table
-order, raising the first broken rule's message as `path:line:`.  So a
-record's fault order is its field order, then its table's rule order.  A
-field only rules check (`class_scores`, `parent_id`) is read as parsed,
-except that a score's int 0 or 1 becomes a float.
+step.  `_read_table` is the one reader: it opens the file and takes
+`RECORD_BLOCK` lines at a time.  A block whose lines are all JSON objects
+holding every typed field with exactly its reader's type
+(`_block_columns`) has each rule applied once to its columns, and its
+records are built with `tuple.__new__`.  Any other block, or one a rule
+refuses, is read again record by record through `_parse_lines`: the field
+readers (which convert an int where a float goes), then the same rules on
+one-element columns in table order, raising the first broken rule's
+message as `path:line:`.  So a record's fault order is its field order,
+then its table's rule order.  A field only rules check (`class_scores`,
+`parent_id`) is read as parsed, except that a score's int 0 or 1 becomes a
+float.
 
 Every output file goes through `write_lines`.  Proposals, training labels
 and final detections are encoded from their table by one generated line
@@ -80,7 +82,7 @@ MAX_INT = 2**53  # larger integers lose exactness in float64 (and may not conver
 # lines have their brackets counted.
 ORJSON_MAX_DEPTH = 256
 
-# Lines a loader parses and checks at once (`_read_blocks`); only one block's
+# Lines a loader parses and checks at once (`_read_table`); only one block's
 # parsed objects are held at a time.  In the stage benchmark (`weak-multilabel`,
 # 2-vCPU x86-64 VM) 4096 lines were no faster, and raised peak RSS over the
 # per-record reader by 3.1 MB, against 2.0 MB at 1024.
@@ -191,36 +193,14 @@ def _parse_lines(path, numbered_lines: Iterable[tuple[int, bytes]], parse: Calla
         yield record
 
 
-def _read_blocks(path, fields: dict[str, Callable], block: Callable, record: Callable) -> Iterator[list]:
-    """Yield the records of `path` as one list per block of up to `RECORD_BLOCK` lines.
-
-    A block is first read as columns (`_block_columns`): each line a JSON
-    object that orjson parses (`ORJSON_MAX_DEPTH`), holding every typed
-    field of the `{name: _get_*}` table `fields` with exactly its reader's
-    type, no empty string, floats finite and ints at most 2**53 in
-    magnitude; an untyped field as parsed, None when absent.  Then
-    `block({name: column})` gives the records, or None.  A refused block is
-    read again line by line through `_parse_lines` with `record`.  A
-    block's records all come before the next block is read, so both may
-    check a record against earlier ones (a repeated id).
-    """
-    typed = {name: _READ_TYPES[read] for name, read in fields.items() if read in _READ_TYPES}
-    raw = [name for name, read in fields.items() if read not in _READ_TYPES]
-    rows_of = operator.itemgetter(*typed)  # every table has at least two typed fields, so this gives a tuple
-    with open(path, "rb") as fh:
-        for start in itertools.count(1, RECORD_BLOCK):
-            lines = list(itertools.islice(fh, RECORD_BLOCK))
-            if not lines:
-                return
-            columns = _block_columns(lines, typed, rows_of, raw)
-            records = None if columns is None else block(columns)
-            if records is None:
-                records = list(_parse_lines(path, zip(itertools.count(start), lines), record))
-            yield records
-
-
 def _block_columns(lines: list[bytes], typed: dict[str, type], rows_of: Callable, raw: list[str]) -> dict | None:
-    """One block's `{name: column}`, or None when the block must go line by line."""
+    """One block's `{name: column}`, or None when the block must go line by line.
+
+    Each line must be a JSON object that orjson parses (`ORJSON_MAX_DEPTH`),
+    holding every `typed` field with exactly its type: no empty string,
+    floats finite, ints at most 2**53 in magnitude.  A `raw` field is taken
+    as parsed, None when absent.
+    """
     if max(map(len, lines)) > 2 * ORJSON_MAX_DEPTH and not all(map(_orjson_may_parse, lines)):
         return None
     try:
@@ -254,18 +234,41 @@ Table = namedtuple("Table", "fields rules build")
 
 
 def _read_table(path, table: Table) -> Iterator:
-    """The records of `path`: each rule once over a block's columns, or over a record's, raising the first broken."""
-    read, names = field_reader(table.fields), tuple(table.fields)
+    """The records of `path`, read `RECORD_BLOCK` lines at a time, raising the first broken rule's message.
 
-    def block(columns: dict) -> list | None:
-        return table.build(columns) if all(rule.holds(columns) for rule in table.rules) else None
+    A block is first read as columns (`_block_columns`), and each rule is
+    applied once over them before `table.build` makes the records.  A block
+    that the column read or a rule refuses is read again line by line
+    through `_parse_lines`: each record's fields through the table's
+    readers, then the rules on one-element columns.  A block's records are
+    all built before the next block is read, so a rule may check a record
+    against earlier ones (a repeated id).  Blocks are read as the caller
+    takes records, so the records a loader drops are freed a block at a
+    time: reading every block first raised the peak RSS of `propose` by
+    1.2-2.3 MB on the stage benchmark's two workloads.
+    """
+    typed = {name: _READ_TYPES[read] for name, read in table.fields.items() if read in _READ_TYPES}
+    raw = [name for name, read in table.fields.items() if read not in _READ_TYPES]
+    rows_of = operator.itemgetter(*typed)  # every table has at least two typed fields, so this gives a tuple
 
     def record(obj: dict):
-        columns = dict(zip(names, zip(read(obj))))
+        columns = {name: (get(obj, name),) for name, get in table.fields.items()}
         check_record(table.rules, columns, ValidationError)
         return table.build(columns)[0]
 
-    return itertools.chain.from_iterable(_read_blocks(path, table.fields, block, record))
+    def blocks():
+        with open(path, "rb") as fh:
+            for start in itertools.count(1, RECORD_BLOCK):
+                lines = list(itertools.islice(fh, RECORD_BLOCK))
+                if not lines:
+                    return
+                columns = _block_columns(lines, typed, rows_of, raw)
+                if columns is not None and all(rule.holds(columns) for rule in table.rules):
+                    yield table.build(columns)
+                else:
+                    yield list(_parse_lines(path, zip(itertools.count(start), lines), record))
+
+    return itertools.chain.from_iterable(blocks())
 
 
 def _is_number(value) -> bool:
@@ -290,6 +293,15 @@ def check_numbers(params, *names: str) -> None:
         value = getattr(params, name)
         if not _is_number(value):
             raise ValidationError(f"{name} must be a number, got {value!r}")
+
+
+def check_fractions(params, *names: str) -> None:
+    """`check_numbers`, then raise ValidationError naming the first of the fields `names` outside [0, 1]."""
+    check_numbers(params, *names)
+    for name in names:
+        value = getattr(params, name)
+        if not 0.0 <= value <= 1.0:
+            raise ValidationError(f"{name} must be in [0, 1], got {value}")
 
 
 def _get(obj: dict, name: str):
@@ -331,23 +343,8 @@ def _get_scores(obj: dict, name: str):
 
 _ABSENT = object()  # what `_get_scores` reads for an absent field
 
-# What each typed field reader returns; `_read_blocks` and `line_encoder` take exactly these types.
+# What each typed field reader returns; `_read_table` and `line_encoder` take exactly these types.
 _READ_TYPES = {_get_str: str, _get_int: int, _get_number: float}
-
-
-def field_reader(fields: dict[str, Callable]) -> Callable[[dict], tuple]:
-    """A function reading every field of a `{name: _get_*}` table from a record in one call.
-
-    It returns the values in table order, each what its reader returns, or
-    raises the `ValidationError` of the first field, in table order, that
-    its reader rejects.
-    """
-    readers = tuple(fields.items())
-
-    def read(obj: dict) -> tuple:
-        return tuple(get(obj, name) for name, get in readers)
-
-    return read
 
 
 # The cuboid fields of a record with their readers, in `Cuboid` field order:
@@ -622,7 +619,7 @@ def line_encoder(
 ) -> Callable[..., str]:
     """A function `line(*values)` giving `_encode(dict(zip(fields, values)))`, the output line of one record.
 
-    `fields` is a `{name: _get_*}` table, as for `field_reader`; a name in
+    `fields` is a `{name: _get_*}` table, as in a `Table`; a name in
     `nullable` may also hold None.  When every value has exactly its
     reader's type (`str`, `int` or `float`: a bool, a numpy scalar or a
     subclass never passes) or is an allowed None, and every float is

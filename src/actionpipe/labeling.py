@@ -32,7 +32,7 @@ from .ingest import (
     ValidationError,
     _get_number,
     _get_str,
-    check_numbers,
+    check_fractions,
     line_encoder,
     write_lines,
 )
@@ -53,12 +53,7 @@ class LabelingThresholds:
     hard_temporal_low: float = 0.01  # hard band is (low, temporal_negative), open ends
 
     def __post_init__(self):
-        names = ("spatial_positive", "temporal_positive", "temporal_negative", "hard_temporal_low")
-        check_numbers(self, *names)
-        for name in names:
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{name} must be in [0, 1], got {v}")
+        check_fractions(self, "spatial_positive", "temporal_positive", "temporal_negative", "hard_temporal_low")
 
 
 class LabeledProposal(namedtuple("LabeledProposal", "proposal designation action_class matched_gt regression_target")):

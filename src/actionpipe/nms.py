@@ -36,7 +36,7 @@ from .ingest import (
     _get_str,
     _known_class,
     _read_table,
-    check_numbers,
+    check_fractions,
     line_encoder,
     write_lines,
 )
@@ -75,11 +75,7 @@ class NmsParams:
     spatial_iou: float = 0.05
 
     def __post_init__(self):
-        check_numbers(self, "temporal_iou", "spatial_iou")
-        for name in ("temporal_iou", "spatial_iou"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{name} must be in [0, 1], got {v}")
+        check_fractions(self, "temporal_iou", "spatial_iou")
 
 
 def nms_3d(dets: Sequence[ScoredDetection], params: NmsParams = NmsParams()) -> list[ScoredDetection]:

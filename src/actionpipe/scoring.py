@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .geometry import box_iou, box_iou_3d, cuboid_array, pairwise_iou, span_pairs
-from .ingest import DEFAULT_ACTION_CLASSES, GroundTruthAction, ValidationError, check_numbers, class_index
+from .ingest import DEFAULT_ACTION_CLASSES, GroundTruthAction, ValidationError, check_fractions, class_index
 from .nms import ScoredDetection
 from .proposals import Proposal
 
@@ -53,11 +53,7 @@ class MatchParams:
     spatial_iou: float = 0.0  # 0 disables the spatial gate
 
     def __post_init__(self):
-        check_numbers(self, "temporal_iou", "spatial_iou")
-        for name in ("temporal_iou", "spatial_iou"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{name} must be in [0, 1], got {v}")
+        check_fractions(self, "temporal_iou", "spatial_iou")
 
 
 @dataclass(frozen=True)

@@ -184,8 +184,7 @@ def oracle_scores(
     """
     num_classes = len(cfg.action_classes)
     records = []
-    for prop in proposals:
-        lp = labeling.designate(prop, gts_by_video.get(prop.video_id, []), cfg.labeling)
+    for lp in labeling.designate_all(proposals, gts_by_video, cfg.labeling):
         confidence = float(rng.uniform(0.9, 0.99))
         flip = rng.random()
         if lp.designation == labeling.POSITIVE and flip >= classifier_error:
@@ -199,7 +198,7 @@ def oracle_scores(
             refinement = (0.0, 0.0)
         rest = (1.0 - confidence) / num_classes
         scores = tuple(confidence if i == hot else rest for i in range(num_classes + 1))
-        records.append(ScoreRecord(prop.proposal_id, scores, refinement))
+        records.append(ScoreRecord(lp.proposal.proposal_id, scores, refinement))
     return records
 
 

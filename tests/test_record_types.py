@@ -2,12 +2,12 @@
 
 `Cuboid`, `Proposal`, `LabeledProposal`, `ScoreRecord` and
 `ScoredDetection` are validated named tuples, and each of the six loaders
-reads its file through its rule table (`ingest.Table`): a block of lines
-is checked as columns (`ingest._read_blocks`), each rule once, and its
-records are built without a per-record path, which reads only a block the
-column check refuses: a record's fields through the table in one call
-(`ingest.field_reader`), giving the values in table order or the error of
-the first field its reader rejects, then the same rules in table order.
+reads its file through its rule table (`ingest.Table`) with one reader,
+`ingest._read_table`: a block of lines is checked as columns, each rule
+once, and its records are built without a per-record path, which reads
+only a block the column check refuses: a record's fields through the
+table's readers, giving the values in table order or the error of the
+first field its reader rejects, then the same rules in table order.
 `tests/oracles.py` keeps the frozen dataclasses and a field-by-field
 loader per record file, which reads every field with its getter before
 the same rules; for any arguments, and for any record file, both must give
@@ -15,6 +15,7 @@ the same fields (types and float bits included) or the same error.
 """
 
 import dataclasses
+import functools
 import json
 import math
 import pickle
@@ -39,7 +40,6 @@ from actionpipe.ingest import (
     _get_int,
     _get_number,
     _get_str,
-    field_reader,
     load_detections,
     load_ground_truth,
     load_scores,
@@ -200,15 +200,27 @@ def test_replace_and_pickle_go_through_the_checks():
     assert back == p and type(back) is Proposal and type(back.cuboid) is Cuboid
 
 
-# The field reader gives what its table's readers give in table order, and
+# The table reader gives what its table's readers give in table order, and
 # takes the record's own values as they are only when their types are exact.
+# `READER` has no rules, so a record is read only for its fields.
 
 READER_FIELDS = {"s": _get_str, "i": _get_int, "f": _get_number}
-READER = field_reader(READER_FIELDS)
+READER = ingest.Table(READER_FIELDS, [], lambda columns: list(zip(*columns.values())))
 
 
 def read_each(fields):
     return lambda record: tuple(get(record, name) for name, get in fields.items())
+
+
+def read_through_table(path, record):
+    """`record` as `_read_table` reads it from a one-line file at `path`, its error without `path:1: `."""
+    # NaN and the infinities are written as `json` writes them, which orjson rejects
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    try:
+        [got] = ingest._read_table(path, READER)
+    except ValidationError as exc:
+        raise ValidationError(str(exc).removeprefix(f"{path}:1: ")) from exc
+    return got
 
 
 # (record, whether its values come back as they are): a block reader's column check
@@ -230,34 +242,22 @@ EXACT_TYPE_RECORDS = [
 
 
 @pytest.mark.parametrize("record,accepted", EXACT_TYPE_RECORDS)
-def test_field_reader_accepts_only_exact_types(record, accepted):
-    assert_same_outcome(READER, read_each(READER_FIELDS), record)
-    got, _ = outcome(READER, record)
+def test_field_reader_accepts_only_exact_types(tmp_path, record, accepted):
+    read = functools.partial(read_through_table, tmp_path / "records.jsonl")
+    assert_same_outcome(read, read_each(READER_FIELDS), record)
+    got, _ = outcome(read, record)
     assert (got is not None and tuple(map(type, got)) == tuple(map(type, record.values()))) == accepted
 
 
 @pytest.mark.parametrize("record,accepted", EXACT_TYPE_RECORDS)
-def test_block_check_takes_only_exact_types(tmp_path, record, accepted):
-    # NaN and the infinities are written as `json` writes them, which orjson rejects
-    path = tmp_path / "records.jsonl"
-    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-    blocks = list(ingest._read_blocks(path, READER_FIELDS, lambda columns: list(zip(*columns.values())),
-                                      lambda obj: "read field by field"))
-    assert_identical(blocks, [[tuple(record.values()) if accepted else "read field by field"]])
-
-
-@pytest.mark.parametrize("fields,record", [
-    ({"f": _get_number}, {"f": 0.5}),
-    ({"i": _get_int}, {"i": 3}),
-    ({"s": _get_str, "i": _get_int}, {"s": "a", "i": 3}),
-    ({"a": _get_number, "b": _get_number, "s": _get_str}, {"a": 1.0, "b": -0.0, "s": "a"}),
-])
-def test_field_reader_of_any_table_size(fields, record):
-    read = field_reader(fields)
-    assert_same_outcome(read, read_each(fields), record)
-    for name, value in record.items():
-        damaged = {**record, name: math.nan if isinstance(value, float) else True}
-        assert_same_outcome(read, read_each(fields), damaged)
+def test_block_check_takes_only_exact_types(tmp_path, monkeypatch, record, accepted):
+    read_line_by_line = []
+    parse_lines = ingest._parse_lines
+    monkeypatch.setattr(ingest, "_parse_lines", lambda *args: read_line_by_line.append(args) or parse_lines(*args))
+    got, _ = outcome(read_through_table, tmp_path / "records.jsonl", record)
+    assert (not read_line_by_line) == accepted
+    if accepted:
+        assert_identical(got, tuple(record.values()))
 
 
 # Loader oracle: files of valid records with one or two damaged fields.

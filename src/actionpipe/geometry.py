@@ -8,13 +8,12 @@ All functions here are pure and safe for parallel use.
 `box_iou` and `box_iou_3d` are the one overlap kernel that labeling, NMS,
 matching and recall share.  They take broadcastable (..., 6) box arrays and
 repeat the scalar functions' float64 operations in the same order, so every
-entry equals the scalar IoU of its pair bit for bit.  `pairwise_iou` is the
-kernel on `a[:, None]` and `b[None]`, a dense (len(a), len(b)) matrix; on
-`a[rows]` and `b[cols]` it gives the same values for chosen pairs only.
-`span_pairs` chooses the pairs whose frame spans intersect, by a sort-based
-interval join, between two arrays or within one; every other pair has
-temporal and 3-D IoU 0.0.  Labeling, recall and NMS read only those pairs,
-so their work grows with the overlapping pairs of a video, not with its
+entry equals the scalar IoU of its pair bit for bit; on `a[rows]` and
+`b[cols]` it gives those values for chosen pairs only.  `span_pairs`
+chooses the pairs whose frame spans intersect, by a sort-based interval
+join, between two arrays or within one; every other pair has temporal and
+3-D IoU 0.0.  Labeling, recall, NMS and matching read only those pairs, so
+their work grows with the overlapping pairs of a video, not with its
 proposals times its GTs or the square of a class.  `box_iou` is composed
 of `box_spatial_iou` and `span_iou`, which NMS takes one at a time: the
 temporal part first, the spatial part only where it passes.  The kernel's
@@ -216,11 +215,6 @@ def box_iou_3d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inter = np.where((ix > 0.0) & (iy > 0.0) & (it > 0.0), ix * iy * it, 0.0)
     return inter / (_areas(a) * _frame_counts(a[..., 4], a[..., 5])
                     + _areas(b) * _frame_counts(b[..., 4], b[..., 5]) - inter)
-
-
-def pairwise_iou(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(spatial, temporal) IoU of every row of `a` against every row of `b`, shape (len(a), len(b))."""
-    return box_iou(a[:, None], b[None])
 
 
 def span_pairs(a: np.ndarray, b: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:

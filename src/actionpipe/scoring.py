@@ -2,23 +2,27 @@
 
 Detections are paired with ground truth one-to-one, maximizing match count
 first and total temporal IoU second (`hungarian_match` returns the pairs).
-It solves one dense assignment over the detections and GTs that have a
-congruent pair, with cost 1 - temporal IoU, by shortest augmenting paths
-with row and column potentials (Jonker & Volgenant 1987; Crouse 2016), in
-NumPy, so scoring needs no SciPy.  Sweeping the detection confidence
-threshold traces an operating curve of miss probability against false
-alarms per minute; per-class curves are macro-averaged into the aggregate.
+No pair crosses a (video, class) block, so it solves one small assignment
+per block over the detections and GTs that have a congruent pair, with
+cost 1 - temporal IoU, by shortest augmenting paths with row and column
+potentials (Jonker & Volgenant 1987; Crouse 2016), in NumPy, so scoring
+needs no SciPy.  Sweeping the detection confidence threshold traces an
+operating curve of miss probability against false alarms per minute;
+per-class curves are macro-averaged into the aggregate.
 
 A curve needs only the match count at each threshold, and every maximum
-matching has the same count whatever the IoU tie-break.  `det_curve`
-therefore adds detections in descending confidence and grows one maximum
-matching by augmenting paths (Kuhn 1955) instead of solving an assignment
-per threshold; only the path searches run in Python, and the order, the
-threshold groups, the rates and the lower envelope are NumPy arrays.
+matching has the same count whatever the IoU tie-break.  The sweep
+(`_gains`) therefore adds detections in descending confidence and grows
+one maximum matching by augmenting paths (Kuhn 1955) instead of solving an
+assignment per threshold; only the path searches run in Python, and the
+order, the threshold groups, the rates and the lower envelope are NumPy
+arrays (`_curve`).  `per_class_det_curves` runs one sweep over every class
+and reads each class's curve from its own detections.
 `aggregate_det_curve` looks every class curve up on the union rate grid
 with one `np.searchsorted` each.  Matching, the sweep and recall read their
-overlaps from the shared `geometry.box_iou` kernel; recall reads them only on
-the pairs that share a frame (`geometry.span_pairs`).
+overlaps from the shared `geometry.box_iou` kernel, only on the pairs that
+share a frame (`geometry.span_pairs`); one join (`_congruent_pairs`) lists
+the candidate pairs of every (video, class) block at once.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import box_iou, box_iou_3d, cuboid_array, pairwise_iou, span_pairs
+from .geometry import box_iou, box_iou_3d, cuboid_array, span_pairs
 from .ingest import DEFAULT_ACTION_CLASSES, GroundTruthAction, ValidationError, check_fractions, class_index
 from .nms import ScoredDetection
 from .proposals import Proposal
@@ -64,29 +68,43 @@ class DetCurve:
     points: tuple[tuple[float, float], ...]
 
 
-def _congruence(
+def _congruent_pairs(
     dets: Sequence[ScoredDetection],
     gts: Sequence[GroundTruthAction],
     params: MatchParams,
     classes: Sequence[str],
-) -> tuple[np.ndarray, np.ndarray]:
-    """(congruent, temporal IoU) for every (detection, GT) pair, shape (len(dets), len(gts)).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(detection rows, GT rows, temporal IoUs, block starts) of the congruent pairs.
 
     A pair is congruent when video and class agree, the temporal IoU reaches
-    the gate and the spatial IoU reaches the optional spatial gate.
+    the gate and the spatial IoU reaches the optional spatial gate.  The
+    pairs come grouped by (video, class) block, ascending by detection and
+    GT row within it; `block starts` are the indices where a new block
+    begins, as `np.split` takes them.  One `span_pairs` join lists every
+    block's candidates: each frame becomes its rank among all frames, and
+    each row's ranks move by its block id times (2 * rows + 1), so spans of
+    two blocks never meet.  At a temporal gate of 0 every pair of a block
+    is a candidate, so each row spans just its block id instead.
     """
-    groups: dict[tuple[str, int], int] = {}
-    det_group = np.array([groups.setdefault((d.video_id, d.action_class), len(groups)) for d in dets])
-    gt_group = np.array([
-        groups.setdefault((g.video_id, class_index(g.action_class, classes)), len(groups)) for g in gts
-    ])
-    spatial, temporal = pairwise_iou(cuboid_array(d.cuboid for d in dets), cuboid_array(g.cuboid for g in gts))
-    congruent = (
-        (det_group[:, None] == gt_group[None, :])
-        & (temporal >= params.temporal_iou)
-        & (spatial >= params.spatial_iou)
-    )
-    return congruent, temporal
+    blocks: dict[tuple[str, int], int] = {}
+    block = np.array([blocks.setdefault((d.video_id, d.action_class), len(blocks)) for d in dets]
+                     + [blocks.setdefault((g.video_id, class_index(g.action_class, classes)), len(blocks))
+                        for g in gts], dtype=np.int64)
+    det_boxes, gt_boxes = cuboid_array(d.cuboid for d in dets), cuboid_array(g.cuboid for g in gts)
+    keyed = np.concatenate([det_boxes, gt_boxes])
+    if params.temporal_iou > 0:
+        ranks = np.unique(keyed[:, 4:], return_inverse=True)[1].reshape(-1, 2)
+        keyed[:, 4:] = ranks + (block * (2 * len(keyed) + 1))[:, None]
+    else:
+        keyed[:, 4:] = block[:, None]
+    rows, cols = span_pairs(keyed[:len(dets)], keyed[len(dets):])
+    order = np.lexsort((cols, rows, block[rows]))
+    rows, cols = rows[order], cols[order]
+    spatial, temporal = box_iou(det_boxes[rows], gt_boxes[cols])
+    keep = (temporal >= params.temporal_iou) & (spatial >= params.spatial_iou)
+    rows, cols, temporal = rows[keep], cols[keep], temporal[keep]
+    pair_block = block[rows]
+    return rows, cols, temporal, np.flatnonzero(pair_block[1:] != pair_block[:-1]) + 1
 
 
 def hungarian_match(
@@ -97,32 +115,37 @@ def hungarian_match(
 ) -> list[tuple[int, int]]:
     """One-to-one assignment of detections to ground truth.
 
-    Only congruent pairs (same video and class, temporal IoU above the gate,
-    optional spatial gate) may match; among feasible assignments the match
-    count is maximized first and the summed temporal IoU second.  Returns
-    (detection index, gt index) pairs in ascending detection index.
+    Only congruent pairs (same video and class, temporal IoU at least the
+    gate, optional spatial gate) may match; among feasible assignments the
+    match count is maximized first and the summed temporal IoU second.
+    Returns (detection index, gt index) pairs in ascending detection index.
+    No pair crosses a (video, class) block, so both maxima are sums over
+    blocks, and each block is solved alone.
     """
     if classes is None:
         classes = DEFAULT_ACTION_CLASSES
     if not dets or not gts:
         return []
-    congruent, temporal = _congruence(dets, gts, params, classes)
-    det_rows = np.flatnonzero(congruent.any(axis=1))
-    if not len(det_rows):
-        return []
-    gt_cols = np.flatnonzero(congruent.any(axis=0))
-    cut = np.ix_(det_rows, gt_cols)
-    congruent = congruent[cut]
-    # A least-cost assignment minimizes summed (1 - tIoU).  A non-congruent pair
-    # costs more than any sum of congruent costs, so the count of congruent
-    # pairs comes first; those pairs are dropped from the result.
-    cost = np.where(congruent, 1.0 - temporal[cut], max(congruent.shape) + 1.0)
-    if cost.shape[0] <= cost.shape[1]:
-        gt_of = _min_cost_assignment(cost)
-    else:
-        gt_of = np.full(cost.shape[0], -1)
-        gt_of[_min_cost_assignment(cost.T)] = np.arange(cost.shape[1])
-    return [(int(det_rows[i]), int(gt_cols[j])) for i, j in enumerate(gt_of.tolist()) if j >= 0 and congruent[i, j]]
+    rows, cols, temporal, starts = _congruent_pairs(dets, gts, params, classes)
+    pairs: list[tuple[int, int]] = []
+    for block_rows, block_cols, block_iou in zip(*(np.split(a, starts) for a in (rows, cols, temporal))):
+        det_rows, i = np.unique(block_rows, return_inverse=True)
+        gt_cols, j = np.unique(block_cols, return_inverse=True)
+        # A least-cost assignment minimizes summed (1 - tIoU).  A non-congruent pair
+        # costs more than any sum of congruent costs, so the count of congruent
+        # pairs comes first; those pairs are dropped from the result.
+        congruent = np.zeros((len(det_rows), len(gt_cols)), dtype=bool)
+        congruent[i, j] = True
+        cost = np.full(congruent.shape, max(congruent.shape) + 1.0)
+        cost[i, j] = 1.0 - block_iou
+        if cost.shape[0] <= cost.shape[1]:
+            gt_of = _min_cost_assignment(cost)
+        else:
+            gt_of = np.full(cost.shape[0], -1)
+            gt_of[_min_cost_assignment(cost.T)] = np.arange(cost.shape[1])
+        pairs += [(int(det_rows[a]), int(gt_cols[b])) for a, b in enumerate(gt_of.tolist())
+                  if b >= 0 and congruent[a, b]]
+    return sorted(pairs)
 
 
 def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
@@ -202,6 +225,69 @@ def _augment(root: int, edges: list[list[int]], owner: list[int]) -> bool:
     return False
 
 
+def _gains(
+    dets: Sequence[ScoredDetection],
+    gts: Sequence[GroundTruthAction],
+    order: np.ndarray,
+    params: MatchParams,
+    classes: Sequence[str],
+) -> np.ndarray:
+    """gained[k]: 1 when the k-th detection of the sweep `order` grows the maximum matching, else 0.
+
+    The sweep grows one maximum matching by one augmenting-path search per
+    detection that has a congruent GT; one with none can never augment.  The
+    matching can never outgrow the `hungarian_match` assignment over all
+    detections; once it reaches that size, no later detection is searched.
+    An augmenting path never leaves its (video, class) block, so a
+    detection's gain depends only on the detections of its block swept
+    before it.
+    """
+    rows, cols, _, _ = _congruent_pairs(dets, gts, params, classes)
+    edges: list[list[int]] = [[] for _ in dets]
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        edges[i].append(j)
+    owner = [-1] * len(gts)
+    final = len(hungarian_match(dets, gts, params, classes))
+    gained = np.zeros(len(dets), dtype=np.intp)
+    searched = np.flatnonzero(np.isin(order, rows))  # sweep positions of the detections with an edge
+    matched = 0
+    for k, i in zip(searched.tolist(), order[searched].tolist()):
+        if matched == final:
+            break
+        if _augment(i, edges, owner):
+            gained[k] = 1
+            matched += 1
+    return gained
+
+
+def _curve(swept: np.ndarray, gained: np.ndarray, num_gts: int, video_minutes: float, class_label: str) -> DetCurve:
+    """The curve of detections with confidences `swept`, in sweep order, and their `_gains` marks.
+
+    A point after the last detection of each distinct confidence, then the
+    last point of each run of equal rates.  The false-alarm count never
+    falls along the sweep, so equal rates are contiguous, and p_miss never
+    rises, so a run's last point has its lowest p_miss.
+    """
+    if video_minutes <= 0:
+        raise ValidationError("video_minutes must be positive")
+    if not len(swept):
+        return DetCurve(class_label, ((0.0, 1.0),))
+    ends = np.flatnonzero(np.append(swept[1:] != swept[:-1], True))  # the last detection of each confidence
+    matched_at = np.cumsum(gained)[ends]
+    p_miss = (num_gts - matched_at) / num_gts
+    with np.errstate(over="ignore"):  # a rate past the float range is inf, as in Python; `score` refuses to write it
+        rate_fa = (ends + 1 - matched_at) / video_minutes
+    envelope = np.append(rate_fa[1:] != rate_fa[:-1], True)
+    return DetCurve(class_label, tuple(zip(rate_fa[envelope].tolist(), p_miss[envelope].tolist())))
+
+
+def _sweep_order(dets: Sequence[ScoredDetection]) -> tuple[np.ndarray, np.ndarray]:
+    """(order, swept confidences): descending confidence, stable, so equal confidences keep their input order."""
+    confidence = np.fromiter((d.confidence for d in dets), dtype=np.float64, count=len(dets))
+    order = np.argsort(-confidence, kind="stable")
+    return order, confidence[order]
+
+
 def det_curve(
     dets: Sequence[ScoredDetection],
     gts: Sequence[GroundTruthAction],
@@ -217,52 +303,16 @@ def det_curve(
     Duplicate rates keep their lowest p_miss (lower envelope).
 
     Only the size of a maximum matching reaches the curve, and that size
-    does not depend on how IoU ties are broken.  So one sweep adds the
-    detections in descending confidence (a stable order, so equal
-    confidences keep their input order) and grows a maximum matching by one
-    augmenting-path search per detection that has a congruent GT; one with
-    none can never augment.  The matching can never outgrow the
-    `hungarian_match` assignment over all detections; once it reaches that
-    size, no later detection is searched.  The rest is arrays: a point
-    after the last detection of each distinct confidence, then the last
-    point of each run of equal rates.  The false-alarm count never falls
-    along the sweep, so equal rates are contiguous, and p_miss never rises,
-    so a run's last point has its lowest p_miss.
+    does not depend on how IoU ties are broken.  So one sweep (`_gains`)
+    adds the detections in descending confidence and marks each one that
+    grows the matching; the curve (`_curve`) is arrays over those marks.
     """
     if classes is None:
         classes = DEFAULT_ACTION_CLASSES
-    if video_minutes <= 0:
-        raise ValidationError("video_minutes must be positive")
     if not gts:
         raise ValidationError("det_curve needs at least one ground-truth instance")
-    if not dets:
-        return DetCurve(class_label, ((0.0, 1.0),))
-    congruent, _ = _congruence(dets, gts, params, classes)
-    edges: list[list[int]] = [[] for _ in dets]
-    rows, cols = np.nonzero(congruent)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        edges[i].append(j)
-    owner = [-1] * len(gts)
-    final = len(hungarian_match(dets, gts, params, classes))
-    confidence = np.fromiter((d.confidence for d in dets), dtype=np.float64, count=len(dets))
-    order = np.argsort(-confidence, kind="stable")
-    gained = np.zeros(len(dets), dtype=np.intp)  # gained[k]: 1 when the k-th detection swept grew the matching
-    searched = np.flatnonzero(congruent.any(axis=1)[order])  # sweep positions of the detections with an edge
-    matched = 0
-    for k, i in zip(searched.tolist(), order[searched].tolist()):
-        if matched == final:
-            break
-        if _augment(i, edges, owner):
-            gained[k] = 1
-            matched += 1
-    swept = confidence[order]
-    ends = np.flatnonzero(np.append(swept[1:] != swept[:-1], True))  # the last detection of each confidence
-    matched_at = np.cumsum(gained)[ends]
-    p_miss = (len(gts) - matched_at) / len(gts)
-    with np.errstate(over="ignore"):  # a rate past the float range is inf, as in Python; `score` refuses to write it
-        rate_fa = (ends + 1 - matched_at) / video_minutes
-    envelope = np.append(rate_fa[1:] != rate_fa[:-1], True)
-    return DetCurve(class_label, tuple(zip(rate_fa[envelope].tolist(), p_miss[envelope].tolist())))
+    order, swept = _sweep_order(dets)
+    return _curve(swept, _gains(dets, gts, order, params, classes), len(gts), video_minutes, class_label)
 
 
 def pmiss_at(curve: DetCurve, rate: float) -> float:
@@ -293,23 +343,28 @@ def per_class_det_curves(
     """One curve per action class that has ground truth.
 
     Classes without any GT instance are skipped with a warning; classes
-    without detections still get a curve (pinned at p_miss 1).
+    without detections still get a curve (pinned at p_miss 1).  One sweep
+    runs over all classes at once: no pair crosses a class, and a class's
+    detections keep their per-class order within the stable sweep, so each
+    class's marks are those of its own `det_curve` sweep.
     """
     if classes is None:
         classes = DEFAULT_ACTION_CLASSES
-    dets_of: dict[int, list[ScoredDetection]] = {}
-    for d in dets:
-        dets_of.setdefault(d.action_class, []).append(d)
     gts_of: dict[str, list[GroundTruthAction]] = {}
     for g in gts:
         gts_of.setdefault(g.action_class, []).append(g)
-    for label in sorted({classes[idx - 1] for idx in dets_of} - set(gts_of)):
+    det_class = np.fromiter((d.action_class for d in dets), dtype=np.intp, count=len(dets))
+    for label in sorted({classes[idx - 1] for idx in np.unique(det_class).tolist()} - set(gts_of)):
         log.warning("class %r has detections but no ground truth; omitted from the aggregate", label)
-    return {
-        label: det_curve(dets_of.get(idx, []), gts_of[label], video_minutes, params, classes, class_label=label)
-        for idx, label in enumerate(classes, start=1)
-        if label in gts_of
-    }
+    labelled = [(idx, label) for idx, label in enumerate(classes, start=1) if label in gts_of]
+    order, swept = _sweep_order(dets)
+    gained = _gains(dets, [g for _, label in labelled for g in gts_of[label]], order, params, classes)
+    swept_class = det_class[order]
+    curves = {}
+    for idx, label in labelled:
+        of = swept_class == idx
+        curves[label] = _curve(swept[of], gained[of], len(gts_of[label]), video_minutes, label)
+    return curves
 
 
 def aggregate_det_curve(curves: Iterable[DetCurve]) -> DetCurve:

@@ -233,13 +233,13 @@ def scipy_assignment(num_dets: int, num_gts: int, allowed: dict) -> tuple[int, f
 
 
 def random_match_instance(rng: np.random.Generator, max_side: int = 6):
-    """Random detections and ground truth spanning two videos and two classes."""
+    """Random detections and ground truth spanning three videos and two classes."""
     labels = DEFAULT_ACTION_CLASSES[:2]
-    videos = ("va", "vb")
+    videos = ("va", "vb", "vc")
     dets = []
     for i in range(int(rng.integers(0, max_side + 1))):
         dets.append(ScoredDetection(
-            video_id=videos[int(rng.integers(0, 2))],
+            video_id=videos[int(rng.integers(0, 3))],
             proposal_id=f"d{i:02d}",
             action_class=int(rng.integers(1, 3)),
             confidence=float(rng.uniform(0.1, 1.0)),
@@ -247,7 +247,7 @@ def random_match_instance(rng: np.random.Generator, max_side: int = 6):
         ))
     gts = [
         GroundTruthAction(
-            video_id=videos[int(rng.integers(0, 2))],
+            video_id=videos[int(rng.integers(0, 3))],
             action_class=labels[int(rng.integers(0, 2))],
             cuboid=random_cuboid(rng),
         )

@@ -12,7 +12,6 @@ from actionpipe.geometry import (
     box_spatial_iou,
     cuboid_array,
     iou_3d,
-    pairwise_iou,
     span_iou,
     span_pairs,
     spatial_iou,
@@ -155,7 +154,7 @@ class TestPairwiseKernel:
     @given(st.lists(_cuboids(), max_size=6), st.lists(_cuboids(), max_size=6))
     def test_equals_scalar_bit_for_bit(self, left, right):
         right = right + left[:2]  # identical boxes on both sides
-        spatial, temporal = pairwise_iou(cuboid_array(left), cuboid_array(right))
+        spatial, temporal = box_iou(cuboid_array(left)[:, None], cuboid_array(right)[None])
         volume = box_iou_3d(cuboid_array(left)[:, None], cuboid_array(right)[None])
         assert spatial.shape == temporal.shape == volume.shape == (len(left), len(right))
         for i, a in enumerate(left):
@@ -182,14 +181,14 @@ class TestPairwiseKernel:
         touching_x = cub(10, 0, 20, 10, 5, 5)  # ix == 0
         later = cub(0, 0, 10, 10, 6, 9)  # disjoint frames
         cuboids = [box, touching_x, later, box]
-        spatial, temporal = pairwise_iou(cuboid_array(cuboids), cuboid_array(cuboids))
+        spatial, temporal = box_iou(cuboid_array(cuboids)[:, None], cuboid_array(cuboids)[None])
         assert spatial[0].tolist() == [1.0, 0.0, 1.0, 1.0]
         assert temporal[0].tolist() == [1.0, 1.0, 0.0, 1.0]
         assert box_iou_3d(cuboid_array(cuboids)[:1], cuboid_array(cuboids)).tolist() == [1.0, 0.0, 0.0, 1.0]
 
     def test_empty_sides(self):
         assert cuboid_array([]).shape == (0, 6)
-        spatial, temporal = pairwise_iou(cuboid_array([cub(0, 0, 1, 1)]), cuboid_array([]))
+        spatial, temporal = box_iou(cuboid_array([cub(0, 0, 1, 1)])[:, None], cuboid_array([])[None])
         assert spatial.shape == temporal.shape == (1, 0)
 
 
@@ -237,7 +236,7 @@ class TestSpanPairs:
         a, b = cuboid_array(left), cuboid_array(right + left[:2])
         rows, cols = span_pairs(a, b)
         spatial, temporal = box_iou(a[rows], b[cols])
-        dense_s, dense_t = pairwise_iou(a, b)
+        dense_s, dense_t = box_iou(a[:, None], b[None])
         assert spatial.tolist() == dense_s[rows, cols].tolist()
         assert temporal.tolist() == dense_t[rows, cols].tolist()
         assert box_iou_3d(a[rows], b[cols]).tolist() == box_iou_3d(a[:, None], b[None])[rows, cols].tolist()

@@ -1,5 +1,6 @@
 import logging
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,7 +173,7 @@ def instance_gts(specs):
     return [gt(grid_cuboid(box, span), label, video) for video, label, box, span in specs]
 
 
-PLACE = (st.sampled_from(("v1", "v2")), st.sampled_from((LABEL, OTHER)), st.sampled_from(BOXES), st.sampled_from(SPANS))
+PLACE = (st.sampled_from(("v1", "v2", "v3")), st.sampled_from((LABEL, OTHER)), st.sampled_from(BOXES), st.sampled_from(SPANS))
 TIE = ("v1", LABEL, BOXES[0], (0, 19))  # tIoU exactly 0.5 with GT spans (0, 9) and (10, 19) alike
 
 
@@ -201,6 +202,23 @@ def test_matcher_equals_oracles(det_specs, gt_specs, params):
         assert got_sum == pytest.approx(want_sum, abs=1e-9)
     if gts:
         assert det_curve(dets, gts, 3.0, params) == reference_det_curve(dets, gts, 3.0, params)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    det_specs=st.lists(st.tuples(*PLACE, st.sampled_from((0.3, 0.5, 0.9))), max_size=10),
+    gt_specs=st.lists(st.tuples(*PLACE), max_size=7),
+    params=st.sampled_from((MatchParams(), MatchParams(temporal_iou=0.0), MatchParams(0.1, 0.3))),
+)
+@example(det_specs=[TIE + (0.9,), ("v2", OTHER, BOXES[0], (0, 9), 0.5)], gt_specs=[TIE[:3] + ((0, 9),)],
+         params=MatchParams(temporal_iou=0.0))  # a class with detections but no ground truth, gate 0
+def test_per_class_curves_equal_reference_per_class(det_specs, gt_specs, params):
+    # one sweep over all classes and videos gives each class the curve of its own detections and GTs alone
+    dets, gts = instance_dets(det_specs), instance_gts(gt_specs)
+    want = {label: reference_det_curve([d for d in dets if d.action_class == class_index(label)],
+                                       [g for g in gts if g.action_class == label], 3.0, params, class_label=label)
+            for label in DEFAULT_ACTION_CLASSES if any(g.action_class == label for g in gts)}
+    assert list(per_class_det_curves(dets, gts, 3.0, params).items()) == list(want.items())
 
 
 @settings(max_examples=300, deadline=None)
@@ -286,7 +304,7 @@ class TestDetCurve:
     @pytest.mark.parametrize("params", [MatchParams(), MatchParams(temporal_iou=0.1, spatial_iou=0.3)],
                              ids=["no-spatial-gate", "spatial-gate"])
     def test_matches_per_threshold_reference(self, params):
-        # two videos, two classes, confidences drawn from four levels so ties are common
+        # three videos, two classes, confidences drawn from four levels so ties are common
         rng = np.random.default_rng(43)
         for _ in range(60):
             dets, gts = random_match_instance(rng, max_side=10)
@@ -392,6 +410,25 @@ class TestPerClassAndAggregate:
         dets = [sdet("d0", frames(0, 63))]
         curves = per_class_det_curves(dets, gts, video_minutes=1.0)
         assert curves[DEFAULT_ACTION_CLASSES[1]].points == ((0.0, 1.0),)
+
+    def test_many_videos_in_bounded_memory(self):
+        # 400 videos of 20 detections and 5 GTs in one class: a dense (detections x GTs) matrix over all
+        # videos peaked at ~749 MiB under tracemalloc; per-block pairs stay at a few MiB
+        rng = np.random.default_rng(67)
+        dets, gts = [], []
+        for v in range(400):
+            gts += [gt(random_cuboid(rng), video=f"v{v:03d}") for _ in range(5)]
+            dets += [sdet(f"v{v:03d}-d{i:02d}", random_cuboid(rng), float(rng.uniform(0.1, 1.0)), video=f"v{v:03d}")
+                     for i in range(20)]
+        tracemalloc.start()
+        try:
+            curves = per_class_det_curves(dets, gts, video_minutes=60.0)
+            pairs = hungarian_match(dets, gts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+        assert set(curves) == {LABEL} and curves[LABEL].points[-1][1] == (len(gts) - len(pairs)) / len(gts)
 
     def test_aggregate_mean(self):
         a = DetCurve("a", ((0.0, 0.5),))

@@ -29,6 +29,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from . import labeling  # noqa: E402
 from .clustering import propose_video  # noqa: E402
 from .config import PipelineConfig, load_config  # noqa: E402
+from .geometry import Cuboid  # noqa: E402
 from .ingest import (  # noqa: E402
     ScoreRecord,
     ValidationError,
@@ -60,6 +61,22 @@ def _propose_one(args) -> list[Proposal]:
     return jitter_proposals(clustered, jitter_params, meta)
 
 
+def _propose_rows(args) -> list[tuple]:
+    """`_propose_one` in a pool worker: each proposal as a plain row of its values, cuboid as a plain tuple.
+
+    A `Proposal` unpickles through the checking `Proposal.__new__` and
+    `Cuboid.__new__`; a row of plain values does not, and the worker has
+    already checked them, so the parent rebuilds them unchecked
+    (`_proposals_from_rows`).
+    """
+    return [(p.proposal_id, p.video_id, tuple(p.cuboid), p.provenance, p.parent_id) for p in _propose_one(args)]
+
+
+def _proposals_from_rows(rows: list[tuple]) -> list[Proposal]:
+    return [tuple.__new__(Proposal, (pid, vid, tuple.__new__(Cuboid, box), provenance, parent))
+            for pid, vid, box, provenance, parent in rows]
+
+
 def cmd_propose(cfg: PipelineConfig, jobs: int = 1) -> None:
     if jobs < 1:
         raise ValidationError(f"--jobs must be at least 1, got {jobs}")
@@ -71,7 +88,7 @@ def cmd_propose(cfg: PipelineConfig, jobs: int = 1) -> None:
 
         # the pool starts all its workers up front; more than one per video would idle
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            per_video = list(pool.map(_propose_one, tasks))
+            per_video = list(map(_proposals_from_rows, pool.map(_propose_rows, tasks)))
     else:
         per_video = [_propose_one(t) for t in tasks]
     cfg.output_dir.mkdir(parents=True, exist_ok=True)

@@ -14,7 +14,9 @@ A curve needs only the match count at each threshold, and every maximum
 matching has the same count whatever the IoU tie-break.  The sweep
 (`_gains`) therefore adds detections in descending confidence and grows
 one maximum matching by augmenting paths (Kuhn 1955) instead of solving an
-assignment per threshold; only the path searches run in Python, and the
+assignment per threshold, and stops at the size of the `hungarian_match`
+assignment over the congruent detections only (those with a congruent GT,
+the only ones that can match); only the path searches run in Python, and the
 order, the threshold groups, the rates and the lower envelope are NumPy
 arrays (`_curve`).  `per_class_det_curves` runs one sweep over every class
 and reads each class's curve from its own detections.
@@ -236,8 +238,9 @@ def _gains(
 
     The sweep grows one maximum matching by one augmenting-path search per
     detection that has a congruent GT; one with none can never augment.  The
-    matching can never outgrow the `hungarian_match` assignment over all
-    detections; once it reaches that size, no later detection is searched.
+    matching can never outgrow a maximum one, whose size `hungarian_match`
+    gives over the congruent detections only (no other detection can be
+    matched); once it reaches that size, no later detection is searched.
     An augmenting path never leaves its (video, class) block, so a
     detection's gain depends only on the detections of its block swept
     before it.
@@ -247,9 +250,10 @@ def _gains(
     for i, j in zip(rows.tolist(), cols.tolist()):
         edges[i].append(j)
     owner = [-1] * len(gts)
-    final = len(hungarian_match(dets, gts, params, classes))
+    congruent = np.unique(rows)
+    final = len(hungarian_match([dets[i] for i in congruent.tolist()], gts, params, classes))
     gained = np.zeros(len(dets), dtype=np.intp)
-    searched = np.flatnonzero(np.isin(order, rows))  # sweep positions of the detections with an edge
+    searched = np.flatnonzero(np.isin(order, congruent))  # sweep positions of the detections with an edge
     matched = 0
     for k, i in zip(searched.tolist(), order[searched].tolist()):
         if matched == final:

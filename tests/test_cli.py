@@ -6,8 +6,10 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import pickle
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from actionpipe.config import PipelineConfig, config_from_dict, config_to_dict, 
 from actionpipe.geometry import Cuboid
 from actionpipe.ingest import ValidationError, load_scores, write_scores
 from actionpipe.nms import FINAL_DETECTION_FIELDS, ScoredDetection, write_final_detections
+from actionpipe.proposals import Proposal
 from actionpipe.refine import LossParams
 from oracles import run_python
 
@@ -29,6 +32,33 @@ def fixture_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("fixture")
     assert main(["synth", "--output", str(root), "--scenario", "clean", "--seed", "0", "--videos", "3"]) == 0
     return root
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """The pool sizes asked of, and the pickled results sent through, a stand-in for ProcessPoolExecutor.
+
+    It maps in this process; each result goes through a pickle round trip, as a worker's does.
+    """
+    pools = SimpleNamespace(sizes=[], sent=[])
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            for task in tasks:
+                pools.sent.append(pickle.dumps(fn(task)))
+                yield pickle.loads(pools.sent[-1])
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return pools
 
 
 def run_pipeline(cfg_path):
@@ -137,29 +167,23 @@ class TestEndToEnd:
         assert (serial / "proposals.jsonl").read_bytes() == (parallel / "proposals.jsonl").read_bytes()
 
     @pytest.mark.parametrize("jobs,workers", [(2, 2), (3, 3), (64, 3)])
-    def test_parallel_propose_starts_at_most_one_worker_per_video(self, fixture_dir, tmp_path, monkeypatch, jobs,
+    def test_parallel_propose_starts_at_most_one_worker_per_video(self, fixture_dir, tmp_path, serial_pool, jobs,
                                                                  workers):
-        sizes = []
-
-        class SerialPool:
-            """Stands in for ProcessPoolExecutor: records the pool size asked for and maps in this process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         cfg_path = fixture_dir / "config.json"  # 3 videos
         assert main(["propose", "--config", str(cfg_path), "--output", str(tmp_path), "--jobs", str(jobs)]) == 0
-        assert sizes == [workers]
+        assert serial_pool.sizes == [workers]
+
+    def test_pooled_proposals_come_back_as_the_serial_records(self, fixture_dir, tmp_path, monkeypatch, serial_pool):
+        written = []
+        monkeypatch.setattr(cli, "write_proposals", lambda path, proposals: written.append(proposals))
+        cfg_path = fixture_dir / "config.json"
+        for jobs in ("1", "2"):
+            assert main(["propose", "--config", str(cfg_path), "--output", str(tmp_path), "--jobs", jobs]) == 0
+        assert serial_pool.sizes == [2]
+        assert len(serial_pool.sent) == 3 and not any(b"Proposal" in sent for sent in serial_pool.sent)
+        serial, pooled = written
+        assert pooled == serial and len(pooled) > 0
+        assert {(type(p), type(p.cuboid)) for p in pooled} == {(Proposal, Cuboid)}
 
     @pytest.mark.parametrize("jobs", ["0", "-5"])
     def test_propose_refuses_fewer_than_one_job(self, fixture_dir, tmp_path, capsys, jobs):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from actionpipe import scoring
 from actionpipe.geometry import Cuboid, iou_3d, spatial_iou, temporal_iou
 from actionpipe.ingest import DEFAULT_ACTION_CLASSES, GroundTruthAction, ValidationError, class_index
 from actionpipe.nms import ScoredDetection
@@ -219,6 +220,51 @@ def test_per_class_curves_equal_reference_per_class(det_specs, gt_specs, params)
                                        [g for g in gts if g.action_class == label], 3.0, params, class_label=label)
             for label in DEFAULT_ACTION_CLASSES if any(g.action_class == label for g in gts)}
     assert list(per_class_det_curves(dets, gts, 3.0, params).items()) == list(want.items())
+
+
+def test_sweep_joins_all_detections_once_and_bounds_over_the_congruent_ones(monkeypatch):
+    gts = [gt(frames(0, 99)), gt(frames(0, 49), label=OTHER), gt(frames(0, 99), video="v2")]
+    dets = [
+        sdet("hit", frames(0, 89), conf=0.4),
+        sdet("short", frames(0, 9), conf=0.9),  # tIoU 0.1 < 0.2
+        sdet("other class", frames(0, 49), conf=0.8, cls=class_index(OTHER)),
+        sdet("no gt class", frames(0, 99), conf=0.7, cls=class_index(DEFAULT_ACTION_CLASSES[2])),
+        sdet("no gt video", frames(0, 99), conf=0.6, video="v3"),
+        sdet("v2 hit", frames(10, 99), conf=0.5, video="v2"),
+        sdet("far", frames(200, 299), conf=0.3),
+    ]
+    joined, matched = [], []
+
+    def spy(real, calls):
+        def call(d, *args):
+            calls.append(list(d))
+            return real(d, *args)
+        return call
+
+    monkeypatch.setattr(scoring, "_congruent_pairs", spy(scoring._congruent_pairs, joined))
+    monkeypatch.setattr(scoring, "hungarian_match", spy(scoring.hungarian_match, matched))
+    curves = per_class_det_curves(dets, gts, 3.0)
+    congruent = [dets[i] for i in sorted({i for i, _ in congruent_pairs(dets, gts)})]
+    assert [d.proposal_id for d in congruent] == ["hit", "other class", "v2 hit"]
+    assert matched == [congruent]
+    assert joined == [dets, congruent]  # the sweep's join, then the matcher's over the congruent detections only
+    want = {label: reference_det_curve([d for d in dets if d.action_class == class_index(label)],
+                                       [g for g in gts if g.action_class == label], 3.0, class_label=label)
+            for label in (LABEL, OTHER)}
+    assert curves == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    det_specs=st.lists(st.tuples(*PLACE, st.sampled_from((0.3, 0.9))), max_size=10),
+    gt_specs=st.lists(st.tuples(*PLACE), max_size=7),
+    params=st.sampled_from((MatchParams(), MatchParams(0.0), MatchParams(0.1, 0.3), MatchParams(0.0, 0.3))),
+)
+def test_matching_over_congruent_detections_has_the_full_size(det_specs, gt_specs, params):
+    # a detection without a congruent GT is never matched, so leaving it out keeps a maximum matching's size
+    dets, gts = instance_dets(det_specs), instance_gts(gt_specs)
+    congruent = [dets[i] for i in sorted({i for i, _ in congruent_pairs(dets, gts, params)})]
+    assert len(hungarian_match(congruent, gts, params)) == len(hungarian_match(dets, gts, params))
 
 
 @settings(max_examples=300, deadline=None)

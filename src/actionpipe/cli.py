@@ -27,7 +27,7 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import labeling  # noqa: E402
-from .clustering import propose_video  # noqa: E402
+from .clustering import keep_rounds_on_one_thread, propose_video  # noqa: E402
 from .config import PipelineConfig, load_config  # noqa: E402
 from .geometry import Cuboid  # noqa: E402
 from .ingest import (  # noqa: E402
@@ -87,7 +87,7 @@ def cmd_propose(cfg: PipelineConfig, jobs: int = 1) -> None:
         from concurrent.futures import ProcessPoolExecutor  # only here: a serial run never pays its import
 
         # the pool starts all its workers up front; more than one per video would idle
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), initializer=keep_rounds_on_one_thread) as pool:
             per_video = list(map(_proposals_from_rows, pool.map(_propose_rows, tasks)))
     else:
         per_video = [_propose_one(t) for t in tasks]

@@ -43,7 +43,7 @@ def serial_pool(monkeypatch):
     pools = SimpleNamespace(sizes=[], sent=[])
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             pools.sizes.append(max_workers)
 
         def __enter__(self):
@@ -184,6 +184,31 @@ class TestEndToEnd:
         serial, pooled = written
         assert pooled == serial and len(pooled) > 0
         assert {(type(p), type(p.cuboid)) for p in pooled} == {(Proposal, Cuboid)}
+
+    def test_pooled_workers_keep_their_rounds_on_one_thread(self, fixture_dir, tmp_path):
+        # Every k-d tree round reaches the split size, on any box.  Each video
+        # prints whether the parent ran it, its process's thread count and
+        # whether that process made the rounds' pool: `--jobs 2` in real
+        # workers, then `--jobs 1` in the parent, which shows the settings split.
+        code = (
+            "import os, sys, threading\n"
+            "from actionpipe import cli, clustering\n"
+            "clustering.WARD_SPLIT = 1\n"
+            "clustering._cpus = lambda: 2\n"
+            "parent = os.getpid()\n"
+            "def propose_video(*args):\n"
+            "    out = clustering.propose_video(*args)\n"
+            "    print('video', os.getpid() == parent, threading.active_count(), clustering._split_pool is not None,\n"
+            "          flush=True)\n"
+            "    return out\n"
+            "cli.propose_video = propose_video\n"
+            "for jobs in ('2', '1'):\n"
+            "    assert cli.main(['propose', '--config', sys.argv[1], '--output', sys.argv[2], '--jobs', jobs]) == 0\n"
+        )
+        out = run_python(code, str(fixture_dir / "config.json"), str(tmp_path))
+        videos = [line.split()[1:] for line in out.splitlines() if line.startswith("video ")]
+        assert videos[:3] == [["False", "1", "False"]] * 3
+        assert [(in_parent, made_pool) for in_parent, _, made_pool in videos[3:]] == [("True", "True")] * 3
 
     @pytest.mark.parametrize("jobs", ["0", "-5"])
     def test_propose_refuses_fewer_than_one_job(self, fixture_dir, tmp_path, capsys, jobs):

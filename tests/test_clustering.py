@@ -136,21 +136,23 @@ def clean_video(tmp_path):
 # small blocks.  Small inputs otherwise score most rounds against every active
 # cluster, which never grows k.
 FORCED_TREE = {"WARD_ALL_PAIRS": 0, "WARD_K": 2, "WARD_K_POINT": 2, "WARD_BLOCK": 64}
+# The same with every round split into two parts, the second on the pool's
+# thread, on a box with any number of CPUs.
+FORCED_SPLIT = {**FORCED_TREE, "WARD_SPLIT": 1, "_cpus": lambda: 2}
 
 
-@pytest.fixture(params=["default", "tree"])
+@pytest.fixture(params=["default", "tree", "split"])
 def ward_path(request, monkeypatch):
-    """Ward with its constants, or forced through the k-d tree (`FORCED_TREE`)."""
-    if request.param == "tree":
-        for name, value in FORCED_TREE.items():
-            monkeypatch.setattr(clustering, name, value)
+    """Ward with its constants, or forced through the k-d tree (`FORCED_TREE`), split or not (`FORCED_SPLIT`)."""
+    for name, value in {"default": {}, "tree": FORCED_TREE, "split": FORCED_SPLIT}[request.param].items():
+        monkeypatch.setattr(clustering, name, value)
     return request.param
 
 
 def tree_and_all_pairs(points):
-    """Merge matrices of the forced tree path and of the path that scores every pair in every round."""
+    """Merge matrices of the forced tree path, its split form and the path that scores every pair in every round."""
     out = []
-    for constants in (FORCED_TREE, {"WARD_ALL_PAIRS": 1 << 62}):
+    for constants in (FORCED_TREE, FORCED_SPLIT, {"WARD_ALL_PAIRS": 1 << 62}):
         with pytest.MonkeyPatch.context() as patch:
             for name, value in constants.items():
                 patch.setattr(clustering, name, value)
@@ -196,12 +198,64 @@ class TestWardExactness:
 
     @pytest.mark.parametrize("make", [static_track, integer_grid, duplicates, decimal_grid])
     def test_tree_path_equals_all_pairs_bit_for_bit(self, make):
-        tree, all_pairs = tree_and_all_pairs(make())
+        tree, split, all_pairs = tree_and_all_pairs(make())
         assert np.array_equal(tree, all_pairs)
+        assert np.array_equal(split, all_pairs)
 
     def test_clean_fixture_tree_path_equals_all_pairs_bit_for_bit(self, tmp_path):
-        tree, all_pairs = tree_and_all_pairs(clean_video(tmp_path))
+        tree, split, all_pairs = tree_and_all_pairs(clean_video(tmp_path))
         assert np.array_equal(tree, all_pairs)
+        assert np.array_equal(split, all_pairs)
+
+    def test_clean_fixture_merges_equal_on_one_cpu_and_split(self, tmp_path, monkeypatch):
+        # the shipped k and block sizes, every tree round at the split size
+        points = clean_video(tmp_path)
+        monkeypatch.setattr(clustering, "WARD_SPLIT", 1)
+        pool_calls = []
+        real_pool = clustering._pool
+
+        def pool():
+            pool_calls.append(1)
+            return real_pool()
+
+        monkeypatch.setattr(clustering, "_pool", pool)
+        merges = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(clustering, "_cpus", lambda cpus=cpus: cpus)
+            merges.append(build_linkage(points, ClusterParams()))
+            assert bool(pool_calls) == (cpus > 1)
+        assert np.array_equal(*merges)
+
+    def test_child_forked_with_a_live_pool_makes_its_own(self, tmp_path):
+        # The parent's split build leaves the pool's thread alive; the child
+        # inherits the executor without its thread, so reusing it would hang.
+        # In a fresh interpreter: pytest's warning filters do not reach it.
+        code = (
+            "import sys, warnings, multiprocessing\n"
+            "import numpy as np\n"
+            "from actionpipe import clustering\n"
+            "from actionpipe.clustering import ClusterParams, build_linkage\n"
+            "clustering.WARD_SPLIT = 1\n"
+            "clustering._cpus = lambda: 2\n"
+            "points = np.random.default_rng(5).uniform(0, 100, (3000, 3))\n"
+            "merges = build_linkage(points, ClusterParams())\n"
+            "assert clustering._split_pool is not None\n"
+            "def child():\n"
+            "    np.save(sys.argv[1], build_linkage(points, ClusterParams()))\n"
+            "process = multiprocessing.get_context('fork').Process(target=child)\n"
+            "with warnings.catch_warnings():\n"
+            "    # Python 3.12+ warns on a fork with live threads; forking so is the point here\n"
+            "    warnings.simplefilter('ignore', DeprecationWarning)\n"
+            "    process.start()\n"
+            "process.join(60)\n"
+            "if process.is_alive():\n"
+            "    process.kill()\n"
+            "    sys.exit('the child hung')\n"
+            "assert process.exitcode == 0, process.exitcode\n"
+            "assert np.array_equal(np.load(sys.argv[1]), merges)\n"
+            "print('ok')\n"
+        )
+        assert run_python(code, str(tmp_path / "child.npy")).strip() == "ok"
 
     @pytest.mark.usefixtures("ward_path")
     def test_ties_go_to_the_least_hashed_priority(self):
@@ -366,8 +420,9 @@ def chain_track(n):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(*[st.integers(0, 5)] * 3), min_size=2, max_size=150))
 def test_tree_path_equals_all_pairs_on_integer_lattices(rows):
-    tree, all_pairs = tree_and_all_pairs(np.array(rows, dtype=np.float64))
+    tree, split, all_pairs = tree_and_all_pairs(np.array(rows, dtype=np.float64))
     assert np.array_equal(tree, all_pairs)
+    assert np.array_equal(split, all_pairs)
 
 
 @settings(max_examples=60, deadline=None)

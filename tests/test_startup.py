@@ -3,6 +3,7 @@
 `import actionpipe` is lazy and loads neither NumPy nor SciPy.  `import
 actionpipe.cli` pins OpenBLAS to one thread before NumPy loads, unless the
 variable is already set, so a stage process starts no BLAS worker threads.
+`propose` starts threads only for a Ward round of `WARD_SPLIT` rows or more.
 Each check runs in a fresh interpreter whose environment lacks
 `OPENBLAS_NUM_THREADS`: importing `actionpipe.cli` in this process sets it.
 """
@@ -45,6 +46,20 @@ def test_cli_import_leaves_one_thread():
         "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n"
     )
     assert run_python(code, env=CLEAN).split() == ["1", "1"]
+
+
+def test_propose_below_the_split_size_leaves_one_thread(tmp_path):
+    # the clean fixture's rounds stay far below `WARD_SPLIT`, so they start no thread
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads")
+    code = (
+        "import os, sys\n"
+        "from actionpipe.cli import main\n"
+        "assert main(['synth', '--output', sys.argv[1], '--scenario', 'clean', '--seed', '0', '--videos', '3']) == 0\n"
+        "assert main(['propose', '--config', os.path.join(sys.argv[1], 'config.json')]) == 0\n"
+        "print(len(os.listdir('/proc/self/task')))\n"
+    )
+    assert run_python(code, str(tmp_path / "fixture"), env=CLEAN).splitlines()[-1] == "1"
 
 
 def test_cli_import_keeps_a_preset_thread_count():

@@ -26,12 +26,13 @@ from pathlib import Path
 # and `propose --jobs` workers inherit the setting with the environment.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import numpy as np  # noqa: E402
+
 from . import labeling  # noqa: E402
 from .clustering import keep_rounds_on_one_thread, propose_video  # noqa: E402
 from .config import PipelineConfig, load_config  # noqa: E402
 from .geometry import Cuboid  # noqa: E402
 from .ingest import (  # noqa: E402
-    ScoreRecord,
     ValidationError,
     VideoMeta,
     _get,
@@ -138,38 +139,48 @@ def cmd_label(cfg: PipelineConfig) -> None:
 
 def _candidates(
     proposals: list[Proposal],
-    scores: dict[str, ScoreRecord],
+    scores: tuple[list[str], np.ndarray, np.ndarray],
     videos: dict[str, VideoMeta],
     multi_label: bool,
     min_class_score: float,
 ) -> dict[str, list[ScoredDetection]]:
     """Each video's NMS candidates: one refined detection per proposal and chosen action class.
 
-    The chosen classes are those scoring at least `min_class_score` with
-    `multi_label`, else the argmax when it is not the non-action class 0.
-    Every proposal's video must be in `videos` (`_refuse_unknown_videos`).
-    `apply_refinement` runs once per candidate.  Each `ScoredDetection` is
-    built with `tuple.__new__`, without its constructor's checks, which
+    Each proposal finds its row of `load_scores`' columns through one dict,
+    and one comparison over those rows chooses the classes: those scoring
+    at least `min_class_score` with `multi_label`, else the argmax (the
+    first maximum, as `tuple.index(max(...))` picks it, `-0.0` tying `0.0`)
+    when it is not the non-action class 0.  Candidates come in proposal
+    order, then class order.  Every proposal's video must be in `videos`
+    (`_refuse_unknown_videos`).  `apply_refinement` runs once per candidate,
+    on the exact floats that `tolist()` reads back.  Each `ScoredDetection`
+    is built with `tuple.__new__`, without its constructor's checks, which
     hold already: the class is at least 1, and the confidence is a score
     `load_scores` has checked to lie in [0, 1].
     """
+    ids, class_scores, refinements = scores
+    row_of = dict(zip(ids, range(len(ids))))
+    rows = [row_of.get(prop.proposal_id) for prop in proposals]
+    if None in rows:
+        raise ValidationError(f"no score record for proposal {proposals[rows.index(None)].proposal_id!r}")
+    rows = np.array(rows, dtype=np.intp)
+    aligned = class_scores[rows]
+    if multi_label:
+        chosen, classes = np.nonzero(aligned[:, 1:] >= min_class_score)
+        classes += 1
+    else:
+        classes = aligned.argmax(axis=1)
+        chosen = np.flatnonzero(classes)
+        classes = classes[chosen]
+    confidences = aligned[chosen, classes].tolist()
+    pairs = refinements[rows[chosen]].tolist()
+    num_frames = {video_id: meta.num_frames for video_id, meta in videos.items()}
     by_video: dict[str, list[ScoredDetection]] = {}
-    for prop in proposals:
-        record = scores.get(prop.proposal_id)
-        if record is None:
-            raise ValidationError(f"no score record for proposal {prop.proposal_id!r}")
-        _, class_scores, refinement = record
-        if multi_label:
-            classes = [cls for cls in range(1, len(class_scores)) if class_scores[cls] >= min_class_score]
-        else:
-            cls = record.argmax_class
-            classes = [cls] if cls else []
-        if classes:
-            proposal_id, video_id, cuboid, _, _ = prop
-            append, num_frames = by_video.setdefault(video_id, []).append, videos[video_id].num_frames
-            for cls in classes:
-                refined, _ = apply_refinement(cuboid, refinement, num_frames)
-                append(tuple.__new__(ScoredDetection, (video_id, proposal_id, cls, class_scores[cls], refined)))
+    for i, cls, confidence, refinement in zip(chosen.tolist(), classes.tolist(), confidences, pairs):
+        proposal_id, video_id, cuboid, _, _ = proposals[i]
+        refined, _ = apply_refinement(cuboid, refinement, num_frames[video_id])
+        by_video.setdefault(video_id, []).append(
+            tuple.__new__(ScoredDetection, (video_id, proposal_id, cls, confidence, refined)))
     return by_video
 
 

@@ -62,7 +62,11 @@ WARD_K = 8  # neighbours a k-d tree query asks for first; 4x more while the answ
 WARD_K_POINT = 4  # the same when every row is a single point, whose bound is its exact Ward factor to any point
 WARD_BLOCK = 1 << 18  # candidate pairs scored at once across all parts of a round, so the work arrays stay bounded
 WARD_SPLIT = 4096  # query rows from which a tree round splits into one part per CPU: from here that saves ~1/3
-WARD_ALL_PAIRS = 1 << 14  # below this many (query, active cluster) pairs, score them all: cheaper than a tree
+# At most this many (query, active cluster) pairs, a round scores them all instead of building a tree.  The
+# crossover is per workload (single rounds, best of 7, 2-core VM): ~1.0e4 pairs on short videos, ~3.4e4 on a
+# 9000-frame one, whose larger clusters retry up to k = 128; summed over both, round time is flat within ~1%
+# from 2**13 to 2**14 and grows above.
+WARD_ALL_PAIRS = 1 << 14
 WARD_BOUND_SLACK = 1e-9  # relative margin for rounding between the tree's distances and ours
 
 

@@ -13,7 +13,10 @@ step.  `_read_table` is the one reader: it opens the file and takes
 `RECORD_BLOCK` lines at a time.  A block whose lines are all JSON objects
 holding every typed field with exactly its reader's type
 (`_block_columns`) has each rule applied once to its columns, and its
-records are built with `tuple.__new__`.  Any other block, or one a rule
+records are built with `tuple.__new__`; the score table builds no records
+but one item of arrays per block, and `load_scores` returns the file as
+three aligned columns (ids, a score matrix, refinement pairs) in id order,
+whatever the order of its lines.  Any other block, or one a rule
 refuses, is read again record by record through `_parse_lines`: the field
 readers (which convert an int where a float goes), then the same rules on
 one-element columns in table order, raising the first broken rule's
@@ -43,6 +46,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from collections import namedtuple
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -109,8 +113,9 @@ class GroundTruthAction:
 class ScoreRecord(NamedTuple):
     """Classifier output for one proposal: class probabilities + temporal refinement.
 
-    A plain named tuple; `load_scores` does the checking.  Being a tuple,
-    it also equals a plain tuple of the same values, iterates over them, and
+    A plain named tuple, the record `write_scores` writes; `load_scores`
+    checks a score file and reads it back as columns.  Being a tuple, it
+    also equals a plain tuple of the same values, iterates over them, and
     `json` would encode it as a list; nothing in the package, its tests or
     its benchmark relies on that.
     """
@@ -121,7 +126,7 @@ class ScoreRecord(NamedTuple):
 
     @property
     def argmax_class(self) -> int:
-        # ties resolve to the lowest index, deterministically
+        # ties resolve to the lowest index, as in `finalize`; the benchmark's workloads count candidates with it
         return self.class_scores.index(max(self.class_scores))
 
 
@@ -229,7 +234,8 @@ def _block_columns(lines: list[bytes], typed: dict[str, type], rows_of: Callable
 
 
 # A loader's `{name: _get_*}` fields, its ordered rules, and `build(columns)`, which makes the records of
-# columns the rules hold over and adds their ids to the set that a duplicate-id rule reads.
+# columns the rules hold over (the score table: one item of arrays for them all) and adds their ids to the
+# set that a duplicate-id rule reads.
 Table = namedtuple("Table", "fields rules build")
 
 
@@ -519,10 +525,11 @@ def _probabilities(lists: list[list]) -> bool:
 def _score_table(num_classes: int) -> Table:
     seen: set[str] = set()
 
-    def build(c: dict) -> list[ScoreRecord]:
+    def build(c: dict) -> list[tuple]:
+        # one item for the whole block: its ids, (n, num_classes + 1) scores and (n, 2) refinements
         seen.update(c["proposal_id"])
-        return list(map(tuple.__new__, itertools.repeat(ScoreRecord), zip(
-            c["proposal_id"], map(tuple, c["class_scores"]), zip(c["refine_start"], c["refine_end"]))))
+        refinements = np.column_stack([c["refine_start"], c["refine_end"]])
+        return [(list(c["proposal_id"]), np.array(c["class_scores"]), refinements)]
 
     return Table(SCORE_FIELDS, [
         _unique("proposal_id", seen),
@@ -539,13 +546,22 @@ def _score_table(num_classes: int) -> Table:
     ], build)
 
 
-def load_scores(path, num_classes: int = 12) -> dict[str, ScoreRecord]:
-    """Load classifier score records keyed by proposal_id.
+def load_scores(path, num_classes: int = 12) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Load classifier scores as three aligned columns: `(proposal_ids, class_scores, refinements)`.
 
     Each record needs num_classes + 1 probabilities (index 0 = non-action)
-    summing to 1 within 1e-6, plus the two refinement outputs.
+    summing to 1 within 1e-6, plus the two refinement outputs.  Row i holds
+    `proposal_ids[i]`, its probabilities and its `(refine_start,
+    refine_end)`, both float64, rows in ascending id order, so the result
+    does not depend on the order of the lines.  `_read_table` gives one
+    item of columns per block (per record, for a block read record by
+    record), and the items are joined once.
     """
-    return dict(sorted((record.proposal_id, record) for record in _read_table(path, _score_table(num_classes))))
+    empty = ([], np.empty((0, num_classes + 1)), np.empty((0, 2)))
+    ids, scores, refinements = zip(empty, *_read_table(path, _score_table(num_classes)))
+    ids = list(itertools.chain.from_iterable(ids))
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    return [ids[i] for i in order], np.concatenate(scores)[order], np.concatenate(refinements)[order]
 
 
 def write_lines(path, lines: Iterable[str]) -> None:
@@ -624,8 +640,10 @@ def line_encoder(
     reader's type (`str`, `int` or `float`: a bool, a numpy scalar or a
     subclass never passes) or is an allowed None, and every float is
     finite, the line comes from one `%` template with the keys in sorted
-    order: a string as `_encode` writes it, an int or a float as its
-    `repr` (what the encoder writes for those exact types), None as
+    order: a string as `_encode` writes it (through
+    `encode_basestring_ascii`, the C function `_encode` returns for an
+    exact `str`, without `_encode`'s Python frame), an int or a float as
+    its `repr` (what the encoder writes for those exact types), None as
     `null`.  Any other record is encoded as a dict, so the line is the same
     bytes either way.
 
@@ -651,7 +669,7 @@ def line_encoder(
     for name, v in sorted(zip(fields, params)):
         kind = _READ_TYPES[fields[name]]
         exact = f"type({v}) is {kind.__name__}"
-        text = f"_encode({v})" if kind is str else f"repr({v})"
+        text = f"_encode_str({v})" if kind is str else f"repr({v})"
         if name in nullable:
             if kind is float:
                 exact = f"{exact} and _isfinite({v})"
@@ -698,7 +716,7 @@ def line_encoder(
     namespace = {
         "TEMPLATE": "{" + ", ".join(items[:head]) + ("" if memo else "}"),
         "SUFFIX": "".join(f", {item}" for item in items[head:]) + "}",
-        "NAMES": tuple(fields), "_encode": _encode, "_isfinite": math.isfinite,
+        "NAMES": tuple(fields), "_encode": _encode, "_encode_str": encode_basestring_ascii, "_isfinite": math.isfinite,
     }
     exec(source, namespace)  # the source holds only the names above, `v0`, `v1`, ... and `memo`, `key`, `text`
     return namespace["fresh"]()

@@ -20,7 +20,8 @@ predicates, the record types, the stepwise `pmiss_at` lookup, jitter's
 `anchors` frame list, and the located line reader and field getters of
 `ingest`.
 `run_python` runs a check in a fresh interpreter, for tests of what a
-stage imports or leaves behind.
+stage imports or leaves behind.  `score_columns` and `score_records`
+convert between score records and the columns `load_scores` returns.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from actionpipe.ingest import (
     MAX_INT,
     PROB_SUM_TOL,
     GroundTruthAction,
+    ScoreRecord,
     ValidationError,
     VideoMeta,
     _get,
@@ -596,6 +598,21 @@ def reference_load_scores(path, num_classes: int = 12) -> dict[str, ReferenceSco
     for rec in _read_records(path, parse):
         records[rec.proposal_id] = rec
     return dict(sorted(records.items()))
+
+
+def score_columns(records, num_classes: int = 12) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Score records as the columns `ingest.load_scores` returns: ids, scores and refinements, in id order."""
+    records = sorted(records, key=lambda rec: rec.proposal_id)
+    return ([rec.proposal_id for rec in records],
+            np.array([rec.class_scores for rec in records], dtype=np.float64).reshape(-1, num_classes + 1),
+            np.array([rec.refinement for rec in records], dtype=np.float64).reshape(-1, 2))
+
+
+def score_records(columns) -> list[ScoreRecord]:
+    """`ingest.load_scores` columns back as `ScoreRecord`s, one per row, every float as read."""
+    ids, scores, refinements = columns
+    return [ScoreRecord(pid, tuple(row), tuple(pair))
+            for pid, row, pair in zip(ids, scores.tolist(), refinements.tolist())]
 
 
 def reference_load_final_detections(path, action_classes) -> list[ReferenceScoredDetection]:

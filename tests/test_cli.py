@@ -7,6 +7,7 @@ import importlib
 import importlib.util
 import json
 import pickle
+import random
 import shutil
 from pathlib import Path
 from types import SimpleNamespace
@@ -22,7 +23,7 @@ from actionpipe.ingest import ValidationError, load_scores, write_scores
 from actionpipe.nms import FINAL_DETECTION_FIELDS, ScoredDetection, write_final_detections
 from actionpipe.proposals import Proposal
 from actionpipe.refine import LossParams
-from oracles import run_python
+from oracles import run_python, score_records
 
 OUTPUTS = ("proposals.jsonl", "labels.jsonl", "detections_final.jsonl", "report.json")
 
@@ -135,6 +136,40 @@ class TestEndToEnd:
             for path in sorted(tmp_path.rglob("*")) if path.is_file()
         }
         assert digests == GOLDEN_DIGESTS
+
+    @pytest.mark.parametrize("mode", [[], ["--multi-label"]], ids=["argmax", "multi_label"])
+    def test_finalize_does_not_depend_on_score_line_order_or_read_path(self, tmp_path, monkeypatch, mode):
+        assert main(["synth", "--output", str(tmp_path), "--scenario", "noisy", "--seed", "0", "--videos", "2"]) == 0
+        assert main(["propose", "--config", str(tmp_path / "config.json")]) == 0
+        cfg = json.loads((tmp_path / "config.json").read_text())
+        for key in ("detections", "ground_truth", "videos"):
+            cfg[key] = str(tmp_path / cfg[key])
+        lines = (tmp_path / cfg["scores"]).read_text(encoding="utf-8").splitlines()
+        # one record's scores as floats (read as columns) and as ints (its block read record by record)
+        hot = {**json.loads(lines[7]), "class_scores": [0.0, 1.0] + [0.0] * 11}
+        as_ints = {**hot, "class_scores": [0, 1] + [0] * 11}
+        floats, ints = list(lines), list(lines)
+        floats[7], ints[7] = json.dumps(hot), json.dumps(as_ints)
+        variants = {"lines": lines, "floats": floats, "ints": ints}
+        for name, scores in list(variants.items()):
+            variants[f"{name}_shuffled"] = random.Random(len(name)).sample(scores, len(scores))
+        monkeypatch.setattr(ingest, "RECORD_BLOCK", 64)  # so that the other blocks are still read as columns
+        read_line_by_line = []
+        parse_lines = ingest._parse_lines
+        monkeypatch.setattr(ingest, "_parse_lines", lambda *args: read_line_by_line.append(args) or parse_lines(*args))
+        written = {}
+        for name, scores in variants.items():
+            out = tmp_path / name
+            out.mkdir()
+            (out / "scores.jsonl").write_text("".join(line + "\n" for line in scores), encoding="utf-8")
+            shutil.copy(tmp_path / "out" / "proposals.jsonl", out)
+            (out / "config.json").write_text(json.dumps({**cfg, "scores": str(out / "scores.jsonl")}))
+            read_line_by_line.clear()
+            assert main(["finalize", *mode, "--config", str(out / "config.json"), "--output", str(out)]) == 0
+            assert len(read_line_by_line) == name.startswith("ints")  # one block of 64 lines
+            written[name] = (out / "detections_final.jsonl").read_bytes()
+        assert written["lines"] == written["lines_shuffled"] != written["floats"]
+        assert written["floats"] == written["floats_shuffled"] == written["ints"] == written["ints_shuffled"]
 
     def test_noisy_pipeline_writes_no_line_through_the_encoder(self, tmp_path, monkeypatch):
         # A value of a drifted type (say, a numpy confidence) is still written
@@ -351,12 +386,12 @@ class TestExitCodes:
         assert f"{det}:{len(lines) + 1}: box outside video bounds of {wide['video_id']!r}" in err
         assert not (tmp_path / "out" / "proposals.jsonl").exists()
 
-    def test_missing_score_record(self, fixture_dir, tmp_path):
+    def test_missing_score_record(self, fixture_dir, tmp_path, capsys):
         run_pipeline(fixture_dir / "config.json")
         cfg = json.loads((fixture_dir / "config.json").read_text())
-        scores = load_scores(fixture_dir / "scores.jsonl")
+        scores = score_records(load_scores(fixture_dir / "scores.jsonl"))
         truncated = tmp_path / "scores.jsonl"
-        write_scores(truncated, list(scores.values())[:-1])
+        write_scores(truncated, scores[:-1])
         for key in ("detections", "ground_truth", "videos"):
             cfg[key] = str(fixture_dir / cfg[key])
         cfg["scores"] = str(truncated)
@@ -364,6 +399,7 @@ class TestExitCodes:
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["finalize", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: no score record for proposal {scores[-1].proposal_id!r}\n"
 
     def test_proposal_of_unknown_video(self, fixture_dir, tmp_path, capsys):
         run_pipeline(fixture_dir / "config.json")
@@ -584,9 +620,9 @@ class TestEdgeInputs:
     def test_refined_spans_stay_inside_their_video(self, fixture_dir, tmp_path):
         run_pipeline(fixture_dir / "config.json")
         cfg = json.loads((fixture_dir / "config.json").read_text())
-        scores = load_scores(fixture_dir / "scores.jsonl")
+        scores = score_records(load_scores(fixture_dir / "scores.jsonl"))
         widened = tmp_path / "scores.jsonl"  # every span refined to 4 times its length about its middle
-        write_scores(widened, [rec._replace(refinement=(-4.0, 4.0)) for rec in scores.values()])
+        write_scores(widened, [rec._replace(refinement=(-4.0, 4.0)) for rec in scores])
         for key in ("detections", "ground_truth", "videos"):
             cfg[key] = str(fixture_dir / cfg[key])
         cfg["scores"] = str(widened)
@@ -605,10 +641,10 @@ class TestEdgeInputs:
     def test_all_non_action_scores_give_empty_finalize(self, fixture_dir, tmp_path):
         run_pipeline(fixture_dir / "config.json")
         cfg = json.loads((fixture_dir / "config.json").read_text())
-        scores = load_scores(fixture_dir / "scores.jsonl")
+        scores = score_records(load_scores(fixture_dir / "scores.jsonl"))
         flipped = [
             rec.__class__(rec.proposal_id, (0.97,) + (0.03 / 12,) * 12, (0.0, 0.0))
-            for rec in scores.values()
+            for rec in scores
         ]
         flat = tmp_path / "scores.jsonl"
         write_scores(flat, flipped)

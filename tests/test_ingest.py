@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actionpipe import ingest
+from actionpipe.cli import _candidates
 from actionpipe.geometry import Cuboid
 from actionpipe.ingest import (
     DEFAULT_ACTION_CLASSES,
@@ -24,7 +25,8 @@ from actionpipe.ingest import (
     write_scores,
     write_video_meta,
 )
-from oracles import reference_load_detections
+from actionpipe.proposals import Proposal
+from oracles import reference_load_detections, score_records
 
 
 def write_lines(path, records):
@@ -243,18 +245,57 @@ class TestLoadGroundTruth:
             load_ground_truth(p, VIDEOS)
 
 
+def argmax_selection(scores) -> int:
+    """The class `finalize`'s argmax mode picks for one proposal scored `scores`, or 0 when it picks none."""
+    proposal = Proposal("p", "v", Cuboid(0.0, 0.0, 5.0, 5.0, 0, 9), "clustering")
+    columns = (["p"], np.array([scores], dtype=np.float64), np.zeros((1, 2)))
+    got = _candidates([proposal], columns, {"v": VideoMeta("v", 10, 30.0, 640.0, 480.0)}, False, 0.0)
+    return got["v"][0].action_class if got else 0
+
+
 class TestLoadScores:
     def test_empty(self, tmp_path):
         p = tmp_path / "s.jsonl"
         p.write_text("", encoding="utf-8")
-        assert load_scores(p) == {}
+        ids, scores, refinements = load_scores(p)
+        assert ids == [] and scores.shape == (0, 13) and refinements.shape == (0, 2)
 
     def test_valid_record(self, tmp_path):
         p = tmp_path / "s.jsonl"
         write_lines(p, [score_record()])
-        got = load_scores(p)
-        assert got["p1"].argmax_class == 1
-        assert got["p1"].refinement == (-0.5, 0.5)
+        ids, scores, refinements = load_scores(p)
+        assert ids == ["p1"]
+        assert scores.dtype == refinements.dtype == np.float64
+        assert scores.tolist() == [score_record()["class_scores"]]
+        assert argmax_selection(scores[0].tolist()) == 1
+        assert refinements.tolist() == [[-0.5, 0.5]]
+
+    def test_rows_do_not_depend_on_line_order_or_path(self, tmp_path, monkeypatch):
+        # four lines a block: the block holding the int scores is read record by record, the others as columns
+        monkeypatch.setattr(ingest, "RECORD_BLOCK", 4)
+        records = [score_record(pid=f"p{i}", hot=i % 13, refine_end=0.25 * i) for i in range(12)]
+        records[5]["class_scores"] = [1.0] + [0.0] * 12
+        ints = [dict(r) for r in records]
+        ints[5]["class_scores"] = [1] + [0] * 12
+        contents = {"fast": records, "reversed": records[::-1], "ints": ints, "ints_reversed": ints[::-1]}
+        files = {name: tmp_path / f"{name}.jsonl" for name in contents}
+        for name, lines in contents.items():
+            write_lines(files[name], lines)
+        read_line_by_line = []
+        parse_lines = ingest._parse_lines
+        monkeypatch.setattr(ingest, "_parse_lines", lambda *args: read_line_by_line.append(args) or parse_lines(*args))
+        ids, scores, refinements = load_scores(files["fast"])
+        assert not read_line_by_line
+        by_id = sorted(records, key=lambda r: r["proposal_id"])
+        assert ids == [r["proposal_id"] for r in by_id]
+        assert scores.tolist() == [r["class_scores"] for r in by_id]
+        assert refinements.tolist() == [[r["refine_start"], r["refine_end"]] for r in by_id]
+        for name in ("reversed", "ints", "ints_reversed"):
+            got_ids, got_scores, got_refinements = load_scores(files[name])
+            assert len(read_line_by_line) == name.startswith("ints")
+            read_line_by_line.clear()
+            assert got_ids == ids
+            assert got_scores.tobytes() == scores.tobytes() and got_refinements.tobytes() == refinements.tobytes()
 
     def test_arity_error(self, tmp_path):
         p = tmp_path / "s.jsonl"
@@ -285,15 +326,18 @@ class TestLoadScores:
             load_scores(p)
 
     def test_argmax_tie_goes_low(self):
-        rec = ScoreRecord("p", (0.4, 0.4) + (0.2 / 11,) * 11, (0.0, 0.0))
-        assert rec.argmax_class == 0
+        scores = (0.4, 0.4) + (0.2 / 11,) * 11
+        assert ScoreRecord("p", scores, (0.0, 0.0)).argmax_class == 0
+        assert argmax_selection(scores) == 0  # the tie goes to the non-action class: no candidate
+        assert argmax_selection((0.2 / 11,) + (0.4, 0.4) + (0.2 / 11,) * 10) == 1
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=14))
     def test_argmax_is_highest_score_lowest_index(self, scores):
-        # exact ties, -0.0 against 0.0 included, go to the lowest index
-        rec = ScoreRecord("p", tuple(scores), (0.0, 0.0))
-        assert rec.argmax_class == max(range(len(scores)), key=lambda i: (scores[i], -i))
+        # exact ties, -0.0 against 0.0 included, go to the lowest index, in `ScoreRecord` and in `finalize`
+        want = max(range(len(scores)), key=lambda i: (scores[i], -i))
+        assert ScoreRecord("p", tuple(scores), (0.0, 0.0)).argmax_class == want
+        assert argmax_selection(scores) == want
 
 
 class TestVideoMeta:
@@ -356,7 +400,7 @@ class TestRoundTrips:
                 for i in range(3)]
         a = tmp_path / "a.jsonl"
         write_scores(a, recs)
-        assert list(load_scores(a).values()) == recs
+        assert score_records(load_scores(a)) == recs
 
     def test_video_meta(self, tmp_path):
         metas = [VideoMeta("a", 900, 30.0, 640.0, 480.0), VideoMeta("b", 100, 25.0, 1920.0, 1080.0)]

@@ -194,7 +194,8 @@ def test_replace_and_pickle_go_through_the_checks():
         Proposal("p", "v", c, "clustering")._replace(provenance="x")
     with pytest.raises(ValidationError, match=r"confidence 1.5 outside \[0, 1\]"):
         ScoredDetection("v", "p", 1, 0.5, c)._replace(confidence=1.5)
-    # `propose --jobs N` sends proposals back from its workers by pickle
+    # `propose --jobs N` workers send plain rows (`cli._propose_rows`), not records; a record that any
+    # other caller pickles must still come back as its own type, a `Proposal` holding a `Cuboid`
     p = Proposal("p", "v", c, "jittering", "q")
     back = pickle.loads(pickle.dumps(p))
     assert back == p and type(back) is Proposal and type(back.cuboid) is Cuboid
@@ -360,7 +361,14 @@ def record_files(draw, kind):
 
 def normalized(kind, result):
     """A loader's result as nested plain tuples of field values."""
-    if kind in ("scores", "videos"):
+    if kind == "scores":  # columns from the loader, `ReferenceScoreRecord`s by id from the oracle
+        if isinstance(result, dict):
+            return tuple((key, rec.class_scores, rec.refinement) for key, rec in result.items())
+        ids, scores, refinements = result
+        assert scores.dtype == refinements.dtype == np.float64
+        assert scores.shape == (len(ids), 13) and refinements.shape == (len(ids), 2)
+        return tuple(zip(ids, map(tuple, scores.tolist()), map(tuple, refinements.tolist())))
+    if kind == "videos":
         return tuple((key, record_fields(rec)) for key, rec in result.items())
     if kind == "ground_truth":
         return tuple((video, tuple(map(record_fields, gts))) for video, gts in result.items())

@@ -18,7 +18,7 @@ from actionpipe.refine import (
     localization_loss,
     smooth_l1,
 )
-from oracles import reference_apply_refinement, reference_finalize_candidates, typed
+from oracles import reference_apply_refinement, reference_finalize_candidates, score_columns, typed
 
 UNIFORM = [1.0 / 13] * 13
 
@@ -247,7 +247,7 @@ def test_refinement_equals_validated_reference(num_frames, start, length, refine
 
 # One NMS candidate source per proposal: two videos of 1-300 frames, class
 # scores with ties and values at the `min_class_score` floors drawn below.
-SCORE = st.sampled_from([0.0, 0.05, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+SCORE = st.sampled_from([0.0, -0.0, 0.05, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
 CANDIDATE = st.tuples(st.sampled_from(["a", "b"]), st.integers(0, 10**4), SPAN,
                       st.tuples(*[SCORE] * 13), PAIR)
 
@@ -267,7 +267,7 @@ def test_candidates_equal_validated_reference(frames, rows, multi_label, min_cla
         end = min(start + length - 1, videos[vid].num_frames - 1)
         proposals.append(Proposal(f"p{i}", vid, Cuboid(0.0, 0.0, 8.0 + i, 8.0, start, end), PROVENANCE_JITTERING))
         scores[f"p{i}"] = ScoreRecord(f"p{i}", class_scores, refinement)
-    got = _candidates(proposals, scores, videos, multi_label, min_class_score)
+    got = _candidates(proposals, score_columns(scores.values()), videos, multi_label, min_class_score)
     want = reference_finalize_candidates(proposals, scores, videos, multi_label, min_class_score)
     assert list(got) == list(want)
     assert typed(got) == typed(want)

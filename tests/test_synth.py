@@ -56,8 +56,8 @@ class TestGenerateFixture:
         for vid, dets in detections.items():
             clustered = propose_video(dets, videos[vid], cfg.cluster)
             proposal_ids.update(p.proposal_id for p in jitter_proposals(clustered, cfg.jitter, videos[vid]))
-        scores = load_scores(cfg.scores, num_classes=len(cfg.action_classes))
-        assert set(scores) == proposal_ids
+        ids, _, _ = load_scores(cfg.scores, num_classes=len(cfg.action_classes))
+        assert set(ids) == proposal_ids and len(ids) == len(proposal_ids)
 
     def test_clean_fixture_every_gt_has_positive(self, tmp_path):
         out = tmp_path / "fx"

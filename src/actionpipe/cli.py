@@ -243,6 +243,8 @@ def cmd_score(cfg: PipelineConfig) -> None:
         # one line per point; `"%.6g" % x` is `f"{x:.6g}"` for every float
         template = "\n".join(["# rate_fa p_miss"] + ["%.6g %.6g"] * len(curve.points))
         write_lines(curve_dir / f"{label}.txt", [template % tuple(itertools.chain.from_iterable(curve.points))])
+    for label in set(cfg.action_classes).difference(curves):  # a curve an earlier run wrote for a class now without GT
+        (curve_dir / f"{label}.txt").unlink(missing_ok=True)
     print("rate_fa:     " + "  ".join(f"{r:8.3g}" for r in cfg.rate_grid))
     print("mean p_miss: " + "  ".join(f"{p:8.3g}" for p in report["aggregate"]["mean_p_miss"]))
     print(f"wrote {report_path} and {len(curves) + 1} curve files under {curve_dir}")

@@ -23,6 +23,13 @@ Euclidean-nearest first, and any other round for `WARD_K` = 8; a row asks
 four times more while its answer is not provably exact.  The bound that
 proves it holds for any exact k-nearest set, so neither the tree's shape
 nor k changes an answer or its tie rule.
+Both kinds of round score candidates with one kernel (`_ward_nearest`): a
+tree round gives each row its own (r, k) candidate slots, and an all-pairs
+round gives every row the same 1-D row of active slots, which broadcasts
+against the query rows.  The kernel sums the squared centroid difference one
+axis at a time, x, then y, then z, each difference squared by itself: the
+float operations of a per-pair difference vector in the same order, so a
+distance is the same bit for bit in either kind of round.
 A tree round of `WARD_SPLIT` query rows or more splits them into one
 contiguous part per CPU the process may use.  The calling thread runs the
 first part and a process-wide thread pool the others; each part queries the
@@ -65,7 +72,8 @@ WARD_SPLIT = 4096  # query rows from which a tree round splits into one part per
 # At most this many (query, active cluster) pairs, a round scores them all instead of building a tree.  The
 # crossover is per workload (single rounds, best of 7, 2-core VM): ~1.0e4 pairs on short videos, ~3.4e4 on a
 # 9000-frame one, whose larger clusters retry up to k = 128; summed over both, round time is flat within ~1%
-# from 2**13 to 2**14 and grows above.
+# from 2**13 to 2**14 and grows above.  With the per-axis kernel, rounds of 2**14 to 2**15 pairs time faster
+# all-pairs (~2 ms a run), but stage runs at 2**15 did not agree across seeds.
 WARD_ALL_PAIRS = 1 << 14
 WARD_BOUND_SLACK = 1e-9  # relative margin for rounding between the tree's distances and ours
 
@@ -134,29 +142,49 @@ def _priority(slots: np.ndarray) -> np.ndarray:
 def _ward_nearest(rows, cand, centroids, sizes, prio):
     """Each row's nearest candidate slot and its squared Ward distance.
 
-    `cand[r]` are candidate slots for `rows[r]`; a row never picks itself.
-    The squared Ward distance of clusters i, j is
+    `cand` takes two forms: (r, k) slots, `cand[i]` the candidates of
+    `rows[i]` (a tree round), or one (m,) row of slots that every row takes
+    as its candidates (an all-pairs round).  A row never picks itself.  The
+    squared Ward distance of clusters i, j is
     `2 s_i s_j / (s_i + s_j) * |c_i - c_j|^2` (for two points, the squared
     Euclidean distance); every factor is symmetric in i and j bit for bit,
-    so two clusters agree on the distance between them.
+    so two clusters agree on the distance between them.  The squared norm
+    is summed one axis at a time, `d = c[cand] - c[rows]`, `d *= d`, added
+    x, then y, then z: the float operations of `dx**2 + dy**2 + dz**2` in
+    the same order, so every distance and tie is the same bit for bit in
+    both forms.
     """
-    diff = centroids[cand] - centroids[rows][:, None, :]
-    sq = diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2
+    for axis in range(3):
+        c = centroids[:, axis]
+        d = c[cand] - c[rows][:, None]
+        d *= d
+        if axis:
+            sq += d
+        else:
+            sq = d
     si = sizes[rows][:, None]
     sj = sizes[cand]
-    d2 = 2.0 * si * sj / (si + sj) * sq
+    d2 = 2.0 * si * sj
+    d2 /= si + sj
+    d2 *= sq
     d2[cand == rows[:, None]] = np.inf
-    best = d2.min(axis=1)
-    rank = np.where(d2 == best[:, None], prio[cand], np.iinfo(np.uint64).max)
-    col = rank.argmin(axis=1)
-    return cand[np.arange(len(rows)), col], best
+    col = d2.argmin(axis=1)
+    at = np.arange(len(rows))
+    best = d2[at, col]
+    # Only a row whose least distance repeats needs the priorities.
+    hit = d2 == best[:, None]
+    tied = np.flatnonzero(np.count_nonzero(hit, axis=1) > 1)
+    if len(tied):
+        rank = np.where(hit[tied], prio[cand if cand.ndim == 1 else cand[tied]], np.iinfo(np.uint64).max)
+        col[tied] = rank.argmin(axis=1)
+    return (cand[col] if cand.ndim == 1 else cand[at, col]), best
 
 
 def _ward_neighbours(rows, active, centroids, sizes, prio):
     """Exact nearest active cluster (slot, squared Ward distance) of each row slot."""
     m = len(active)
     if len(rows) * m <= WARD_ALL_PAIRS:
-        return _ward_nearest(rows, np.broadcast_to(active, (len(rows), m)), centroids, sizes, prio)
+        return _ward_nearest(rows, active, centroids, sizes, prio)
     nn = np.empty(len(rows), dtype=np.int64)
     d2 = np.empty(len(rows))
     tree = cKDTree(centroids[active], balanced_tree=False)

@@ -529,7 +529,10 @@ def _score_table(num_classes: int) -> Table:
         # one item for the whole block: its ids, (n, num_classes + 1) scores and (n, 2) refinements
         seen.update(c["proposal_id"])
         refinements = np.column_stack([c["refine_start"], c["refine_end"]])
-        return [(list(c["proposal_id"]), np.array(c["class_scores"]), refinements)]
+        n = len(c["class_scores"])  # the rules hold, so every row has num_classes + 1 floats
+        flat = itertools.chain.from_iterable(c["class_scores"])  # as `np.array(rows)`, bit for bit
+        scores = np.fromiter(flat, dtype=np.float64, count=n * (num_classes + 1)).reshape(n, num_classes + 1)
+        return [(list(c["proposal_id"]), scores, refinements)]
 
     return Table(SCORE_FIELDS, [
         _unique("proposal_id", seen),

@@ -274,6 +274,29 @@ def reference_cut_tree(merges, k: int) -> list[list[int]]:
     return clusters
 
 
+def reference_ward_nearest(rows, cand, centroids, sizes, prio) -> tuple[list[int], list[float]]:
+    """`clustering._ward_nearest` by a scalar loop over each row's candidates.
+
+    `cand` is either one list of candidate slots per row or one list shared
+    by every row.  A row's answer is the candidate, itself excluded, at the
+    least squared Ward distance `2 s_i s_j / (s_i + s_j) * |c_i - c_j|^2`,
+    and among equal distances the one of least priority `prio[slot]`.
+    """
+    shared = np.ndim(cand) == 1
+    nearest, dists = [], []
+    for i, row in enumerate(rows):
+        best = (math.inf, math.inf, -1)  # (distance, priority, slot)
+        for slot in (cand if shared else cand[i]):
+            if slot == row:
+                continue
+            dx, dy, dz = (float(centroids[slot, axis]) - float(centroids[row, axis]) for axis in range(3))
+            si, sj = float(sizes[row]), float(sizes[slot])
+            best = min(best, (2.0 * si * sj / (si + sj) * (dx * dx + dy * dy + dz * dz), int(prio[slot]), int(slot)))
+        nearest.append(best[2])
+        dists.append(best[0])
+    return nearest, dists
+
+
 def is_ward_hierarchy(points, merges, rtol: float = 1e-9) -> bool:
     """True when `merges` (SciPy linkage layout) is a Ward tree of `points`.
 

@@ -575,6 +575,22 @@ def test_label_that_cannot_name_a_curve_file_exits_1_before_any_write(fixture_di
     assert not (tmp_path / "out").exists()
 
 
+def test_rescoring_removes_the_curve_of_a_class_that_lost_its_ground_truth(fixture_dir, tmp_path):
+    config = absolute_config(fixture_dir, tmp_path)
+    run_pipeline(config)
+    curves = tmp_path / "out" / "curves"
+    gts = [json.loads(line) for line in (fixture_dir / "ground_truth.jsonl").read_text().splitlines()]
+    dropped = gts[0]["action_class"]
+    assert (curves / f"{dropped}.txt").is_file()
+    (curves / "notes.txt").write_text("not a curve\n", encoding="utf-8")
+    kept = write_jsonl(tmp_path / "ground_truth.jsonl", [gt for gt in gts if gt["action_class"] != dropped])
+    assert main(["score", "--config", str(absolute_config(fixture_dir, tmp_path, ground_truth=kept))]) == 0
+    classes = json.loads((tmp_path / "out" / "report.json").read_text())["classes"]
+    assert dropped not in classes
+    assert sorted(path.name for path in curves.iterdir()) == sorted(
+        ["aggregate.txt", "notes.txt", *(f"{label}.txt" for label in classes)])
+
+
 class TestNonFiniteOverrides:
     """Argparse reads `inf` and `nan` as floats; the validators refuse them, as a config file cannot hold them."""
 

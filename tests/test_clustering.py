@@ -22,7 +22,7 @@ from actionpipe.config import load_config
 from actionpipe.geometry import Cuboid
 from actionpipe.ingest import ValidationError, VideoMeta, load_detections, load_video_meta
 from actionpipe.synth import generate_fixture
-from oracles import is_ward_hierarchy, reference_cut_tree, reference_envelope, run_python
+from oracles import is_ward_hierarchy, reference_cut_tree, reference_envelope, reference_ward_nearest, run_python
 
 META = VideoMeta("v1", 1000, 30.0, 640, 480)
 
@@ -423,6 +423,28 @@ def test_tree_path_equals_all_pairs_on_integer_lattices(rows):
     tree, split, all_pairs = tree_and_all_pairs(np.array(rows, dtype=np.float64))
     assert np.array_equal(tree, all_pairs)
     assert np.array_equal(split, all_pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 40), st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_ward_nearest_equals_scalar_loop_on_integer_lattices(m, k, seed):
+    """Both candidate forms: per-row (r, k) slots, as a tree round asks, and one shared row, as an all-pairs round."""
+    rng = np.random.default_rng(seed)
+    n = m + int(rng.integers(0, 8))  # slots beyond the active ones hold merged-away clusters
+    centroids = rng.integers(0, 4, (n, 3)).astype(np.float64)  # a dense lattice: many exact distance ties
+    sizes = rng.integers(1, 4, n).astype(np.float64)
+    prio = clustering._priority(np.arange(n))
+    active = np.sort(rng.choice(n, m, replace=False))
+    rows = rng.choice(active, int(rng.integers(1, m + 1)), replace=False)
+    k = min(k, m)
+    # each row's own slot among its candidates at a random column, as the tree returns it
+    per_row = rng.permuted(np.array([
+        np.append(row, rng.choice(active[active != row], k - 1, replace=False)) for row in rows]), axis=1)
+    for cand in (per_row, active):
+        nearest, d2 = clustering._ward_nearest(rows, cand, centroids, sizes, prio)
+        want_nearest, want_d2 = reference_ward_nearest(rows, cand, centroids, sizes, prio)
+        assert nearest.tolist() == want_nearest
+        assert d2.tobytes() == np.array(want_d2).tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -25,7 +25,10 @@ then its table's rule order.  A field only rules check (`class_scores`,
 `parent_id`) is read as parsed, except that a score's int 0 or 1 becomes a
 float.
 
-Every output file goes through `write_lines`.  Proposals, training labels
+Every output file is written through `replacing` (to `<name>.tmp`, then
+renamed over the target): every text file through `write_lines`, which
+can hash the bytes as it writes them, and the proposal file's column
+mirror (`proposals`) directly.  Proposals, training labels
 and final detections are encoded from their table by one generated line
 function each (`line_encoder`): a `%` template behind an exact-type guard,
 with the JSON encoder as fallback, the same bytes either way.  Proposals
@@ -39,6 +42,7 @@ without the standard library's pure-Python encoder.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -218,25 +222,51 @@ def _block_columns(lines: list[bytes], typed: dict[str, type], rows_of: Callable
         columns = dict(zip(typed, zip(*map(rows_of, objects))))
     except KeyError:
         return None
-    for column, kind in zip(columns.values(), typed.values()):
-        if set(map(type, column)) != {kind}:
-            return None
-        if kind is str:
-            if "" in column:
-                return None
-        elif kind is int:
-            if min(column) < -MAX_INT or max(column) > MAX_INT:
-                return None
-        elif not math.isfinite(sum(column)):  # orjson reads no NaN or infinity; finite values may overflow
-            return None
+    if not all(set(map(type, column)) == {kind} for column, kind in zip(columns.values(), typed.values())):
+        return None
+    if not _typed_values_hold(columns, typed):
+        return None
     columns.update({name: [obj.get(name) for obj in objects] for name in raw})
     return columns
+
+
+def _typed_values_hold(columns: dict, typed: dict[str, type]) -> bool:
+    """For columns of exactly their `typed` types: no string empty, no int past 2**53 in magnitude, floats finite."""
+    for name, kind in typed.items():
+        column = columns[name]
+        if kind is str:
+            if "" in column:
+                return False
+        elif kind is int:
+            if min(column) < -MAX_INT or max(column) > MAX_INT:
+                return False
+        elif not math.isfinite(sum(column)):  # orjson reads no NaN or infinity; finite values may overflow
+            return False
+    return True
 
 
 # A loader's `{name: _get_*}` fields, its ordered rules, and `build(columns)`, which makes the records of
 # columns the rules hold over (the score table: one item of arrays for them all) and adds their ids to the
 # set that a duplicate-id rule reads.
 Table = namedtuple("Table", "fields rules build")
+
+
+def _typed_fields(table: Table) -> dict[str, type]:
+    """`{name: type}` of the table's fields that a typed reader (`_READ_TYPES`) reads; the rest are read as parsed."""
+    return {name: _READ_TYPES[read] for name, read in table.fields.items() if read in _READ_TYPES}
+
+
+def readable_as_is(table: Table, columns: dict) -> bool:
+    """True when `_read_table` would take a block of records holding exactly these `columns` as they are.
+
+    The caller knows that every typed column holds exactly its reader's
+    type, as a writer learns from its `line_encoder`'s `encoded`.  Then the
+    values must hold (`_typed_values_hold`) and so must every rule of
+    `table`, and the block is read as columns and built from these very
+    values, with no error.  A writer that checks its records here knows
+    what reading its file gives back.
+    """
+    return _typed_values_hold(columns, _typed_fields(table)) and all(rule.holds(columns) for rule in table.rules)
 
 
 def _read_table(path, table: Table) -> Iterator:
@@ -253,7 +283,7 @@ def _read_table(path, table: Table) -> Iterator:
     time: reading every block first raised the peak RSS of `propose` by
     1.2-2.3 MB on the stage benchmark's two workloads.
     """
-    typed = {name: _READ_TYPES[read] for name, read in table.fields.items() if read in _READ_TYPES}
+    typed = _typed_fields(table)
     raw = [name for name, read in table.fields.items() if read not in _READ_TYPES]
     rows_of = operator.itemgetter(*typed)  # every table has at least two typed fields, so this gives a tuple
 
@@ -567,23 +597,40 @@ def load_scores(path, num_classes: int = 12) -> tuple[list[str], np.ndarray, np.
     return [ids[i] for i in order], np.concatenate(scores)[order], np.concatenate(refinements)[order]
 
 
-def write_lines(path, lines: Iterable[str]) -> None:
-    """Write each line plus a newline, replacing `path` only once all are written.
+@contextlib.contextmanager
+def replacing(path) -> Iterator:
+    """A binary file to write in place of `path`, moved over it only once the `with` block ends without error.
 
-    Lines go to `<name>.tmp` beside `path`, which `os.replace` then moves
-    into place.  If `lines` raises, or writing fails, the temporary file is
-    removed and a previous file at `path` is left untouched.
+    The file is `<name>.tmp` beside `path`, which `os.replace` then moves
+    into place.  If the block raises, or writing fails, the temporary file
+    is removed and a previous file at `path` is left untouched.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+        with open(tmp, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_lines(path, lines: Iterable[str], digest=None) -> None:
+    """Write each line plus a newline as UTF-8 through `replacing`.
+
+    Lines are joined and encoded `RECORD_BLOCK` at a time.  A `hashlib`
+    object given as `digest` is updated with each chunk as it is written,
+    so hashing the file costs no second read and no copy of it.
+    """
+    lines = iter(lines)
+    with replacing(path) as fh:
+        while chunk := list(itertools.islice(lines, RECORD_BLOCK)):
+            chunk.append("")  # so that the last line ends with a newline too
+            data = "\n".join(chunk).encode("utf-8")
+            if digest is not None:
+                digest.update(data)
+            fh.write(data)
 
 
 def write_records(path, records: Iterable[dict]) -> None:
@@ -659,7 +706,9 @@ def line_encoder(
     `repr`s, with one exception: `-0.0 == 0.0`, so a box holding a zero of
     either sign is never stored.  Each `line` has a memo of its own, and
     `line.fresh()` gives a new `line` with an empty one; each writer takes
-    one per call, so no memo outlives the file it writes.
+    one per call, so no memo outlives the file it writes.  `line.encoded`
+    is a list that gains one item for each record that went to the encoder,
+    so while it is empty every record has had exactly its fields' types.
 
     `line` is generated as straight-line code, as `dataclasses` generates
     `__init__`.  A closure looping over the fields gave the same lines but
@@ -709,11 +758,14 @@ def line_encoder(
         f"def fresh():\n"
         f"    memo = {{}}\n"
         f"    memo_get = memo.get\n"
+        f"    encoded = []\n"
         f"    def line({', '.join(params)}):\n"
         f"        if {' and '.join(guard)}:\n"
         f"{fill}"
+        f"        encoded.append(None)\n"
         f"        return _encode(dict(zip(NAMES, ({', '.join(params)},))))\n"
         f"    line.fresh = fresh\n"
+        f"    line.encoded = encoded\n"
         f"    return line\n"
     )
     namespace = {
@@ -721,7 +773,7 @@ def line_encoder(
         "SUFFIX": "".join(f", {item}" for item in items[head:]) + "}",
         "NAMES": tuple(fields), "_encode": _encode, "_encode_str": encode_basestring_ascii, "_isfinite": math.isfinite,
     }
-    exec(source, namespace)  # the source holds only the names above, `v0`, `v1`, ... and `memo`, `key`, `text`
+    exec(source, namespace)  # the source holds only the names above, `v0`, `v1`, ... and `memo`, `encoded`, ...
     return namespace["fresh"]()
 
 

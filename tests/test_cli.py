@@ -26,6 +26,7 @@ from actionpipe.refine import LossParams
 from oracles import run_python, score_records
 
 OUTPUTS = ("proposals.jsonl", "labels.jsonl", "detections_final.jsonl", "report.json")
+MIRROR = "proposals.jsonl.cols"  # the column mirror `propose` writes beside proposals.jsonl
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +72,9 @@ def run_pipeline(cfg_path):
 # four stages into out/, and `finalize --multi-label --min-class-score 0.005`
 # plus `score` into multi/ write.  Reruns agreeing with each other do not show
 # that a refactor kept the bytes; these digests do.  Change them only with a
-# change that means to change outputs, and say so.
+# change that means to change outputs, and say so.  multi/ gets a copy of
+# proposals.jsonl without its column mirror, so its stages read the JSONL:
+# its digests pin that both reading paths give the same bytes downstream.
 GOLDEN_DIGESTS = {
     "config.json": "b99cc0fb456eca4127fbcb292c1e85ff8f7ab5df24b4ebbd4eedb8ea0163aa2c",
     "detections.jsonl": "b963eef58c020f12326887f0e7ebc1115f555e23a06a0fb6c88e75b271427c82",
@@ -96,6 +99,7 @@ GOLDEN_DIGESTS = {
     "out/detections_final.jsonl": "d02fb7a5239a662b32056d6e9631333101790eefe0585a0f904d729a1865277f",
     "out/labels.jsonl": "54d8272df55f731fc754c8c49eb2d0ed4afd73cd1d6cca6e24e739743ac09d05",
     "out/proposals.jsonl": "6391993d4d3bb3261d6280d5f68985a6c46da4ba723b1e6ce601c08c67a23897",
+    "out/proposals.jsonl.cols": "b0049294587ce29beaa890f6a6800c525a68a0d46f07678900c0089f2f75ffb9",
     "out/report.json": "17be46bc8869f8195a7e08beb0ce2c6f5b0578e2ddd630f6bbedabf6c6e4679b",
     "scores.jsonl": "d9335ef236ce36c5d6916f89b8b16f192554db585d93d8a4ae50e8df83071a5c",
     "videos.jsonl": "02ae3824cc98c1d700c163cda8c0a2081309c1939aac050dd66fd904f884a39b",
@@ -117,9 +121,9 @@ class TestEndToEnd:
         cfg_path = fixture_dir / "config.json"
         run_pipeline(cfg_path)
         out = fixture_dir / "out"
-        before = {name: (out / name).read_bytes() for name in OUTPUTS}
+        before = {name: (out / name).read_bytes() for name in (*OUTPUTS, MIRROR)}
         run_pipeline(cfg_path)
-        after = {name: (out / name).read_bytes() for name in OUTPUTS}
+        after = {name: (out / name).read_bytes() for name in (*OUTPUTS, MIRROR)}
         assert before == after
 
     def test_outputs_match_golden_digests(self, tmp_path):
@@ -222,28 +226,38 @@ class TestEndToEnd:
 
     def test_pooled_workers_keep_their_rounds_on_one_thread(self, fixture_dir, tmp_path):
         # Every k-d tree round reaches the split size, on any box.  Each video
-        # prints whether the parent ran it, its process's thread count and
-        # whether that process made the rounds' pool: `--jobs 2` in real
-        # workers, then `--jobs 1` in the parent, which shows the settings split.
+        # prints its run's `--jobs`, whether the parent ran it, its process's
+        # thread count and whether that process made the rounds' pool:
+        # `--jobs 2` in real workers, then `--jobs 1` in the parent, which
+        # shows the settings split.  Workers and parent share one stdout pipe,
+        # so lines are grouped by the run they name, not read in order, and
+        # each line is one `os.write`, which the pipe keeps whole: with
+        # PYTHONUNBUFFERED set, `print` writes each piece on its own, and two
+        # workers' pieces interleave.
         code = (
             "import os, sys, threading\n"
             "from actionpipe import cli, clustering\n"
             "clustering.WARD_SPLIT = 1\n"
             "clustering._cpus = lambda: 2\n"
             "parent = os.getpid()\n"
+            "run = None  # the run's --jobs; forked workers inherit it\n"
             "def propose_video(*args):\n"
             "    out = clustering.propose_video(*args)\n"
-            "    print('video', os.getpid() == parent, threading.active_count(), clustering._split_pool is not None,\n"
-            "          flush=True)\n"
+            "    seen = (run, os.getpid() == parent, threading.active_count(), clustering._split_pool is not None)\n"
+            "    os.write(1, ('video %s %s %s %s\\n' % seen).encode())\n"
             "    return out\n"
             "cli.propose_video = propose_video\n"
-            "for jobs in ('2', '1'):\n"
-            "    assert cli.main(['propose', '--config', sys.argv[1], '--output', sys.argv[2], '--jobs', jobs]) == 0\n"
+            "for run in ('2', '1'):\n"
+            "    assert cli.main(['propose', '--config', sys.argv[1], '--output', sys.argv[2], '--jobs', run]) == 0\n"
         )
         out = run_python(code, str(fixture_dir / "config.json"), str(tmp_path))
-        videos = [line.split()[1:] for line in out.splitlines() if line.startswith("video ")]
-        assert videos[:3] == [["False", "1", "False"]] * 3
-        assert [(in_parent, made_pool) for in_parent, _, made_pool in videos[3:]] == [("True", "True")] * 3
+        videos = {"1": [], "2": []}
+        for line in out.splitlines():
+            if line.startswith("video "):
+                _, run, *seen = line.split()
+                videos[run].append(seen)
+        assert videos["2"] == [["False", "1", "False"]] * 3
+        assert [(in_parent, made_pool) for in_parent, _, made_pool in videos["1"]] == [("True", "True")] * 3
 
     @pytest.mark.parametrize("jobs", ["0", "-5"])
     def test_propose_refuses_fewer_than_one_job(self, fixture_dir, tmp_path, capsys, jobs):

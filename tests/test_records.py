@@ -274,7 +274,7 @@ class TestWriteRecords:
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "proposals.jsonl"
         write_proposals(path, [Proposal("v1_c0000", "v1", Cuboid(0, 0, 5, 5, 0, 9), "clustering")])
-        before = path.read_bytes()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
         def failing():
             yield Proposal("v1_c0001", "v1", Cuboid(1, 1, 6, 6, 2, 4), "clustering")
@@ -282,8 +282,9 @@ class TestWriteRecords:
 
         with pytest.raises(RuntimeError):
             write_proposals(path, failing())
-        assert path.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["proposals.jsonl"]
+        # the file and its column mirror, both as they were
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert sorted(before) == ["proposals.jsonl", "proposals.jsonl.cols"]
 
 
 # Values an output record may hold: non-ASCII text, lone surrogates, -0.0, NaN,

@@ -62,6 +62,19 @@ def test_propose_below_the_split_size_leaves_one_thread(tmp_path):
     assert run_python(code, str(tmp_path / "fixture"), env=CLEAN).splitlines()[-1] == "1"
 
 
+def test_cli_import_loads_no_module_beyond_its_dependencies():
+    # `proposals` reads its column mirror with `hashlib`, `json` and `zlib`, which NumPy and SciPy already load
+    code = (
+        "import sys\n"
+        "import numpy, orjson, scipy.spatial\n"
+        "loaded = set(sys.modules)\n"
+        "import actionpipe.cli\n"
+        "print(sorted(m for m in set(sys.modules) - loaded if m.split('.')[0] != 'actionpipe'))\n"
+        "print(sorted({'hashlib', 'json', 'zlib'} - loaded))\n"
+    )
+    assert run_python(code, env=CLEAN).split() == ["[]", "[]"]
+
+
 def test_cli_import_keeps_a_preset_thread_count():
     code = "import os\nimport actionpipe.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n"
     assert run_python(code, env={"OPENBLAS_NUM_THREADS": "2"}).strip() == "2"

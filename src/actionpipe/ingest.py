@@ -28,10 +28,12 @@ float.
 Every output file is written through `replacing` (to `<name>.tmp`, then
 renamed over the target): every text file through `write_lines`, which
 can hash the bytes as it writes them, and the proposal file's column
-mirror (`proposals`) directly.  Proposals, training labels
-and final detections are encoded from their table by one generated line
-function each (`line_encoder`): a `%` template behind an exact-type guard,
-with the JSON encoder as fallback, the same bytes either way.  Proposals
+mirror (`proposals`) directly; the mirror's one SHA-256 goes on from the
+proposal file's bytes, hashed as `write_lines` wrote them, over the
+mirror's own body.  Proposals, training labels and final detections are
+encoded from their table by one generated line function each
+(`line_encoder`): a `%` template behind an exact-type guard, with the JSON
+encoder as fallback, the same bytes either way.  Proposals
 and final detections also keep each box's text for one write call, looked
 up only once the guard has passed and never kept for a box holding a
 zero, since `-0.0 == 0.0` but the two are written differently.  An
@@ -795,12 +797,7 @@ def write_ground_truth(path, actions: Iterable[GroundTruthAction]) -> None:
 
 def write_scores(path, records: Iterable[ScoreRecord]) -> None:
     write_records(path, (
-        {
-            "proposal_id": rec.proposal_id,
-            "class_scores": list(rec.class_scores),
-            "refine_start": rec.refinement[0],
-            "refine_end": rec.refinement[1],
-        }
+        dict(zip(SCORE_FIELDS, (rec.proposal_id, *rec.refinement, list(rec.class_scores))))
         for rec in sorted(records, key=lambda r: r.proposal_id)
     ))
 

@@ -2,46 +2,42 @@
 
 `write_proposals` writes `proposals.jsonl` and then, beside it,
 `proposals.jsonl.cols`: a binary mirror of the same records as columns,
-bound to the JSONL bytes by their SHA-256.  `load_proposals` builds its
-records from the mirror when the mirror parses, has the current version,
-lengths that agree and a CRC-32 that holds, and holds the digest of the
-JSONL file as it is on disk.  Otherwise (no mirror, a JSONL edited, appended to
-or cut after the write, a damaged or foreign mirror) it reads the JSONL
-file, which stays the reference and the only source of errors; the mirror
-path never raises.  The writer makes a mirror only of records that the
-JSONL reader would take as they are (`ingest.readable_as_is`), with each
-string as `json` reads its escaped text back, so both paths give equal
-records of equal types.  Which path runs depends only on what is on disk;
-deleting the mirror costs only time.
+bound to the JSONL bytes by one SHA-256 over both files.  `load_proposals`
+builds its records from the mirror when the mirror parses, has the current
+version and lengths that agree, and its digest holds over the JSONL file as
+it is on disk plus the mirror's body.  Otherwise (no mirror, a JSONL
+edited, appended to or cut after the write, a damaged or foreign mirror)
+it reads the JSONL file, which stays the reference and the only source of
+errors; the mirror path never raises.  The writer makes a mirror only of
+records that the JSONL reader would take as they are
+(`ingest.readable_as_is`) and whose strings hold no newline and encode as
+strict UTF-8 (hold no surrogate), so both paths give equal records of equal
+types, built by the same `build`.  Which path runs depends only on what is
+on disk; deleting the mirror costs only time.
 
-The mirror, all numbers little-endian: `MIRROR_MAGIC`; four int64 (the
-version, the record count n, the separator's code point, the byte length
-t of the text); the JSONL file's 32-byte SHA-256; the (6, n) float64
-cuboid columns in `CUBOID_FIELDS` order (frames are integers of at most
-2**53 in magnitude, which float64 holds exactly); t bytes of text, UTF-8
-with surrogates passed through: every proposal id, then every video id,
-provenance and parent id (empty for a null parent), joined by a separator
-that no string holds (a newline unless one does); and, as an int64, the
-CRC-32 of all the bytes before it.  The bytes depend only on the records,
-so identical runs write identical mirrors.  No pickle: NumPy reads the
-box columns straight from the file's bytes, and the strings come from one
-`str.split`.
+The mirror, all numbers little-endian: `MIRROR_MAGIC`; three int64 (the
+version, the record count n, the byte length t of the text); the SHA-256
+of the JSONL file's bytes followed by this mirror's counts, box columns and
+text; the (6, n) float64 cuboid columns in `CUBOID_FIELDS` order
+(frames are integers of at most 2**53 in magnitude, which float64 holds
+exactly); and t bytes of UTF-8 text: every proposal id, then every video
+id, provenance and parent id (empty for a null parent), joined by
+newlines.  The bytes depend only on the records, so identical runs write
+identical mirrors.  No pickle: NumPy reads the box columns straight from
+the file's bytes, and the strings come from one `str.split`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-import json
-import zlib
 from collections import namedtuple
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .geometry import BOX_FIELDS, CUBOID_RULES, Cuboid, Rule, check_record
+from .geometry import BOX_FIELDS, CUBOID_RULES, Rule, check_record
 from .ingest import (
     CUBOID_FIELDS,
     Table,
@@ -91,11 +87,9 @@ _proposal_line = line_encoder({**PROPOSAL_FIELDS, "parent_id": _get_str}, nullab
 
 
 MIRROR_MAGIC = b"APPCOLS\n"
-MIRROR_VERSION = 1
-_HEADER = len(MIRROR_MAGIC) + 4 * 8 + 32  # magic; version, record count, separator, text length; digest
+MIRROR_VERSION = 2
+_HEADER = len(MIRROR_MAGIC) + 3 * 8 + 32  # magic; version, record count, text length; digest
 _HASH_CHUNK = 1 << 20  # bytes of the JSONL file hashed per read
-# code points a separator may take: any but the surrogates, which could pair with a neighbour
-_SEPARATORS = (range(0xD800), range(0xE000, 0x110000))
 
 
 def mirror_path(path) -> Path:
@@ -108,8 +102,8 @@ def write_proposals(path, proposals: Iterable[Proposal]) -> None:
     """Write the proposal file, then its column mirror (`mirror_path`), each through `ingest.replacing`.
 
     A crash between the two leaves a mirror whose digest no longer matches,
-    which `load_proposals` ignores.  Records that the JSONL reader would not
-    take as they are get no mirror, and an old one is removed.
+    which `load_proposals` ignores.  Records that get no mirror
+    (`_mirror_columns`) have an old one removed.
     """
     proposals = list(proposals)
     line = _proposal_line.fresh()  # jittered windows share their parent's box, whose text this call builds once
@@ -122,28 +116,25 @@ def write_proposals(path, proposals: Iterable[Proposal]) -> None:
     if columns is None:
         mirror_path(path).unlink(missing_ok=True)
         return
-    separator, text, boxes = columns
-    text = text.encode("utf-8", "surrogatepass")
-    counts = np.array([MIRROR_VERSION, len(proposals), ord(separator), len(text)], "<i8")
-    crc = 0
+    boxes, text = columns
+    counts = np.array([MIRROR_VERSION, len(proposals), len(text)], "<i8")
+    for part in (counts, boxes, text):
+        digest.update(part)
     with replacing(mirror_path(path)) as fh:
         for part in (MIRROR_MAGIC, counts, digest.digest(), boxes, text):
             fh.write(part)
-            crc = zlib.crc32(part, crc)
-        fh.write(np.array([crc], "<i8"))
 
 
-def _mirror_columns(proposals: list[Proposal]) -> tuple[str, str, np.ndarray] | None:
-    """The mirror's separator, string text and (6, n) cuboid columns, or None when it must not be written.
+def _mirror_columns(proposals: list[Proposal]) -> tuple[np.ndarray, bytes] | None:
+    """The mirror's (6, n) cuboid columns and string text, or None when it must not be written.
 
     The text holds every proposal id, then every video id, provenance and
-    parent id (empty for null, which no string parent can be), joined by a
-    separator that none of them holds.  The records must have exactly
-    their fields' types (the caller knows from the line encoder), and the
-    JSONL reader must take their columns as they are (`readable_as_is`)
-    once each string is taken as `json` reads its escaped text back, which
-    joins a high and a low surrogate into one character.  None for no
-    records.
+    parent id (empty for null, which no string parent can be), joined by
+    newlines.  The records must have exactly their fields' types (the
+    caller knows from the line encoder), and the JSONL reader must take
+    their columns as they are (`readable_as_is`).  None for no records, and
+    for a string holding a newline or a surrogate, which the JSONL alone
+    carries.
     """
     if not proposals:
         return None
@@ -153,24 +144,14 @@ def _mirror_columns(proposals: list[Proposal]) -> tuple[str, str, np.ndarray] | 
     if not readable_as_is(_proposal_table(), columns):
         return None
     n = len(proposals)
-    strings = [*ids, *video_ids, *provenances, *[p or "" for p in parents]]
-    separator = "\n"
-    text = separator.join(strings)
-    if text.count(separator) != 4 * n - 1:  # some string holds a newline
-        held = set(text)
-        separator = next(c for c in map(chr, itertools.chain(*_SEPARATORS)) if c not in held)
-        text = separator.join(strings)
+    text = "\n".join([*ids, *video_ids, *provenances, *[p or "" for p in parents]])
+    if text.count("\n") != 4 * n - 1:  # some string holds a newline
+        return None
     try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:  # a surrogate; separators keep one string's from pairing with the next's
-        text = json.loads(encode_basestring_ascii(text))
-        strings = text.split(separator)
-        columns.update(proposal_id=strings[:n], video_id=strings[n:2 * n], provenance=strings[2 * n:3 * n],
-                       parent_id=[p or None for p in strings[3 * n:]])
-        if not readable_as_is(_proposal_table(), columns):
-            return None
-    boxes = np.fromiter(itertools.chain(*map(columns.__getitem__, CUBOID_FIELDS)), "<f8", 6 * n)
-    return separator, text, boxes
+        text = text.encode("utf-8")
+    except UnicodeEncodeError:  # a surrogate
+        return None
+    return np.fromiter(itertools.chain(*map(columns.__getitem__, CUBOID_FIELDS)), "<f8", 6 * n), text
 
 
 def _proposal_table() -> Table:
@@ -207,30 +188,32 @@ def _read_mirror(path) -> list[Proposal] | None:
         buf = mirror_path(path).read_bytes()
         if buf[:len(MIRROR_MAGIC)] != MIRROR_MAGIC:
             return None
-        version, n, separator, t = np.frombuffer(buf, "<i8", 4, len(MIRROR_MAGIC)).tolist()
-        if version != MIRROR_VERSION or n < 1 or t < 0 or len(buf) != _HEADER + 48 * n + t + 8:
+        version, n, t = np.frombuffer(buf, "<i8", 3, len(MIRROR_MAGIC)).tolist()
+        if version != MIRROR_VERSION or n < 1 or t < 0 or len(buf) != _HEADER + 48 * n + t:
             return None
-        if zlib.crc32(memoryview(buf)[:-8]) != int.from_bytes(buf[-8:], "little"):
+        view = memoryview(buf)
+        digest = _file_digest(path)
+        digest.update(view[len(MIRROR_MAGIC):_HEADER - 32])
+        digest.update(view[_HEADER:])
+        if digest.digest() != buf[_HEADER - 32:_HEADER]:
             return None
-        if buf[_HEADER - 32:_HEADER] != _file_digest(path):
-            return None
-        strings = buf[_HEADER + 48 * n:-8].decode("utf-8", "surrogatepass").split(chr(separator))
+        strings = buf[_HEADER + 48 * n:].decode("utf-8").split("\n")
         if len(strings) != 4 * n:
             return None
         boxes = np.frombuffer(buf, "<f8", 6 * n, _HEADER).reshape(6, n)
-        cuboids = map(tuple.__new__, itertools.repeat(Cuboid),
-                      zip(*boxes[:4].tolist(), *boxes[4:].astype(np.int64).tolist()))
-        parents = [p or None for p in strings[3 * n:]]
-        return list(map(tuple.__new__, itertools.repeat(Proposal),
-                        zip(strings[:n], strings[n:2 * n], cuboids, strings[2 * n:3 * n], parents)))
-    except (OSError, ValueError, OverflowError):  # no mirror, or one that NumPy, `decode` or `chr` refuses
+        return _proposal_table().build({
+            "proposal_id": strings[:n], "video_id": strings[n:2 * n], "provenance": strings[2 * n:3 * n],
+            "parent_id": [p or None for p in strings[3 * n:]],
+            **dict(zip(CUBOID_FIELDS, (*boxes[:4].tolist(), *boxes[4:].astype(np.int64).tolist()))),
+        })
+    except (OSError, ValueError):  # no mirror, or one that NumPy or `decode` refuses
         return None
 
 
-def _file_digest(path) -> bytes:
-    """SHA-256 of the file's bytes, read `_HASH_CHUNK` at a time."""
+def _file_digest(path):
+    """SHA-256 object updated with the file's bytes, read `_HASH_CHUNK` at a time."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         while chunk := fh.read(_HASH_CHUNK):
             digest.update(chunk)
-    return digest.digest()
+    return digest

@@ -99,7 +99,7 @@ GOLDEN_DIGESTS = {
     "out/detections_final.jsonl": "d02fb7a5239a662b32056d6e9631333101790eefe0585a0f904d729a1865277f",
     "out/labels.jsonl": "54d8272df55f731fc754c8c49eb2d0ed4afd73cd1d6cca6e24e739743ac09d05",
     "out/proposals.jsonl": "6391993d4d3bb3261d6280d5f68985a6c46da4ba723b1e6ce601c08c67a23897",
-    "out/proposals.jsonl.cols": "b0049294587ce29beaa890f6a6800c525a68a0d46f07678900c0089f2f75ffb9",
+    "out/proposals.jsonl.cols": "a0f02e9d6272d008c68daa5a00955bf8110a70fc3811c526fbf554cf377add8f",
     "out/report.json": "17be46bc8869f8195a7e08beb0ce2c6f5b0578e2ddd630f6bbedabf6c6e4679b",
     "scores.jsonl": "d9335ef236ce36c5d6916f89b8b16f192554db585d93d8a4ae50e8df83071a5c",
     "videos.jsonl": "02ae3824cc98c1d700c163cda8c0a2081309c1939aac050dd66fd904f884a39b",

@@ -1,8 +1,8 @@
 """The column mirror of a proposal file: `load_proposals` reads it only when it is that file's, else the JSONL."""
 
+import hashlib
 import math
 import shutil
-import zlib
 
 import numpy as np
 import pytest
@@ -133,6 +133,23 @@ def test_records_the_jsonl_path_refuses_get_no_mirror(written):
         load_proposals(written)
 
 
+# strings the JSONL carries but the mirror's newline-joined UTF-8 text cannot; the JSONL path reads
+# a pair's two halves, held as two code points, back as one character
+UNMIRRORED = {"newline": "v1\nx", "lone_surrogate": "v1\ud800", "split_pair": "\ud83d\ude00"}
+
+
+@pytest.mark.parametrize("field", ["proposal_id", "video_id", "parent_id"])
+@pytest.mark.parametrize("string", sorted(UNMIRRORED))
+def test_strings_the_mirror_cannot_hold_get_none(written, tmp_path, field, string):
+    assert mirror_path(written).exists()
+    rows = [ROWS[0], ROWS[1]._replace(**{field: UNMIRRORED[string]}), ROWS[2]]
+    write_proposals(written, rows)
+    assert not mirror_path(written).exists()
+    got = outcome(written)
+    assert got[0] == "ok"
+    assert got == jsonl_outcome(written, tmp_path)
+
+
 def edit(path, old: bytes, new: bytes) -> None:
     data = path.read_bytes()
     assert data.count(old) == 1
@@ -167,49 +184,60 @@ def test_changed_jsonl_is_read_as_jsonl(written, tmp_path, change):
         assert got[0] == "error" and got[1].startswith(error)
 
 
-def sealed(data: bytes) -> bytes:
-    """`data` with its last 8 bytes replaced by the CRC-32 of the rest, as the writer ends a mirror."""
-    return data[:-8] + np.array([zlib.crc32(data[:-8])], "<i8").tobytes()
+DIGEST = len(MIRROR_MAGIC) + 3 * 8  # where the digest starts; the box columns follow it
+
+
+def seal(data: bytes, jsonl: bytes) -> bytes:
+    """`data` with its digest made to hold over the JSONL bytes `jsonl` plus its body, as the writer makes it."""
+    digest = hashlib.sha256(jsonl + data[len(MIRROR_MAGIC):DIGEST] + data[DIGEST + 32:]).digest()
+    return data[:DIGEST] + digest + data[DIGEST + 32:]
+
+
+def sealed(change):
+    """A damage that applies `change` to the mirror's bytes and then `seal`s them."""
+    return lambda data, jsonl: seal(change(data), jsonl)
 
 
 def patched(field: str, value: int):
-    """The mirror's bytes with the header's int64 `field` set to `value`, CRC-32 made to match."""
-    offset = len(MIRROR_MAGIC) + 8 * ("version", "records", "separator", "text").index(field)
-    return lambda data: sealed(data[:offset] + np.array([value], "<i8").tobytes() + data[offset + 8:])
+    """A sealed damage that sets the header's int64 `field` to `value`."""
+    offset = len(MIRROR_MAGIC) + 8 * ("version", "records", "text").index(field)
+    return sealed(lambda data: data[:offset] + np.array([value], "<i8").tobytes() + data[offset + 8:])
 
 
-DIGEST = len(MIRROR_MAGIC) + 4 * 8  # where the JSONL file's SHA-256 starts; the box columns follow it
-# how the mirror is damaged or replaced; a sealed change gets past the CRC-32 to the check behind it
+# how the mirror is damaged or replaced, given its bytes and the JSONL file's; a sealed change gets past
+# the digest to the check behind it
 DAMAGE = {
-    "empty": lambda data: b"",
-    "truncated_header": lambda data: data[:20],
-    "truncated_last_byte": lambda data: data[:-1],
-    "one_byte_more": lambda data: data + b"\n",
-    "garbage": lambda data: bytes(range(256)) * (len(data) // 256 + 1),
-    "not_a_mirror": lambda data: b"not a mirror\n",
-    "other_magic": lambda data: sealed(b"X" + data[1:]),
+    "empty": lambda data, _: b"",
+    "truncated_header": lambda data, _: data[:20],
+    "truncated_last_byte": lambda data, _: data[:-1],
+    "one_byte_more": lambda data, _: data + b"\n",
+    "garbage": lambda data, _: bytes(range(256)) * (len(data) // 256 + 1),
+    "not_a_mirror": lambda data, _: b"not a mirror\n",
+    "other_magic": sealed(lambda data: b"X" + data[1:]),
     "newer_version": patched("version", MIRROR_VERSION + 1),
     "older_version": patched("version", MIRROR_VERSION - 1),
     "more_records": patched("records", 4),
     "fewer_records": patched("records", 2),
     "no_records": patched("records", 0),
     "negative_records": patched("records", -1),
-    "other_separator": patched("separator", ord("_")),
-    "no_code_point": patched("separator", 0x110000),
-    "huge_code_point": patched("separator", 2**62),
     "longer_text": patched("text", 10**6),
-    "other_digest": lambda data: sealed(data[:DIGEST] + bytes(32) + data[DIGEST + 32:]),
-    "other_box": lambda data: data[:DIGEST + 32] + np.array([1.0], "<f8").tobytes() + data[DIGEST + 40:],
-    "other_text": lambda data: data[:-10] + b"_" + data[-9:],
-    "other_crc": lambda data: data[:-8] + bytes(8),
-    "not_utf8": lambda data: sealed(data[:-10] + b"\xff" + data[-9:]),
+    "other_digest": lambda data, _: data[:DIGEST] + bytes(32) + data[DIGEST + 32:],
+    "other_box": lambda data, _: data[:DIGEST + 32] + np.array([1.0], "<f8").tobytes() + data[DIGEST + 40:],
+    "other_text": lambda data, _: data[:-10] + b"_" + data[-9:],
+    "strings_joined": sealed(lambda data: data[:-10] + data[-10:].replace(b"\n", b"_")),
+    "not_utf8": sealed(lambda data: data[:-10] + b"\xff" + data[-9:]),
 }
+
+
+def test_sealing_keeps_a_written_mirror(written):
+    data = mirror_path(written).read_bytes()
+    assert seal(data, written.read_bytes()) == data
 
 
 @pytest.mark.parametrize("damage", sorted(DAMAGE))
 def test_damaged_mirror_falls_back_to_the_jsonl(written, damage):
     mirror = mirror_path(written)
-    mirror.write_bytes(DAMAGE[damage](mirror.read_bytes()))
+    mirror.write_bytes(DAMAGE[damage](mirror.read_bytes(), written.read_bytes()))
     assert proposals._read_mirror(written) is None
     assert load_proposals(written) == ROWS
 

@@ -27,13 +27,16 @@ float.
 
 Every output file is written through `replacing` (to `<name>.tmp`, then
 renamed over the target): every text file through `write_lines`, which
-can hash the bytes as it writes them, and the proposal file's column
-mirror (`proposals`) directly; the mirror's one SHA-256 goes on from the
-proposal file's bytes, hashed as `write_lines` wrote them, over the
-mirror's own body.  Proposals, training labels and final detections are
-encoded from their table by one generated line function each
-(`line_encoder`): a `%` template behind an exact-type guard, with the JSON
-encoder as fallback, the same bytes either way.  Proposals
+can hash the bytes as it writes them, and the binary column mirror beside
+the proposal file and the final-detections file through `write_mirror`,
+one codec driven by the file's table.  A mirror's one SHA-256 goes on from
+the record file's bytes, hashed as `write_lines` wrote them, over the
+mirror's own body; `read_mirror` gives the mirror's records, built by the
+table's `build`, only while that digest holds over the file on disk, and
+the loader reads the JSONL otherwise.  Proposals, training labels and
+final detections are encoded from their table by one generated line
+function each (`line_encoder`): a `%` template behind an exact-type guard,
+with the JSON encoder as fallback, the same bytes either way.  Proposals
 and final detections also keep each box's text for one write call, looked
 up only once the guard has passed and never kept for a box holding a
 zero, since `-0.0 == 0.0` but the two are written differently.  An
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -248,9 +252,11 @@ def _typed_values_hold(columns: dict, typed: dict[str, type]) -> bool:
 
 
 # A loader's `{name: _get_*}` fields, its ordered rules, and `build(columns)`, which makes the records of
-# columns the rules hold over (the score table: one item of arrays for them all) and adds their ids to the
-# set that a duplicate-id rule reads.
-Table = namedtuple("Table", "fields rules build")
+# columns the rules hold over (the score table: one item of arrays for them all).  Two parts are optional:
+# `unique`, the `(name, seen)` of a `_unique` rule, to whose set `_read_table` adds field `name` of every
+# block or record it accepts; and `reader_rules`, the rules that depend on what the loader was given (the
+# final-detection table's action classes) and not on the records alone, which `read_mirror` applies again.
+Table = namedtuple("Table", "fields rules build unique reader_rules", defaults=(None, ()))
 
 
 def _typed_fields(table: Table) -> dict[str, type]:
@@ -278,20 +284,28 @@ def _read_table(path, table: Table) -> Iterator:
     applied once over them before `table.build` makes the records.  A block
     that the column read or a rule refuses is read again line by line
     through `_parse_lines`: each record's fields through the table's
-    readers, then the rules on one-element columns.  A block's records are
-    all built before the next block is read, so a rule may check a record
-    against earlier ones (a repeated id).  Blocks are read as the caller
-    takes records, so the records a loader drops are freed a block at a
-    time: reading every block first raised the peak RSS of `propose` by
-    1.2-2.3 MB on the stage benchmark's two workloads.
+    readers, then the rules on one-element columns.  The ids of a block or
+    record the rules hold over go into the table's `unique` set before the
+    next block or record is read, so a rule may check a record against
+    earlier ones (a repeated id), and a block sent line by line has added
+    none.  Blocks are read as the caller takes records, so the records a
+    loader drops are freed a block at a time: reading every block first
+    raised the peak RSS of `propose` by 1.2-2.3 MB on the stage benchmark's
+    two workloads.
     """
     typed = _typed_fields(table)
     raw = [name for name, read in table.fields.items() if read not in _READ_TYPES]
     rows_of = operator.itemgetter(*typed)  # every table has at least two typed fields, so this gives a tuple
 
+    def accept(columns: dict) -> None:
+        if table.unique is not None:
+            name, seen = table.unique
+            seen.update(columns[name])
+
     def record(obj: dict):
         columns = {name: (get(obj, name),) for name, get in table.fields.items()}
         check_record(table.rules, columns, ValidationError)
+        accept(columns)
         return table.build(columns)[0]
 
     def blocks():
@@ -302,6 +316,7 @@ def _read_table(path, table: Table) -> Iterator:
                     return
                 columns = _block_columns(lines, typed, rows_of, raw)
                 if columns is not None and all(rule.holds(columns) for rule in table.rules):
+                    accept(columns)
                     yield table.build(columns)
                 else:
                     yield list(_parse_lines(path, zip(itertools.count(start), lines), record))
@@ -381,6 +396,9 @@ def _get_scores(obj: dict, name: str):
 
 _ABSENT = object()  # what `_get_scores` reads for an absent field
 
+# A string field that may be null or absent (None), read as parsed for its table's rules to check.
+_get_nullable = dict.get
+
 # What each typed field reader returns; `_read_table` and `line_encoder` take exactly these types.
 _READ_TYPES = {_get_str: str, _get_int: int, _get_number: float}
 
@@ -459,18 +477,13 @@ def _ground_truth_key(g: GroundTruthAction) -> tuple:
 
 def _video_table() -> Table:
     seen: set[str] = set()
-
-    def build(c: dict) -> list[VideoMeta]:
-        seen.update(c["video_id"])
-        return list(map(VideoMeta, *c.values()))
-
     return Table(VIDEO_FIELDS, [
         Rule(lambda c: all(min(c[name]) > 0 for name in ("num_frames", "frame_rate", "width", "height")),
              lambda r: "video dimensions, frames and rate must be positive"),
         Rule(lambda c: all(math.isfinite(VideoMeta(*row).minutes) for row in zip(*c.values())),  # a subnormal rate
              lambda r: f"video length num_frames / frame_rate / 60 = {VideoMeta(**r).minutes!r} minutes is not finite"),
         _unique("video_id", seen),
-    ], build)
+    ], lambda c: list(map(VideoMeta, *c.values())), unique=("video_id", seen))
 
 
 def load_video_meta(path) -> dict[str, VideoMeta]:
@@ -548,23 +561,31 @@ def load_ground_truth(
     return dict(sorted(grouped.items()))
 
 
-def _probabilities(lists: list[list]) -> bool:
-    """True when every value of `lists` is a float in [0, 1]; NumPy's min and max return a NaN they meet."""
-    values = list(itertools.chain.from_iterable(lists))
-    return set(map(type, values)) == {float} and 0.0 <= (v := np.fromiter(values, np.float64)).min() and v.max() <= 1.0
+def _probability_matrix(rows: list[list]) -> np.ndarray | None:
+    """The float64 matrix of equally long `rows`, or None unless every value is a float in [0, 1].
+
+    NumPy's min and max return a NaN they meet, so a NaN gives None too.
+    """
+    values = list(itertools.chain.from_iterable(rows))
+    if set(map(type, values)) != {float}:
+        return None
+    matrix = np.fromiter(values, np.float64, len(values)).reshape(len(rows), -1)  # as `np.array(rows)`, bit for bit
+    return matrix if 0.0 <= matrix.min() and matrix.max() <= 1.0 else None
 
 
 def _score_table(num_classes: int) -> Table:
     seen: set[str] = set()
+    checked = [None, None]  # the class_scores column the range rule passed last, and its matrix
+
+    def in_range(c: dict) -> bool:
+        checked[:] = c["class_scores"], _probability_matrix(c["class_scores"])
+        return checked[1] is not None
 
     def build(c: dict) -> list[tuple]:
-        # one item for the whole block: its ids, (n, num_classes + 1) scores and (n, 2) refinements
-        seen.update(c["proposal_id"])
-        refinements = np.column_stack([c["refine_start"], c["refine_end"]])
-        n = len(c["class_scores"])  # the rules hold, so every row has num_classes + 1 floats
-        flat = itertools.chain.from_iterable(c["class_scores"])  # as `np.array(rows)`, bit for bit
-        scores = np.fromiter(flat, dtype=np.float64, count=n * (num_classes + 1)).reshape(n, num_classes + 1)
-        return [(list(c["proposal_id"]), scores, refinements)]
+        # one item for the whole block: its ids, (n, num_classes + 1) scores and (n, 2) refinements; the rules
+        # hold, so the range rule has just made the scores of this very column
+        scores = checked[1] if checked[0] is c["class_scores"] else _probability_matrix(c["class_scores"])
+        return [(list(c["proposal_id"]), scores, np.column_stack([c["refine_start"], c["refine_end"]]))]
 
     return Table(SCORE_FIELDS, [
         _unique("proposal_id", seen),
@@ -572,13 +593,13 @@ def _score_table(num_classes: int) -> Table:
         Rule(lambda c: set(map(type, c["class_scores"])) == {list}
              and set(map(len, c["class_scores"])) == {num_classes + 1},
              lambda r: f"class_scores must hold {num_classes + 1} values"),
-        Rule(lambda c: _probabilities(c["class_scores"]),
+        Rule(in_range,
              lambda r: next(f"class_scores[{i}] = {value!r} outside [0, 1]"
-                            for i, value in enumerate(r["class_scores"]) if not _probabilities([[value]]))),
+                            for i, value in enumerate(r["class_scores"]) if _probability_matrix([[value]]) is None)),
         # each row's own `sum`, so that the tolerance decides bit for bit
         Rule(lambda c: bool((np.abs(np.fromiter(map(sum, c["class_scores"]), np.float64) - 1.0) <= PROB_SUM_TOL).all()),
              lambda r: f"class_scores sum to {sum(r['class_scores'])}, expected 1"),
-    ], build)
+    ], build, unique=("proposal_id", seen))
 
 
 def load_scores(path, num_classes: int = 12) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -633,6 +654,115 @@ def write_lines(path, lines: Iterable[str], digest=None) -> None:
             if digest is not None:
                 digest.update(data)
             fh.write(data)
+
+
+# The column mirror of a record file (`write_mirror`), all numbers little-endian: `MIRROR_MAGIC`; three int64
+# (the version, the record count n, the byte length t of the text); the SHA-256 of the record file's bytes
+# followed by this mirror's counts, number columns and text; the table's float and int fields in table order
+# as (fields, n) float64 columns; and t bytes of UTF-8 text: the values of its str fields, then of its
+# nullable string fields (`_get_nullable`, null as ""), field after field, joined by newlines.
+MIRROR_MAGIC = b"APPCOLS\n"
+MIRROR_VERSION = 2
+_MIRROR_HEADER = len(MIRROR_MAGIC) + 3 * 8 + 32  # magic; version, record count, text length; digest
+_HASH_CHUNK = 1 << 20  # bytes of the record file hashed per read
+
+
+def mirror_path(path) -> Path:
+    """Where the column mirror of the record file `path` goes: beside it, as `<name>.cols`."""
+    path = Path(path)
+    return path.with_name(path.name + ".cols")
+
+
+def _mirror_fields(table: Table) -> tuple[list[str], list[str], list[str]]:
+    """The table's number fields, its string fields (str, then nullable) and its nullable fields, in table order."""
+    numbers = [name for name, read in table.fields.items() if _READ_TYPES.get(read) in (float, int)]
+    nullable = [name for name, read in table.fields.items() if read is _get_nullable]
+    return numbers, [name for name, read in table.fields.items() if read is _get_str] + nullable, nullable
+
+
+def write_mirror(path, table: Table, columns: dict | None, digest) -> None:
+    """Write the column mirror of `path`, the file `write_lines` has just written with `digest`, or remove it.
+
+    `columns` holds the file's records as `{field name: column}` over
+    `table.fields`, or is None for records not all of exactly their
+    fields' types (a writer knows from its `line_encoder`'s `encoded`).  A
+    mirror is written, through `replacing`, only of records that
+    `_read_table` would take as they are (`readable_as_is`) and whose
+    strings hold no newline and encode as strict UTF-8 (hold no surrogate),
+    so that `read_mirror` gives equal records of equal types; for no
+    records, or any other records, an old mirror is removed.  The SHA-256
+    goes on from `digest`, the record file's bytes as written, over the
+    mirror's body.  The bytes depend only on the records, so identical
+    writes give identical mirrors.
+    """
+    numbers, strings, nullable = _mirror_fields(table)
+    n = 0 if columns is None else len(columns[strings[0]])
+    data = _mirror_text(columns, strings, nullable) if n and readable_as_is(table, columns) else None
+    if data is None:
+        mirror_path(path).unlink(missing_ok=True)
+        return
+    values = np.concatenate([np.fromiter(columns[name], "<f8", n) for name in numbers])
+    counts = np.array([MIRROR_VERSION, n, len(data)], "<i8")
+    for part in (counts, values, data):
+        digest.update(part)
+    with replacing(mirror_path(path)) as fh:
+        for part in (MIRROR_MAGIC, counts, digest.digest(), values, data):
+            fh.write(part)
+
+
+def _mirror_text(columns: dict, strings: list[str], nullable: list[str]) -> bytes | None:
+    """The mirror's UTF-8 text of the `strings` columns, or None when a string holds a newline or a surrogate."""
+    text = "\n".join(itertools.chain.from_iterable(
+        [value or "" for value in columns[name]] if name in nullable else columns[name] for name in strings))
+    if text.count("\n") != len(strings) * len(columns[strings[0]]) - 1:
+        return None
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError:
+        return None
+
+
+def read_mirror(path, table: Table) -> list | None:
+    """`table.build` of the mirror of `path`, or None when it is absent, damaged or not that file's; never raises.
+
+    The mirror must parse, have the current version and lengths that agree,
+    and its digest must hold over `path` as it is on disk plus the mirror's
+    body; then the rules that the writer could not check for this reader
+    (`table.reader_rules`) must hold.  The mirror is read with one call;
+    the record file is hashed in chunks.
+    """
+    numbers, strings, nullable = _mirror_fields(table)
+    try:
+        buf = mirror_path(path).read_bytes()
+        if buf[:len(MIRROR_MAGIC)] != MIRROR_MAGIC:
+            return None
+        version, n, t = np.frombuffer(buf, "<i8", 3, len(MIRROR_MAGIC)).tolist()
+        size = 8 * len(numbers) * n
+        if version != MIRROR_VERSION or n < 1 or t < 0 or len(buf) != _MIRROR_HEADER + size + t:
+            return None
+        view = memoryview(buf)
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            while chunk := fh.read(_HASH_CHUNK):
+                digest.update(chunk)
+        digest.update(view[len(MIRROR_MAGIC):_MIRROR_HEADER - 32])
+        digest.update(view[_MIRROR_HEADER:])
+        if digest.digest() != buf[_MIRROR_HEADER - 32:_MIRROR_HEADER]:
+            return None
+        text = buf[_MIRROR_HEADER + size:].decode("utf-8").split("\n")
+        if len(text) != len(strings) * n:
+            return None
+        columns = {name: text[i * n:(i + 1) * n] for i, name in enumerate(strings)}
+        for name in nullable:
+            columns[name] = [value or None for value in columns[name]]
+        rows = np.frombuffer(buf, "<f8", len(numbers) * n, _MIRROR_HEADER).reshape(len(numbers), n)
+        for name, row in zip(numbers, rows):
+            columns[name] = (row.astype(np.int64) if table.fields[name] is _get_int else row).tolist()
+        if not all(rule.holds(columns) for rule in table.reader_rules):
+            return None
+        return table.build(columns)
+    except (OSError, ValueError):  # no mirror, or one that NumPy or `decode` refuses
+        return None
 
 
 def write_records(path, records: Iterable[dict]) -> None:

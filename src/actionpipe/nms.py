@@ -17,6 +17,7 @@ each dense entry (4,000 such rows take ~1 s).
 from __future__ import annotations
 
 import bisect
+import hashlib
 import itertools
 import operator
 from collections import namedtuple
@@ -38,7 +39,9 @@ from .ingest import (
     _read_table,
     check_fractions,
     line_encoder,
+    read_mirror,
     write_lines,
+    write_mirror,
 )
 
 NMS_PAIRS = 2**18  # pair budget of one nms_3d block: the summed overlap counts of its rows
@@ -171,21 +174,38 @@ _final_line = line_encoder(FINAL_DETECTION_FIELDS, memo=BOX_FIELDS)
 
 
 def write_final_detections(path, dets: Iterable[ScoredDetection], action_classes: Sequence[str]) -> None:
-    """Final-detections file: the system's deliverable and scoring input."""
+    """Final-detections file, the system's deliverable and scoring input, then its column mirror.
+
+    Both go through `ingest.replacing`; the mirror (`ingest.write_mirror`)
+    holds the (7, n) confidence and cuboid columns, then every label, video
+    id and proposal id.
+    """
+    dets = list(dets)
+    columns = dict.fromkeys(FINAL_DETECTION_FIELDS, ())
+    if dets:
+        video_ids, proposal_ids, classes, confidences, cuboids = zip(*dets)
+        columns = {"action_class": [action_classes[cls - 1] for cls in classes], "confidence": confidences,
+                   "video_id": video_ids, "proposal_id": proposal_ids, **dict(zip(CUBOID_FIELDS, zip(*cuboids)))}
     line = _final_line.fresh()  # a detection keeps its proposal's box, whose text this call builds once
-    write_lines(path, (
-        line(action_classes[det.action_class - 1], det.confidence, det.video_id, det.proposal_id, *det.cuboid)
-        for det in dets
-    ))
+    digest = hashlib.sha256()
+    write_lines(path, map(line, *map(columns.__getitem__, FINAL_DETECTION_FIELDS)), digest)
+    write_mirror(path, _final_detection_table(action_classes), None if line.encoded else columns, digest)
 
 
 def _final_detection_table(action_classes: Sequence[str]) -> Table:
     index_of = {label: i for i, label in enumerate(action_classes, start=1)}  # class_index of each known label
-    return Table(FINAL_DETECTION_FIELDS, [*CUBOID_RULES, _known_class(tuple(action_classes)), CONFIDENCE_RULE],
+    known_class = _known_class(tuple(action_classes))
+    # a mirror written under other classes is read only when this reader knows every label
+    return Table(FINAL_DETECTION_FIELDS, [*CUBOID_RULES, known_class, CONFIDENCE_RULE],
                  lambda c: list(map(tuple.__new__, itertools.repeat(ScoredDetection), zip(
                      c["video_id"], c["proposal_id"], map(index_of.__getitem__, c["action_class"]), c["confidence"],
-                     _cuboids(c)))))
+                     _cuboids(c)))), reader_rules=[known_class])
 
 
 def load_final_detections(path, action_classes: Sequence[str]) -> list[ScoredDetection]:
-    return list(_read_table(path, _final_detection_table(action_classes)))
+    """Load a final-detections file, preserving file order: from its column mirror when that matches, else the JSONL."""
+    table = _final_detection_table(action_classes)
+    dets = read_mirror(path, table)
+    if dets is None:
+        dets = list(_read_table(path, table))
+    return dets

@@ -26,7 +26,7 @@ from actionpipe.refine import LossParams
 from oracles import run_python, score_records
 
 OUTPUTS = ("proposals.jsonl", "labels.jsonl", "detections_final.jsonl", "report.json")
-MIRROR = "proposals.jsonl.cols"  # the column mirror `propose` writes beside proposals.jsonl
+MIRRORS = ("proposals.jsonl.cols", "detections_final.jsonl.cols")  # the column mirrors beside two outputs
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +87,7 @@ GOLDEN_DIGESTS = {
     "multi/curves/transport_heavy_carry.txt": "8209a0181f5914b152ab739930637871aa14d99e97f1d1e0fa82fd6fe94587cf",
     "multi/curves/vehicle_u_turn.txt": "d311154105a070585c178d255964fb66491a9a78fac2b2b9a1a772b349bf6c39",
     "multi/detections_final.jsonl": "14f002b511bd7c7fe1b20494f404f36ad6032c237f9f522d669ace63a9b35dba",
+    "multi/detections_final.jsonl.cols": "b73267b124f0d12bd18768514671665be9e7183c8a6383aefe38f98d61b24ed4",
     "multi/proposals.jsonl": "6391993d4d3bb3261d6280d5f68985a6c46da4ba723b1e6ce601c08c67a23897",
     "multi/report.json": "fcc4f19fedbd7eec5cac1bcae063789db517b67875a16b3f50bc4ef8f2f9968a",
     "out/curves/aggregate.txt": "4452d929092ae32a00d58b7c9fede7a24e29e9ef2fbcc36c262fa24546c3e71f",
@@ -97,6 +98,7 @@ GOLDEN_DIGESTS = {
     "out/curves/transport_heavy_carry.txt": "1219319f004d072a17911fad60326b8b57fa5cf4be16b326d2edca33266d8937",
     "out/curves/vehicle_u_turn.txt": "312357c36c0436460b0444f4032a50ce0532212997058328291ed323cca8bc15",
     "out/detections_final.jsonl": "d02fb7a5239a662b32056d6e9631333101790eefe0585a0f904d729a1865277f",
+    "out/detections_final.jsonl.cols": "538b8dd0c76dc72a133e5adbaa8a71e65f0a01f682361b1aa479728b6a20c221",
     "out/labels.jsonl": "54d8272df55f731fc754c8c49eb2d0ed4afd73cd1d6cca6e24e739743ac09d05",
     "out/proposals.jsonl": "6391993d4d3bb3261d6280d5f68985a6c46da4ba723b1e6ce601c08c67a23897",
     "out/proposals.jsonl.cols": "a0f02e9d6272d008c68daa5a00955bf8110a70fc3811c526fbf554cf377add8f",
@@ -121,9 +123,9 @@ class TestEndToEnd:
         cfg_path = fixture_dir / "config.json"
         run_pipeline(cfg_path)
         out = fixture_dir / "out"
-        before = {name: (out / name).read_bytes() for name in (*OUTPUTS, MIRROR)}
+        before = {name: (out / name).read_bytes() for name in (*OUTPUTS, *MIRRORS)}
         run_pipeline(cfg_path)
-        after = {name: (out / name).read_bytes() for name in (*OUTPUTS, MIRROR)}
+        after = {name: (out / name).read_bytes() for name in (*OUTPUTS, *MIRRORS)}
         assert before == after
 
     def test_outputs_match_golden_digests(self, tmp_path):

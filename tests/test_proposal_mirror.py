@@ -10,22 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actionpipe import proposals
-from actionpipe.ingest import MAX_INT, ValidationError
-from actionpipe.proposals import (
-    MIRROR_MAGIC,
-    MIRROR_VERSION,
-    PROVENANCES,
-    Proposal,
-    load_proposals,
-    mirror_path,
-    write_proposals,
-)
+from actionpipe.ingest import MAX_INT, MIRROR_MAGIC, MIRROR_VERSION, ValidationError, mirror_path, read_mirror
+from actionpipe.proposals import PROVENANCES, Proposal, load_proposals, write_proposals
 
 ROWS = [
     Proposal("v1_c0000", "v1", (0.0, 0.0, 5.0, 5.0, 0, 9), "clustering"),
     Proposal("v1_c0000_j00", "v1", (0.0, 0.0, 5.0, 5.0, 2, 4), "jittering", "v1_c0000"),
     Proposal("v2_c0000", "v2", (1.5, 2.5, 6.0, 7.0, 3, 3), "clustering"),
 ]
+
+
+def mirrored(path):
+    """The records the mirror of `path` gives, or None: what `load_proposals` reads when it is not None."""
+    return read_mirror(path, proposals._proposal_table())
 
 
 def outcome(path):
@@ -96,7 +93,7 @@ def test_mirror_reads_as_the_jsonl(tmp_path_factory, rows):
     assert outcome(path) == expected
     if mirror_path(path).exists():  # only a file the JSONL path reads has a mirror, and the mirror is read
         assert expected[0] == "ok"
-        assert proposals._read_mirror(path) is not None
+        assert mirrored(path) is not None
 
 
 def test_valid_file_is_read_from_its_mirror(written, monkeypatch):
@@ -113,7 +110,7 @@ def test_frames_at_2_53_have_a_mirror(tmp_path):
     path = tmp_path / "proposals.jsonl"
     rows = [Proposal("p", "v", (-0.0, 0.0, 5.0, 5.0, -MAX_INT, MAX_INT), "clustering")]
     write_proposals(path, rows)
-    assert proposals._read_mirror(path) == rows
+    assert mirrored(path) == rows
     assert outcome(path) == jsonl_outcome(path, tmp_path)
 
 
@@ -175,7 +172,7 @@ CHANGES = {
 def test_changed_jsonl_is_read_as_jsonl(written, tmp_path, change):
     make_change, error = CHANGES[change]
     make_change(written)
-    assert proposals._read_mirror(written) is None
+    assert mirrored(written) is None
     got = outcome(written)
     assert got == jsonl_outcome(written, tmp_path)
     if error is None:
@@ -238,7 +235,7 @@ def test_sealing_keeps_a_written_mirror(written):
 def test_damaged_mirror_falls_back_to_the_jsonl(written, damage):
     mirror = mirror_path(written)
     mirror.write_bytes(DAMAGE[damage](mirror.read_bytes(), written.read_bytes()))
-    assert proposals._read_mirror(written) is None
+    assert mirrored(written) is None
     assert load_proposals(written) == ROWS
 
 
@@ -256,7 +253,7 @@ def test_any_byte_changed_or_cut_falls_back(tmp_path_factory, data):
         damaged = original[:at] + bytes([data.draw(st.integers(0, 255).filter(lambda b: b != original[at]))]) \
             + original[at + 1:]
     mirror.write_bytes(damaged)
-    assert proposals._read_mirror(path) is None
+    assert mirrored(path) is None
     assert load_proposals(path) == ROWS
 
 
@@ -265,9 +262,9 @@ def test_mirror_of_another_file_or_a_directory_is_ignored(written, tmp_path):
     other.parent.mkdir()
     write_proposals(other, ROWS[:2])
     shutil.copy(mirror_path(written), mirror_path(other))
-    assert proposals._read_mirror(other) is None
+    assert mirrored(other) is None
     assert load_proposals(other) == ROWS[:2]
     mirror_path(other).unlink()
     mirror_path(other).mkdir()
-    assert proposals._read_mirror(other) is None
+    assert mirrored(other) is None
     assert load_proposals(other) == ROWS[:2]

@@ -607,3 +607,25 @@ def test_missing_field_is_found_before_a_repeated_id(tmp_path, kind):
         with pytest.raises(ValidationError) as err:
             read(path)
         assert str(err.value) == expected
+
+
+# A fault that a rule other than the duplicate-id rule finds, in a record the column read takes, with its message.
+RULE_FAULTS = {
+    "proposals": ({"provenance": "x"}, "unknown provenance 'x'"),
+    "scores": ({"class_scores": [0.5] * 13}, "class_scores sum to 6.5, expected 1"),
+    "videos": ({"num_frames": 0}, "video dimensions, frames and rate must be positive"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RULE_FAULTS))
+def test_block_read_again_line_by_line_finds_no_duplicate_of_its_own_ids(tmp_path, kind):
+    # the block's ids join the duplicate set only once every rule holds over it, so the line-by-line
+    # read of a refused block meets its first record's id as new
+    load, reference, make = LOADERS[kind]
+    fault, message = RULE_FAULTS[kind]
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_text(json.dumps(make(0)) + "\n" + json.dumps({**make(1), **fault}) + "\n", encoding="utf-8")
+    for read in (load, reference):
+        with pytest.raises(ValidationError) as err:
+            read(path)
+        assert str(err.value) == f"{path}:2: {message}"

@@ -286,6 +286,22 @@ class TestWriteRecords:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
         assert sorted(before) == ["proposals.jsonl", "proposals.jsonl.cols"]
 
+        final = tmp_path / "final"
+        final.mkdir()
+        path = final / "detections_final.jsonl"
+        write_final_detections(path, [ScoredDetection("v1", "v1_c0000", 1, 0.5, Cuboid(0, 0, 5, 5, 0, 9))],
+                               DEFAULT_ACTION_CLASSES)
+        before = {p.name: p.read_bytes() for p in final.iterdir()}
+
+        def failing_nms():
+            yield ScoredDetection("v1", "v1_c0001", 2, 0.75, Cuboid(1, 1, 6, 6, 2, 4))
+            raise RuntimeError("nms crashed")
+
+        with pytest.raises(RuntimeError):
+            write_final_detections(path, failing_nms(), DEFAULT_ACTION_CLASSES)
+        assert {p.name: p.read_bytes() for p in final.iterdir()} == before
+        assert sorted(before) == ["detections_final.jsonl", "detections_final.jsonl.cols"]
+
 
 # Values an output record may hold: non-ASCII text, lone surrogates, -0.0, NaN,
 # integers of any size, nesting.

@@ -63,7 +63,7 @@ def test_propose_below_the_split_size_leaves_one_thread(tmp_path):
 
 
 def test_cli_import_loads_no_module_beyond_its_dependencies():
-    # `proposals` reads its column mirror with `hashlib`, `json` and `zlib`, which NumPy and SciPy already load
+    # `ingest` hashes the column mirrors with `hashlib`; NumPy and SciPy already load it, `json` and `zlib`
     code = (
         "import sys\n"
         "import numpy, orjson, scipy.spatial\n"
